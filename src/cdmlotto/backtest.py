@@ -23,15 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distributions import CountMatrix, predictive_expectation
-from .estimators import (
-    EstimationError,
-    EstimatorConfig,
-    EstimatorKind,
-    InsufficientRowsError,
-    ZeroEntryError,
-    apply_positivity_floor,
-    mle_alpha_from_stats,
-)
+from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats, smoothed_logs
 from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec, build_count_matrices
 
 __all__ = [
@@ -203,50 +195,40 @@ def match_count(prediction: PredictedCombination, actual: DrawRecord, spec: Game
 class _RollingStats:
     """Prefix-sum sufficient statistics for one count matrix.
 
-    Column sums come from an (n+1, K) prefix array.  The MLE path keeps
-    prefix log sums of the smoothed entries plus a prefix zero counter so
-    the zero-entry precondition is checked per window without rescanning.
+    Column sums come from an (n+1, K) prefix array.  md keeps the rows for
+    its trailing diagonal; mle keeps prefix log sums of the smoothed entries
+    plus a prefix zero counter, so its zero check needs no rescan.
     """
 
     def __init__(self, matrix: CountMatrix, estimator: EstimatorConfig):
-        self.matrix = matrix
         self.estimator = estimator
         counts = matrix.counts
         n, k = counts.shape
         self.prefix = np.zeros((n + 1, k), dtype=np.int64)
         np.cumsum(counts, axis=0, out=self.prefix[1:])
+        self.tail_counts = counts if estimator.kind is EstimatorKind.MAIN_DIAGONAL else None
+        self.log_prefix = self.zero_prefix = None
         if estimator.kind is EstimatorKind.MLE:
-            smoothed = counts + float(estimator.mle_smoothing)
-            zero = smoothed == 0.0
-            self.zero_prefix = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(zero.sum(axis=1), out=self.zero_prefix[1:])
+            logs, zeros = smoothed_logs(counts, estimator.mle_smoothing)
             self.log_prefix = np.zeros((n + 1, k), dtype=np.float64)
-            np.cumsum(np.log(np.where(zero, 1.0, smoothed)), axis=0, out=self.log_prefix[1:])
+            np.cumsum(logs, axis=0, out=self.log_prefix[1:])
+            self.zero_prefix = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(zeros, out=self.zero_prefix[1:])
 
-    def window_col_sums(self, start: int, end: int) -> np.ndarray:
-        return self.prefix[end] - self.prefix[start]
-
-    def alpha(self, start: int, end: int) -> np.ndarray:
+    def alpha(self, start: int, end: int, col_sums: np.ndarray) -> np.ndarray:
         rows = end - start
-        kind = self.estimator.kind
-        if kind is EstimatorKind.MOM:
-            raw = self.window_col_sums(start, end) / rows
-        elif kind is EstimatorKind.MAIN_DIAGONAL:
-            k = self.matrix.cols
-            if rows < k:
-                raise InsufficientRowsError(f"need at least {k} rows, window has {rows}")
-            raw = np.diagonal(self.matrix.counts[end - k:end]).astype(np.float64)
-        else:
-            if self.zero_prefix[end] - self.zero_prefix[start] > 0:
-                raise ZeroEntryError("window has zero entries after smoothing")
-            col_sums = self.window_col_sums(start, end)
-            col_means = (col_sums + rows * self.estimator.mle_smoothing) / rows
-            col_log_sums = self.log_prefix[end] - self.log_prefix[start]
-            raw = mle_alpha_from_stats(rows, col_means, col_log_sums)
-        return apply_positivity_floor(raw, self.estimator.positivity_floor)
+        tail = log_sums = None
+        zero_count = 0
+        if self.tail_counts is not None:
+            tail = self.tail_counts[end - min(rows, col_sums.size):end]
+        if self.log_prefix is not None:
+            log_sums = self.log_prefix[end] - self.log_prefix[start]
+            zero_count = self.zero_prefix[end] - self.zero_prefix[start]
+        return alpha_from_stats(self.estimator, rows, col_sums, tail, log_sums, zero_count)
 
     def scores(self, start: int, end: int, m: int) -> np.ndarray:
-        return predictive_expectation(self.alpha(start, end), self.window_col_sums(start, end), m)
+        col_sums = self.prefix[end] - self.prefix[start]
+        return predictive_expectation(self.alpha(start, end, col_sums), col_sums, m)
 
 
 def _resolve(config: BacktestConfig, spec: GameSpec, n: int) -> tuple[int, int]:

@@ -132,38 +132,9 @@ def _parse_money(text: str) -> int:
     return int(cents)
 
 
-# Same converters serve config-file values so both sources parse identically.
-_FILE_PARSERS = {
-    "game": _parse_game,
-    "pool": int,
-    "picks": int,
-    "draws": int,
-    "seed": int,
-    "estimator": str,
-    "smoothing": float,
-    "window": _parse_window,
-    "warmup": int,
-    "threshold": int,
-    "format": _parse_format,
-    "input": str,
-    "output": str,
-    "gaps": _parse_int_list,
-    "gaps_file": str,
-    "hits": _parse_int_list,
-    "hits_file": str,
-    "no_win_horizon": int,
-    "ticket_price": _parse_money,
-    "payout": _parse_money,
-    "quarter_days": int,
-    "schedule": _parse_int_list,
-    "extension": _parse_extension,
-    "accounting": _parse_accounting,
-}
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
     out: dict[str, str] = {}
@@ -182,7 +153,8 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge CLI flags over config-file values over defaults.
 
     Keys in the file that this subcommand does not use are ignored so one
-    file can serve several subcommands.
+    file can serve several subcommands.  File values go through the same
+    converter as the matching flag (``args.converters``).
     """
     file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     merged = {}
@@ -192,7 +164,7 @@ def _effective(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = cli_value
         elif key in file_cfg:
             try:
-                merged[key] = _FILE_PARSERS[key](file_cfg[key])
+                merged[key] = args.converters[key](file_cfg[key])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise CliError(f"config value for {key!r}: {exc}") from None
         else:
@@ -241,7 +213,7 @@ def _load_history(cfg: dict, spec: GameSpec) -> DrawHistory:
         path = Path(cfg["input"])
         if not path.exists():
             raise CliError(f"input file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return parse_history(handle, spec)
     if cfg.get("draws") is not None:
         return synthetic_history(spec, cfg["draws"], cfg.get("seed") or 0)
@@ -367,25 +339,74 @@ def cmd_predict(args: argparse.Namespace) -> int:
 # backtest
 
 
+def _gap_report(hit_indices) -> dict:
+    """Hit indices, gap statistics and stretch labels: the fields that
+    backtest and hits-replay documents share."""
+    stats = gap_stats(hit_indices)
+    stretch = classify_stretches(stats.gaps)
+    return {
+        "hit_indices": list(hit_indices),
+        "gaps": list(stats.gaps),
+        "average_gap": stats.average,
+        "max_gap": stats.max_gap,
+        "stretch": {
+            "cutoff": stretch.cutoff,
+            "labels": list(stretch.labels),
+            "alternation_fraction": stretch.alternation_fraction,
+            "note": ALTERNATION_NOTE,
+        },
+    }
+
+
+def _gap_lines(report: dict) -> list[str]:
+    lines = [
+        "hit indices: " + (", ".join(str(i) for i in report["hit_indices"]) or "none"),
+        "gaps: " + (", ".join(str(g) for g in report["gaps"]) or "none"),
+    ]
+    average = report["average_gap"]
+    if average is not None:
+        lines.append(f"average gap: {average:.3f} (rounded {round(average)})")
+        lines.append(f"max gap: {report['max_gap']}")
+    return lines
+
+
+def _stretch_lines(report: dict) -> list[str]:
+    stretch = report["stretch"]
+    lines = []
+    if stretch["labels"]:
+        lines.append(f"stretches (cutoff {stretch['cutoff']}): {' '.join(stretch['labels'])}")
+    if stretch["alternation_fraction"] is not None:
+        lines.append(f"alternation fraction: {stretch['alternation_fraction']:.4f}")
+        lines.append(f"note: {stretch['note']}")
+    return lines
+
+
 def _tier_gap_report(result: BacktestResult, picks: int) -> tuple[dict[int, float], dict[int, float]]:
     """Average gap per minimum match count, plus log-linear projections for
-    the counts with too few hits to measure."""
-    observed: dict[int, float] = {}
-    missing: list[int] = []
-    for tier in range(1, picks + 1):
-        indices = [r.draw_index for r in result.records if r.match_count >= tier]
-        stats = gap_stats(indices)
-        if stats.average is not None:
-            observed[tier] = stats.average
-        else:
-            missing.append(tier)
+    the counts with too few hits to measure.
+
+    One pass over the match counts keeps each tier's first and last hit and
+    its hit count; successive gaps telescope, so their average is
+    ``(last - first) / (hits - 1)``.
+    """
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    hits = [0] * (picks + 1)
+    for r in result.records:
+        for tier in range(1, r.match_count + 1):
+            first.setdefault(tier, r.draw_index)
+            last[tier] = r.draw_index
+            hits[tier] += 1
+    tiers = range(1, picks + 1)
+    observed = {t: (last[t] - first[t]) / (hits[t] - 1) for t in tiers if hits[t] >= 2}
+    missing = [t for t in tiers if hits[t] < 2]
     projections: dict[int, float] = {}
     if len(observed) >= 2 and missing:
         projections = extrapolate_gaps(observed, missing)
     return observed, projections
 
 
-def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
+def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict, report: dict) -> str:
     lines = []
     window = _window_arg(cfg["window"])
     lines.append(
@@ -399,19 +420,10 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
             lines.append(f"draw {r.draw_index} (matched {r.match_count}):")
             comparison = render_comparison([(cfg["estimator"], r.prediction)], r.actual)
             lines.extend("  " + line for line in comparison)
-    lines.append("hit indices: " + (", ".join(str(i) for i in result.hit_indices) or "none"))
-    lines.append("gaps: " + (", ".join(str(g) for g in result.gaps) or "none"))
-    if result.average_gap is not None:
-        lines.append(f"average gap: {result.average_gap:.3f} (rounded {round(result.average_gap)})")
-        lines.append(f"max gap: {result.max_gap}")
+    lines.extend(_gap_lines(report))
     tiers = ", ".join(f"{k}: {v}" for k, v in sorted(result.tier_counts.items()))
     lines.append(f"match-count histogram: {tiers}")
-    stretch = classify_stretches(result.gaps)
-    if stretch.labels:
-        lines.append(f"stretches (cutoff {stretch.cutoff}): {' '.join(stretch.labels)}")
-    if stretch.alternation_fraction is not None:
-        lines.append(f"alternation fraction: {stretch.alternation_fraction:.4f}")
-        lines.append(f"note: {ALTERNATION_NOTE}")
+    lines.extend(_stretch_lines(report))
     observed, projections = _tier_gap_report(result, spec.picks)
     if observed:
         lines.append("average gap by minimum match count:")
@@ -430,36 +442,12 @@ def _hits_replay(cfg: dict) -> int:
         path = Path(cfg["hits_file"])
         if not path.exists():
             raise CliError(f"hits file not found: {path}")
-        indices = _read_int_series(path)
-    stats = gap_stats(indices)
-    stretch = classify_stretches(stats.gaps)
+        indices = _read_int_series(path, "hit_indices")
+    report = _gap_report(indices)
     if cfg["format"] == "json":
-        document = {
-            "config": _config_echo(cfg),
-            "hit_indices": indices,
-            "gaps": list(stats.gaps),
-            "average_gap": stats.average,
-            "max_gap": stats.max_gap,
-            "stretch": {
-                "cutoff": stretch.cutoff,
-                "labels": list(stretch.labels),
-                "alternation_fraction": stretch.alternation_fraction,
-                "note": ALTERNATION_NOTE,
-            },
-        }
-        _emit(_json_dumps(document), cfg)
-        return 0
-    lines = ["hit indices: " + ", ".join(str(i) for i in indices)]
-    lines.append("gaps: " + (", ".join(str(g) for g in stats.gaps) or "none"))
-    if stats.average is not None:
-        lines.append(f"average gap: {stats.average:.3f} (rounded {round(stats.average)})")
-        lines.append(f"max gap: {stats.max_gap}")
-    if stretch.labels:
-        lines.append(f"stretches (cutoff {stretch.cutoff}): {' '.join(stretch.labels)}")
-    if stretch.alternation_fraction is not None:
-        lines.append(f"alternation fraction: {stretch.alternation_fraction:.4f}")
-        lines.append(f"note: {ALTERNATION_NOTE}")
-    _emit("\n".join(lines) + "\n", cfg)
+        _emit(_json_dumps({"config": _config_echo(cfg), **report}), cfg)
+    else:
+        _emit("\n".join(_gap_lines(report) + _stretch_lines(report)) + "\n", cfg)
     return 0
 
 
@@ -486,25 +474,20 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         hit_threshold=cfg["threshold"],
     )
     result = run_backtest(history, config)
+    report = _gap_report(result.hit_indices)
 
     if cfg["format"] == "json":
-        stretch = classify_stretches(result.gaps)
         observed, projections = _tier_gap_report(result, spec.picks)
         document = {
             "config": _config_echo(cfg, spec),
             **result.to_dict(),
-            "stretch": {
-                "cutoff": stretch.cutoff,
-                "labels": list(stretch.labels),
-                "alternation_fraction": stretch.alternation_fraction,
-                "note": ALTERNATION_NOTE,
-            },
+            **report,
             "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
             "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
         }
         _emit(_json_dumps(document), cfg)
     else:
-        _emit(_backtest_text(result, spec, cfg), cfg)
+        _emit(_backtest_text(result, spec, cfg, report), cfg)
     return 0
 
 
@@ -512,8 +495,8 @@ def cmd_backtest(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _read_int_series(path: Path) -> list[int]:
-    """Integers from a JSON document ({"gaps": [...]}, a bare list) or
+def _read_int_series(path: Path, field: str) -> list[int]:
+    """Integers from a JSON document (its ``field`` list, or a bare list) or
     whitespace/comma-separated text."""
     text = path.read_text(encoding="utf-8")
     try:
@@ -524,9 +507,9 @@ def _read_int_series(path: Path) -> list[int]:
         except ValueError:
             raise CliError(f"{path}: expected JSON or an integer list") from None
     if isinstance(data, dict):
-        if "gaps" not in data:
-            raise CliError(f"{path}: JSON document has no 'gaps' field")
-        data = data["gaps"]
+        if field not in data:
+            raise CliError(f"{path}: JSON document has no {field!r} field")
+        data = data[field]
     if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
         raise CliError(f"{path}: expected a list of integers")
     return data
@@ -567,7 +550,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "max_drawdown_cents": ledger.drawdown_cents,
         }
     else:
-        gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"])))
+        gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps"))
         summary = simulate_streams(gaps, config)
         streams = list(summary.streams)
         totals = {
@@ -661,7 +644,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, help="minimum match count that counts as a hit")
     p.add_argument("--hits", type=_parse_int_list,
                    help="skip the model walk and report gap statistics for these hit indices")
-    p.add_argument("--hits-file", dest="hits_file", help="like --hits, read from a file")
+    p.add_argument("--hits-file", dest="hits_file",
+                   help="like --hits, read from a backtest JSON document (its 'hit_indices') or an integer list file")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("simulate", help="replay the quarterly staking plan over hit gaps")
@@ -679,6 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accounting", type=_parse_accounting, help="paper or exact (default paper)")
     p.set_defaults(func=cmd_simulate)
 
+    # Config-file values parse exactly like the flags they stand for.
+    for p in sub.choices.values():
+        p.set_defaults(converters={a.dest: a.type or str for a in p._actions if a.option_strings})
     return parser
 
 

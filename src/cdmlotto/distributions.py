@@ -50,10 +50,17 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _as_counts(x, name: str = "x") -> np.ndarray:
+def _as_counts(x, name: str = "x", ndim: int = 1) -> np.ndarray:
+    """The one count validator: a fresh int64 copy of nonnegative integer
+    counts, a nonempty vector (``ndim=1``) or an n >= 1 by K >= 2 matrix."""
     arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
+    if ndim == 1:
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError(f"{name} must be a nonempty 1-d vector")
+    elif arr.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array")
+    elif arr.shape[0] < 1 or arr.shape[1] < 2:
+        raise ValueError(f"count matrix needs n >= 1 rows and K >= 2 columns, got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         rounded = np.rint(arr)
         if not np.array_equal(arr, rounded):
@@ -110,20 +117,7 @@ class CountMatrix:
     col_sums: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.counts)
-        if arr.ndim != 2:
-            raise ValueError("counts must be a 2-d array")
-        n, k = arr.shape
-        if n < 1 or k < 2:
-            raise ValueError(f"count matrix needs n >= 1 rows and K >= 2 columns, got {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(arr, rounded):
-                raise ValueError("counts must hold integers")
-            arr = rounded
-        arr = arr.astype(np.int64)
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
+        arr = _as_counts(self.counts, "counts", ndim=2)
         row_sums = arr.sum(axis=1)
         if np.any(row_sums != row_sums[0]):
             raise ValueError("every row must sum to the same draw total")

@@ -3,12 +3,19 @@
 Three procedures, all cheap enough to refit inside a per-draw backtest
 loop:
 
-* ``estimate_mle``: closed-form maximum likelihood.  Per-category shares
-  are the column means; the total mass divides a constant involving the
+* mle: closed-form maximum likelihood.  Per-category shares are the
+  column means; the total mass divides a constant involving the
   Euler-Mascheroni constant by a log-dispersion term of the entries.
-* ``estimate_mom``: method of moments, the plain column mean.
-* ``estimate_main_diagonal``: the diagonal of the most recent square
-  window of the matrix (the freshest K draws).
+* mm: method of moments, the plain column mean.
+* md: the diagonal of the most recent square window of the matrix (the
+  freshest K draws).
+
+Each estimator exists once, in :func:`alpha_from_stats`, as a function of
+a window's sufficient statistics (rows, column sums, trailing rows, and
+for mle smoothed log sums and a zero count).  :func:`estimate_alpha`
+computes them from one matrix, the backtest from prefix sums for every
+window of its walk; ``estimate_mle``/``estimate_mom``/``estimate_main_diagonal``
+wrap ``estimate_alpha``.
 
 The MLE total-mass formula takes logs of every matrix entry and is
 therefore undefined whenever any entry is zero, which is always the case
@@ -29,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import CountMatrix
+from .distributions import CountMatrix, _as_counts
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -44,6 +51,8 @@ __all__ = [
     "estimate_mom",
     "estimate_main_diagonal",
     "estimate_alpha",
+    "alpha_from_stats",
+    "smoothed_logs",
     "mle_alpha_from_stats",
     "apply_positivity_floor",
 ]
@@ -79,28 +88,6 @@ class EstimatorKind(Enum):
     MAIN_DIAGONAL = "md"
 
 
-def _counts_of(matrix) -> np.ndarray:
-    """Accept a CountMatrix or any nonnegative integer matrix.
-
-    The estimator formulas do not need the constant-row-sum property that
-    draw histories guarantee, so plain arrays are fine here.
-    """
-    if isinstance(matrix, CountMatrix):
-        return matrix.counts
-    arr = np.asarray(matrix)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 2:
-        raise ValueError(f"need an n-by-K count matrix with n >= 1, K >= 2, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(arr, rounded):
-            raise ValueError("counts must hold integers")
-        arr = rounded
-    arr = arr.astype(np.int64)
-    if np.any(arr < 0):
-        raise ValueError("counts must be nonnegative")
-    return arr
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """An estimator choice plus its knobs."""
@@ -117,11 +104,10 @@ class EstimatorConfig:
 
 
 def mle_alpha_from_stats(rows: int, col_means: np.ndarray, col_log_sums: np.ndarray) -> np.ndarray:
-    """Closed-form MLE from sufficient statistics of the (smoothed) matrix.
+    """Closed-form MLE total mass times shares, from smoothed-matrix statistics.
 
-    ``col_means`` are the per-category means f_j, ``col_log_sums`` the
-    per-category sums of entry logs.  Shared by the matrix-level estimator
-    and the rolling backtest loop so the arithmetic exists once.
+    ``col_means`` are the per-category means f_j of the smoothed entries,
+    ``col_log_sums`` the per-category sums of their logs.
     """
     f = np.asarray(col_means, dtype=np.float64)
     logs = np.asarray(col_log_sums, dtype=np.float64)
@@ -137,36 +123,6 @@ def mle_alpha_from_stats(rows: int, col_means: np.ndarray, col_log_sums: np.ndar
     return alpha0 * f
 
 
-def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:
-    """Closed-form maximum likelihood estimate of the concentration vector."""
-    if smoothing < 0:
-        raise ValueError("smoothing must be nonnegative")
-    counts = _counts_of(matrix)
-    smoothed = counts + float(smoothing)
-    if np.any(smoothed == 0.0):
-        raise ZeroEntryError(
-            "matrix has zero entries after smoothing; the total-mass formula takes logs of every entry"
-        )
-    col_log_sums = np.log(smoothed).sum(axis=0)
-    col_means = smoothed.mean(axis=0)
-    return mle_alpha_from_stats(counts.shape[0], col_means, col_log_sums)
-
-
-def estimate_mom(matrix) -> np.ndarray:
-    """Method-of-moments estimate: the per-category column mean."""
-    counts = _counts_of(matrix)
-    return counts.sum(axis=0) / counts.shape[0]
-
-
-def estimate_main_diagonal(matrix) -> np.ndarray:
-    """Main diagonal of the trailing square window (the most recent K draws)."""
-    counts = _counts_of(matrix)
-    n, k = counts.shape
-    if n < k:
-        raise InsufficientRowsError(f"need at least {k} rows for a trailing {k}x{k} window, got {n}")
-    return np.diagonal(counts[n - k:]).astype(np.float64)
-
-
 def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
     """Lift exact zeros to ``floor``; positive entries are never touched."""
     if floor <= 0:
@@ -174,12 +130,72 @@ def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
     return np.where(alpha == 0.0, floor, alpha)
 
 
-def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
-    """Dispatch to the configured estimator and apply the positivity floor."""
-    if config.kind is EstimatorKind.MLE:
-        alpha = estimate_mle(matrix, config.mle_smoothing)
-    elif config.kind is EstimatorKind.MOM:
-        alpha = estimate_mom(matrix)
+def smoothed_logs(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry ``log(count + smoothing)`` and per-row zero counts, for mle.
+
+    Entries that are zero after smoothing are counted and get a log of 0,
+    so sums stay finite and the zero check can run per window.
+    """
+    logs = counts + float(smoothing)
+    zero = logs == 0.0
+    logs[zero] = 1.0
+    np.log(logs, out=logs)
+    return logs, zero.sum(axis=1)
+
+
+def alpha_from_stats(config: EstimatorConfig, rows: int, col_sums: np.ndarray, tail=None,
+                     log_sums=None, zero_count: int = 0) -> np.ndarray:
+    """The configured estimate from one window's sufficient statistics.
+
+    ``col_sums`` are the raw column sums of the window's ``rows`` rows.  md
+    reads ``tail``, the window's trailing ``min(rows, K)`` rows.  mle reads
+    ``log_sums`` and ``zero_count``, the column sums and the zero count of
+    :func:`smoothed_logs` over the window.  The positivity floor is applied
+    last.
+    """
+    if config.kind is EstimatorKind.MOM:
+        alpha = col_sums / rows
+    elif config.kind is EstimatorKind.MAIN_DIAGONAL:
+        k = col_sums.size
+        if rows < k:
+            raise InsufficientRowsError(f"need at least {k} rows for a trailing {k}x{k} window, got {rows}")
+        alpha = np.diagonal(tail).astype(np.float64)
     else:
-        alpha = estimate_main_diagonal(matrix)
+        if zero_count:
+            raise ZeroEntryError(
+                "window has zero entries after smoothing; the total-mass formula takes logs of every entry"
+            )
+        col_means = (col_sums + rows * config.mle_smoothing) / rows
+        alpha = mle_alpha_from_stats(rows, col_means, log_sums)
     return apply_positivity_floor(alpha, config.positivity_floor)
+
+
+def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
+    """Fit the configured estimator on one window: a CountMatrix or any
+    nonnegative integer n-by-K array (no constant row sums needed)."""
+    if isinstance(matrix, CountMatrix):
+        counts, col_sums = matrix.counts, matrix.col_sums
+    else:
+        counts = _as_counts(matrix, "counts", ndim=2)
+        col_sums = counts.sum(axis=0)
+    rows, k = counts.shape
+    log_sums, zero_count = None, 0
+    if config.kind is EstimatorKind.MLE:
+        logs, zeros = smoothed_logs(counts, config.mle_smoothing)
+        log_sums, zero_count = logs.sum(axis=0), int(zeros.sum())
+    return alpha_from_stats(config, rows, col_sums, counts[max(rows - k, 0):], log_sums, zero_count)
+
+
+def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:
+    """Closed-form maximum likelihood estimate of the concentration vector."""
+    return estimate_alpha(matrix, EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing))
+
+
+def estimate_mom(matrix) -> np.ndarray:
+    """Method-of-moments estimate: the per-category column mean."""
+    return estimate_alpha(matrix, EstimatorConfig(EstimatorKind.MOM))
+
+
+def estimate_main_diagonal(matrix) -> np.ndarray:
+    """Main diagonal of the trailing square window (the most recent K draws)."""
+    return estimate_alpha(matrix, EstimatorConfig(EstimatorKind.MAIN_DIAGONAL))

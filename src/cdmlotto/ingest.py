@@ -4,10 +4,12 @@ The on-disk format is minimal CSV, one draw per line:
 
     draw_index,date,numbers
 
-``numbers`` is a space-separated integer list, ``date`` is free-text
-metadata that may be empty, and an optional header line is detected by a
-non-numeric first field.  File order is chronological order, oldest
-first.  Encoding is UTF-8 with LF or CRLF line endings.
+``numbers`` is a space-separated integer list and ``date`` is free-text
+metadata that may be empty.  Indices and numbers are ASCII digits only (no
+signs, underscores or other scripts' digits).  The first line is a header
+only when its first field is ``draw_index``.  File order is chronological
+order, oldest first.  Encoding is UTF-8 with LF or CRLF line endings; the
+CLI reads files as ``utf-8-sig``, dropping a leading byte-order mark.
 
 Two game families are supported.  Set-draw games pick ``picks`` distinct
 numbers from 1..pool without regard to order.  Positional-digit games
@@ -135,25 +137,28 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     lines = source.splitlines() if isinstance(source, str) else source
     records: list[DrawRecord] = []
     previous = None
-    saw_data = False
+    first_line = True
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n").strip()
+        line = raw.strip()
         if not line:
             continue
         parts = line.split(",", 2)
-        if not saw_data and not _is_int(parts[0]):
-            saw_data = True  # optional header, consumed once
-            continue
-        saw_data = True
+        if first_line:
+            first_line = False
+            if parts[0].strip() == "draw_index":
+                continue  # optional header
         if len(parts) != 3:
             raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
-        if not _is_int(parts[0]):
-            raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer")
-        index = int(parts[0])
-        try:
-            numbers = tuple(int(tok) for tok in parts[2].split())
-        except ValueError:
-            raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list") from None
+        index_text = parts[0].strip()
+        if not _is_digits(index_text):
+            raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
+        index = int(index_text)
+        tokens = parts[2].split()
+        # One check per row: tokens hold no whitespace, so the joined string
+        # is all digits exactly when every token is.
+        if tokens and not _is_digits("".join(tokens)):
+            raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
+        numbers = tuple(map(int, tokens))
         try:
             _validate_numbers(numbers, spec)
         except HistoryValidationError as exc:
@@ -165,12 +170,10 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     return DrawHistory(spec, tuple(records))
 
 
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
+def _is_digits(token: str) -> bool:
+    """ASCII 0-9 only; ``int()`` would also take signs, underscores and
+    digits from other scripts."""
+    return token.isascii() and token.isdigit()
 
 
 def serialize_history(history: DrawHistory) -> str:

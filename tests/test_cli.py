@@ -1,11 +1,13 @@
 """Command-line behavior: subcommand output, exit codes, config precedence,
 and the JSON round trips between subcommands."""
 
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from cdmlotto.cli import main
+from cdmlotto.cli import _effective, build_parser, main
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history
 
 
@@ -140,6 +142,20 @@ class TestBacktest:
         assert "S L L S L S L S L" in out
         assert "60%" in out and "not reproduced" in out
 
+    def test_backtest_json_feeds_hits_replay(self, capsys, tmp_path):
+        report = tmp_path / "bt.json"
+        code, _, _ = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",
+                         "--draws", "400", "--seed", "5", "--threshold", "2",
+                         "--format", "json", "--output", str(report))
+        assert code == 0
+        document = json.loads(report.read_text())
+        assert len(document["gaps"]) >= 2
+        code, out, err = run(capsys, "backtest", "--hits-file", str(report), "--format", "json")
+        assert code == 0, err
+        replay = json.loads(out)
+        for field in ("hit_indices", "gaps", "average_gap", "max_gap", "stretch"):
+            assert replay[field] == document[field]
+
     def test_text_report_sections(self, capsys):
         code, out, _ = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",
                            "--draws", "400", "--seed", "5", "--threshold", "2")
@@ -204,7 +220,38 @@ class TestSimulate:
         assert players[:5] == [1, 2, 5, 12, 29]  # ceil(2.4 * 12)
 
 
+# One sample value per flag; a new flag needs a sample here.
+CONFIG_SAMPLES = {
+    "format": "json", "output": "report.txt", "game": "pick", "pool": "10", "picks": "3",
+    "draws": "40", "seed": "7", "input": "history.csv", "estimator": "mle",
+    "smoothing": "0.5", "window": "25", "warmup": "30", "threshold": "2",
+    "hits": "0,44,659", "hits_file": "hits.json", "gaps": "44, 615", "gaps_file": "bt.json",
+    "no_win_horizon": "240", "ticket_price": "2.5", "payout": "400", "quarter_days": "30",
+    "schedule": "1,3,7", "extension": "ratio:2.4", "accounting": "exact",
+}
+
+
 class TestConfigFile:
+    def test_every_config_key_parses_like_its_flag(self, tmp_path):
+        parser = build_parser()
+        (subcommands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        config = tmp_path / "run.cfg"
+        checked = set()
+        for command, sub in subcommands.items():
+            for action in sub._actions:
+                if not action.option_strings or action.dest in ("help", "config"):
+                    continue
+                value = CONFIG_SAMPLES[action.dest]
+                from_flag = getattr(parser.parse_args([command, action.option_strings[0], value]), action.dest)
+                if isinstance(action, argparse._AppendAction):
+                    (from_flag,) = from_flag
+                config.write_text(f"{action.option_strings[0][2:]} = {value}\n")
+                args = parser.parse_args([command, "--config", str(config)])
+                from_file = _effective(args, {action.dest: None})[action.dest]
+                assert from_file == from_flag, (command, action.dest)
+                checked.add(action.dest)
+        assert checked == set(CONFIG_SAMPLES)
+
     def test_file_values_fill_in_missing_flags(self, capsys, tmp_path, history_csv):
         config = tmp_path / "run.cfg"
         config.write_text("game = set\npool = 52\npicks = 6\nestimator = mm\n")
@@ -244,3 +291,55 @@ class TestHistoryRoundTripViaCli:
         spec = GameSpec(GameKind.SET_DRAW, 52, 6)
         text = history_csv.read_text()
         assert serialize_history(parse_history(text, spec)) == text
+
+
+# sha256 of the JSON reports on small seeded histories.  Any change to these
+# bytes is a format or arithmetic change and must be versioned as one.
+GOLDEN_GAMES = {
+    "set": (("--game", "set", "--pool", "52", "--picks", "6"), "60"),
+    "pick": (("--game", "pick", "--picks", "3"), "20"),
+}
+GOLDEN_BACKTEST = {
+    ("set", "md", "all"): "6eb0d3ea2001c9e6d6f4d37c6f546fde0c826388fbc7204169821e9352ed7605",
+    ("set", "md", "N"): "a951b27ff32b8d71ed33fbe9ba74fe313cd66eb35cc0bad42fd3c03fb57def77",
+    ("set", "mm", "all"): "d98ec7d80d61545b09012f60270a00dc6c21c1da9214f758664f84fc010591c2",
+    ("set", "mm", "N"): "7dcec1d650ec8ffff6a6c443cb63169d59e0270a4b71471ae1b92346c2692195",
+    ("set", "mle", "all"): "1d975a1617f78dea2c1b2fa18c4a7e6319f1c8016b072ef6ec7364de9223bb82",
+    ("set", "mle", "N"): "8ab938568d9af445ae9a90d0c7ca5db50b9fac4f738fe6d334811453f3e3b84b",
+    ("pick", "md", "all"): "961ef8950285fc840c3f0a242f2f5cf9f014f787d4d6ea7c2ce3228218f6ee69",
+    ("pick", "md", "N"): "d3bde96360b6d0a792dd4674fca9671f51da29392035cdbc131021bb100a333b",
+    ("pick", "mm", "all"): "b576eee92bbe8cef0d5e9737e45b9c44be2ff0dfb6e1ab2a82c56d9b575fef80",
+    ("pick", "mm", "N"): "14869efa151eea822c03e891082823a6fdd8ef72ef22642f47cacaf83edec209",
+    ("pick", "mle", "all"): "0f43346837fcf2b0672fb28884c5712022e0ef0fdbfbaaf9ef187fb8def641e6",
+    ("pick", "mle", "N"): "8139eaa0ab2ceaa1c9f41facb9c9a1069f087980463299f8df5d6d885af634d1",
+}
+GOLDEN_PREDICT = {
+    "set": "4d345479a0e463fec4d47766effc0637e917cdfcebfdae960d1aef3567c82fc2",
+    "pick": "79b553fd007f3795a91681280af0e5d0e6e5be8104edfd3809b2134215e0587a",
+}
+
+
+def sha256_of_stdout(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("game,estimator,window", sorted(GOLDEN_BACKTEST))
+    def test_backtest_json(self, capsys, game, estimator, window):
+        flags, width = GOLDEN_GAMES[game]
+        argv = ["backtest", *flags, "--draws", "150", "--seed", "11", "--estimator", estimator,
+                "--smoothing", "0.5", "--threshold", "2", "--format", "json"]
+        argv += ["--window", "all"] if window == "all" else ["--window", width, "--warmup", width]
+        assert sha256_of_stdout(capsys, *argv) == GOLDEN_BACKTEST[game, estimator, window]
+
+    @pytest.mark.parametrize("game", sorted(GOLDEN_PREDICT))
+    def test_predict_json(self, capsys, tmp_path, monkeypatch, game):
+        flags, _ = GOLDEN_GAMES[game]
+        monkeypatch.chdir(tmp_path)  # the config echo records the input path as given
+        assert main(["synth", *flags, "--draws", "120", "--seed", "12", "--output", "history.csv"]) == 0
+        capsys.readouterr()  # drop the confirmation line
+        digest = sha256_of_stdout(capsys, "predict", *flags, "--input", "history.csv",
+                                  "--estimator", "md,mm,mle", "--smoothing", "1", "--format", "json")
+        assert digest == GOLDEN_PREDICT[game]

@@ -1,5 +1,7 @@
 """History parsing, validation, matrix construction, and windowing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,59 @@ class TestSyntheticHistory:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             synthetic_history(SIX_52, 0, seed=0)
+
+
+class TestStrictIngest:
+    """Inputs that used to be dropped or reinterpreted without a word."""
+
+    @staticmethod
+    def cli(*argv):
+        from cdmlotto.cli import main
+
+        return main(list(argv))
+
+    def test_byte_order_mark_is_not_a_header(self):
+        with pytest.raises(HistoryParseError, match="line 1"):
+            parse_history("\ufeff0,,1 2 3\n1,,4 5 6\n", PICK3)
+
+    def test_cli_reads_byte_order_marked_files(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(serialize_history(synthetic_history(PICK3, 30, seed=3)), encoding="utf-8")
+        marked.write_text(plain.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        config = tmp_path / "run.cfg"
+        config.write_text("estimator = md\n", encoding="utf-8-sig")
+        reports = []
+        for path in (plain, marked):
+            assert self.cli("backtest", "--game", "pick", "--picks", "3", "--input", str(path),
+                            "--threshold", "1", "--format", "json") == 0
+            reports.append(json.loads(capsys.readouterr().out)["records"])
+        assert reports[0] == reports[1] and reports[0][0]["draw_index"] == 10
+        assert self.cli("predict", "--config", str(config), "--game", "pick", "--picks", "3",
+                        "--input", str(marked)) == 0
+        assert capsys.readouterr().out.strip().endswith("[MD]")
+
+    def test_first_row_typo_is_not_a_header(self, tmp_path, capsys):
+        text = "O,,1 2 3\n1,,4 5 6\n"
+        with pytest.raises(HistoryParseError, match="line 1"):
+            parse_history(text, PICK3)
+        path = tmp_path / "typo.csv"
+        path.write_text(text, encoding="utf-8")
+        assert self.cli("predict", "--game", "pick", "--picks", "3", "--input", str(path)) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,spec", [
+        ("9,,1 2 3\n1_0,,4 5 6\n", PICK3),
+        ("3,,1 2 3\n+4,,4 5 6\n", PICK3),
+        ("0,,1 2 3\n\u0661,,4 5 6\n", PICK3),
+        ("0,,1 2 3 4 5 6\n1,,1_0 2 3 4 5 6\n", SIX_52),
+        ("0,,1 2 3\n1,,4 +5 6\n", PICK3),
+        ("0,,1 2 3\n1,,4 \u0665 6\n", PICK3),
+    ])
+    def test_only_ascii_digits_are_integers(self, tmp_path, capsys, text, spec):
+        with pytest.raises(HistoryParseError, match="line 2"):
+            parse_history(text, spec)
+        path = tmp_path / "history.csv"
+        path.write_text(text, encoding="utf-8")
+        flags = ["--game", "pick", "--picks", "3"] if spec is PICK3 else ["--pool", "52", "--picks", "6"]
+        assert self.cli("predict", *flags, "--input", str(path)) == 2
+        assert "line 2" in capsys.readouterr().err
