@@ -79,6 +79,7 @@ from .strategy import (
     required_budget,
     simulate_stream,
     simulate_streams,
+    summarize_streams,
 )
 
 __version__ = "0.1.0"

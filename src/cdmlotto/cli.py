@@ -7,16 +7,20 @@ Subcommands:
     backtest   walk a history, score predictions, report hits, gaps and stretches
     simulate   replay the quarterly staking plan over hit gaps
 
-Flag values may also come from a ``key=value`` config file (``--config``);
-explicit flags win over file values, file values win over defaults, and
-the effective configuration is echoed in JSON output.  Exit codes:
-0 success, 1 model or runtime failure, 2 usage or validation problems.
+Each flag is declared once, in :func:`build_parser`, with its converter
+and default.  Flag values may also come from a ``key=value`` config file
+(``--config``): :func:`parse_args` turns its values into the subcommand's
+defaults, so explicit flags win over file values and file values win
+over defaults.  The effective configuration is echoed in JSON output.
+Exit codes: 0 success, 1 model or runtime failure, 2 usage or validation
+problems.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,9 +43,8 @@ from .ingest import (
     DrawHistory,
     GameKind,
     GameSpec,
-    HistoryParseError,
-    HistoryValidationError,
     build_count_matrices,
+    is_digits,
     parse_history,
     serialize_history,
     slice_window,
@@ -52,34 +55,38 @@ from .strategy import (
     CapExceededError,
     ExtensionRule,
     StrategyConfig,
-    StreamLedger,
     format_cents,
     ledger_to_dict,
     render_ledger,
     required_budget,
     simulate_stream,
     simulate_streams,
+    summarize_streams,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "parse_args"]
 
-_ESTIMATOR_TOKENS = {kind.value: kind for kind in EstimatorKind}  # mle, mm, md
+# Namespace entries that steer parsing and dispatch rather than the run.
+_INTERNAL_KEYS = ("command", "func", "config")
 
 
 class CliError(Exception):
     """Usage or validation problem surfaced with exit code 2."""
 
 
+def _parse_count(text: str) -> int:
+    """A nonnegative integer of ASCII digits, the rule history files follow."""
+    if not is_digits(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer of ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_window(text: str):
     if text.lower() == "all":
         return "all"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("window must be a positive integer or 'all'") from None
-    if value < 1:
+    if not is_digits(text.strip()) or int(text) < 1:
         raise argparse.ArgumentTypeError("window must be a positive integer or 'all'")
-    return value
+    return int(text)
 
 
 def _parse_game(text: str) -> str:
@@ -95,10 +102,7 @@ def _parse_format(text: str) -> str:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
+    values = tuple(_parse_count(tok) for tok in text.replace(",", " ").split())
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
     return values
@@ -115,21 +119,27 @@ def _parse_extension(text: str) -> ExtensionRule:
     raise argparse.ArgumentTypeError("extension must be 'min-recover' or 'ratio:R'")
 
 
-def _parse_accounting(text: str) -> AccountingMode:
-    for mode in AccountingMode:
-        if mode.value == text:
-            return mode
-    raise argparse.ArgumentTypeError("accounting must be 'paper' or 'exact'")
+def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
+    try:
+        kinds = tuple(EstimatorKind(token) for token in text.replace(",", " ").split())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown estimator in {text!r}; choose from md, mm, mle") from None
+    if not kinds:
+        raise argparse.ArgumentTypeError("no estimator given")
+    return kinds
 
 
 def _parse_money(text: str) -> int:
     try:
-        cents = round(float(text) * 100)
+        amount = float(text) * 100
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a dollar amount, got {text!r}") from None
+    if not math.isfinite(amount):
+        raise argparse.ArgumentTypeError(f"dollar amounts must be finite, got {text!r}")
+    cents = round(amount)
     if cents <= 0:
         raise argparse.ArgumentTypeError("dollar amounts must be positive")
-    return int(cents)
+    return cents
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -149,59 +159,16 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _effective(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over defaults.
-
-    Keys in the file that this subcommand does not use are ignored so one
-    file can serve several subcommands.  File values go through the same
-    converter as the matching flag (``args.converters``).
-    """
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in file_cfg:
-            try:
-                merged[key] = args.converters[key](file_cfg[key])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise CliError(f"config value for {key!r}: {exc}") from None
-        else:
-            merged[key] = default
-    return merged
-
-
 def _game_spec(cfg: dict) -> GameSpec:
-    game = cfg.get("game") or "set"
-    if game == "set":
-        if cfg.get("pool") is None or cfg.get("picks") is None:
+    if cfg["game"] != "pick":
+        if cfg["pool"] is None or cfg["picks"] is None:
             raise CliError("set games need --pool and --picks")
         return GameSpec(GameKind.SET_DRAW, cfg["pool"], cfg["picks"])
-    if cfg.get("picks") is None:
+    if cfg["picks"] is None:
         raise CliError("pick games need --picks")
-    if cfg.get("pool") not in (None, 10):
+    if cfg["pool"] not in (None, 10):
         raise CliError("pick games draw from the 10 digits; --pool must be 10 or omitted")
     return GameSpec(GameKind.POSITIONAL_DIGITS, 10, cfg["picks"])
-
-
-def _estimator_kinds(value, default: str) -> list[EstimatorKind]:
-    if value is None:
-        tokens = default.split(",")
-    elif isinstance(value, str):
-        tokens = value.replace(",", " ").split()
-    else:  # appended list of flag values
-        tokens = []
-        for item in value:
-            tokens.extend(item.replace(",", " ").split())
-    kinds = []
-    for token in tokens:
-        if token not in _ESTIMATOR_TOKENS:
-            raise CliError(f"unknown estimator {token!r}; choose from md, mm, mle")
-        kinds.append(_ESTIMATOR_TOKENS[token])
-    if not kinds:
-        raise CliError("no estimator given")
-    return kinds
 
 
 def _window_arg(value) -> int | None:
@@ -209,19 +176,19 @@ def _window_arg(value) -> int | None:
 
 
 def _load_history(cfg: dict, spec: GameSpec) -> DrawHistory:
-    if cfg.get("input") is not None:
+    if cfg["input"] is not None:
         path = Path(cfg["input"])
         if not path.exists():
             raise CliError(f"input file not found: {path}")
         with open(path, encoding="utf-8-sig") as handle:
             return parse_history(handle, spec)
     if cfg.get("draws") is not None:
-        return synthetic_history(spec, cfg["draws"], cfg.get("seed") or 0)
+        return synthetic_history(spec, cfg["draws"], cfg["seed"])
     raise CliError("provide --input PATH, or --draws N with --seed for a synthetic history")
 
 
 def _emit(text: str, cfg: dict) -> None:
-    if cfg.get("output"):
+    if cfg["output"]:
         Path(cfg["output"]).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -231,17 +198,21 @@ def _json_dumps(document: dict) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
+def _echo_value(value):
+    """A setting in the form the JSON echo prints it."""
+    if isinstance(value, ExtensionRule):
+        return value.kind.value if value.ratio is None else f"ratio:{value.ratio}"
+    if isinstance(value, AccountingMode):
+        return value.value
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], EstimatorKind):
+            return ",".join(kind.value for kind in value)
+        return list(value)
+    return value
+
+
 def _config_echo(cfg: dict, spec: GameSpec | None = None) -> dict:
-    echo = {}
-    for key, value in cfg.items():
-        if isinstance(value, (ExtensionRule, AccountingMode)):
-            continue  # re-added below in string form
-        echo[key] = list(value) if isinstance(value, tuple) else value
-    if "extension" in cfg:
-        rule = cfg["extension"]
-        echo["extension"] = rule.kind.value if rule.ratio is None else f"ratio:{rule.ratio}"
-    if "accounting" in cfg:
-        echo["accounting"] = cfg["accounting"].value
+    echo = {key: _echo_value(value) for key, value in cfg.items()}
     if spec is not None:
         echo["game"] = spec.kind.value
         echo["pool"] = spec.categories
@@ -253,11 +224,7 @@ def _config_echo(cfg: dict, spec: GameSpec | None = None) -> dict:
 # synth
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "game": None, "pool": None, "picks": None,
-        "draws": None, "seed": 0, "format": "text", "output": None,
-    })
+def cmd_synth(cfg: dict) -> int:
     if cfg["draws"] is None:
         raise CliError("synth needs --draws")
     spec = _game_spec(cfg)
@@ -286,12 +253,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # predict
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "game": None, "pool": None, "picks": None, "input": None,
-        "estimator": None, "smoothing": 0.0, "window": None,
-        "format": "text", "output": None,
-    })
+def cmd_predict(cfg: dict) -> int:
     spec = _game_spec(cfg)
     history = _load_history(cfg, spec)
     if not history.records:
@@ -304,10 +266,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     windows = [slice_window(m, n, window) for m in matrices]
     per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
 
-    kinds = _estimator_kinds(cfg["estimator"], default="md,mm")
-    cfg["estimator"] = ",".join(kind.value for kind in kinds)
     predictions = []
-    for kind in kinds:
+    for kind in cfg["estimator"]:
         est = EstimatorConfig(kind, mle_smoothing=cfg["smoothing"])
         vectors = [
             predictive_expectation(estimate_alpha(w, est), w.col_sums, per_matrix_picks)
@@ -436,7 +396,7 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict, report: di
 
 def _hits_replay(cfg: dict) -> int:
     """Gap statistics for a precomputed hit-index list, no model walk."""
-    if cfg.get("hits") is not None:
+    if cfg["hits"] is not None:
         indices = list(cfg["hits"])
     else:
         path = Path(cfg["hits_file"])
@@ -451,19 +411,13 @@ def _hits_replay(cfg: dict) -> int:
     return 0
 
 
-def cmd_backtest(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "game": None, "pool": None, "picks": None, "input": None,
-        "draws": None, "seed": 0, "estimator": None, "smoothing": 0.0,
-        "window": None, "warmup": None, "threshold": None,
-        "hits": None, "hits_file": None, "format": "text", "output": None,
-    })
+def cmd_backtest(cfg: dict) -> int:
     if cfg["hits"] is not None or cfg["hits_file"] is not None:
         return _hits_replay(cfg)
 
     spec = _game_spec(cfg)
     history = _load_history(cfg, spec)
-    kinds = _estimator_kinds(cfg["estimator"], default="mm")
+    kinds = cfg["estimator"] or (EstimatorKind.MOM,)
     if len(kinds) != 1:
         raise CliError("backtest runs one estimator at a time; repeat the command per estimator")
     cfg["estimator"] = kinds[0].value
@@ -503,8 +457,8 @@ def _read_int_series(path: Path, field: str) -> list[int]:
         data = json.loads(text)
     except json.JSONDecodeError:
         try:
-            return [int(tok) for tok in text.replace(",", " ").split()]
-        except ValueError:
+            return [_parse_count(tok) for tok in text.replace(",", " ").split()]
+        except argparse.ArgumentTypeError:
             raise CliError(f"{path}: expected JSON or an integer list") from None
     if isinstance(data, dict):
         if field not in data:
@@ -526,39 +480,19 @@ def _strategy_config(cfg: dict) -> StrategyConfig:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective(args, {
-        "gaps": None, "gaps_file": None, "no_win_horizon": None,
-        "ticket_price": 100, "payout": 50_000, "quarter_days": 60,
-        "schedule": (1, 2, 5, 12), "extension": ExtensionRule.min_recover(),
-        "accounting": AccountingMode.FULL_QUARTER,
-        "format": "text", "output": None,
-    })
+def cmd_simulate(cfg: dict) -> int:
     sources = [cfg["gaps"] is not None, cfg["gaps_file"] is not None, cfg["no_win_horizon"] is not None]
     if sum(sources) != 1:
         raise CliError("provide exactly one of --gaps, --gaps-file, --no-win-horizon")
     config = _strategy_config(cfg)
 
     if cfg["no_win_horizon"] is not None:
-        ledger = simulate_stream(None, config, horizon_days=cfg["no_win_horizon"])
-        streams: list[StreamLedger] = [ledger]
         gaps: list[int] = []
-        totals = {
-            "total_spend_cents": ledger.total_spend_cents,
-            "total_payout_cents": ledger.total_payout_cents,
-            "profit_cents": ledger.profit_cents,
-            "max_drawdown_cents": ledger.drawdown_cents,
-        }
+        summary = summarize_streams([simulate_stream(None, config, horizon_days=cfg["no_win_horizon"])])
     else:
         gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps"))
         summary = simulate_streams(gaps, config)
-        streams = list(summary.streams)
-        totals = {
-            "total_spend_cents": summary.total_spend_cents,
-            "total_payout_cents": summary.total_payout_cents,
-            "profit_cents": summary.profit_cents,
-            "max_drawdown_cents": summary.max_drawdown_cents,
-        }
+    streams = summary.streams
 
     budget = required_budget(max(gaps), config) if gaps else None
 
@@ -569,7 +503,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 {**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)}
                 for g, ledger in zip(gaps or [None] * len(streams), streams)
             ],
-            "aggregate": {**totals, "required_budget_cents": budget},
+            "aggregate": {
+                "total_spend_cents": summary.total_spend_cents,
+                "total_payout_cents": summary.total_payout_cents,
+                "profit_cents": summary.profit_cents,
+                "max_drawdown_cents": summary.max_drawdown_cents,
+                "required_budget_cents": budget,
+            },
         }
         _emit(_json_dumps(document), cfg)
         return 0
@@ -581,10 +521,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append("")
     lines.append(
         f"aggregate: streams {len(streams)},"
-        f" spend {format_cents(totals['total_spend_cents'])},"
-        f" payout {format_cents(totals['total_payout_cents'])},"
-        f" profit {format_cents(totals['profit_cents'])},"
-        f" max drawdown {format_cents(totals['max_drawdown_cents'])}"
+        f" spend {format_cents(summary.total_spend_cents)},"
+        f" payout {format_cents(summary.total_payout_cents)},"
+        f" profit {format_cents(summary.profit_cents)},"
+        f" max drawdown {format_cents(summary.max_drawdown_cents)}"
     )
     if budget is not None:
         lines.append(f"required budget for the longest gap ({max(gaps)} draws): {format_cents(budget)}")
@@ -597,6 +537,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # parser
 
 
+# The staking flags default to the library's plan.
+_PLAN = StrategyConfig()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdmlotto",
@@ -606,28 +550,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value file supplying defaults for any flag")
-        p.add_argument("--format", type=_parse_format, help="text or json (default text)")
+        p.add_argument("--format", type=_parse_format, default="text", help="text or json (default text)")
         p.add_argument("--output", help="write the report to this path instead of stdout")
 
     def add_game(p: argparse.ArgumentParser) -> None:
         p.add_argument("--game", type=_parse_game, help="set or pick (default set)")
-        p.add_argument("--pool", type=int, help="pool size for set games (pick games use the 10 digits)")
-        p.add_argument("--picks", type=int, help="numbers per draw (set) or digit positions (pick)")
+        p.add_argument("--pool", type=_parse_count, help="pool size for set games (pick games use the 10 digits)")
+        p.add_argument("--picks", type=_parse_count, help="numbers per draw (set) or digit positions (pick)")
 
     p = sub.add_parser("synth", help="write a uniform-random history as CSV")
     add_common(p)
     add_game(p)
-    p.add_argument("--draws", type=int, help="number of draws to generate")
-    p.add_argument("--seed", type=int, help="generator seed (default 0)")
+    p.add_argument("--draws", type=_parse_count, help="number of draws to generate")
+    p.add_argument("--seed", type=_parse_count, default=0, help="generator seed (default 0)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("predict", help="print the next combination per estimator")
     add_common(p)
     add_game(p)
     p.add_argument("--input", help="draw-history CSV path")
-    p.add_argument("--estimator", action="append",
-                   help="md, mm or mle; repeat or comma-separate (default md,mm)")
-    p.add_argument("--smoothing", type=float, help="additive smoothing for the mle estimator")
+    p.add_argument("--estimator", type=_parse_estimators,
+                   default=(EstimatorKind.MAIN_DIAGONAL, EstimatorKind.MOM),
+                   help="md, mm or mle; comma-separate several (default md,mm)")
+    p.add_argument("--smoothing", type=float, default=0.0, help="additive smoothing for the mle estimator")
     p.add_argument("--window", type=_parse_window, help="fit on the last N draws, or 'all'")
     p.set_defaults(func=cmd_predict)
 
@@ -635,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_game(p)
     p.add_argument("--input", help="draw-history CSV path")
-    p.add_argument("--draws", type=int, help="generate a synthetic history of this many draws instead")
-    p.add_argument("--seed", type=int, help="seed for the synthetic history (default 0)")
-    p.add_argument("--estimator", action="append", help="md, mm or mle (default mm)")
-    p.add_argument("--smoothing", type=float, help="additive smoothing for the mle estimator")
+    p.add_argument("--draws", type=_parse_count, help="generate a synthetic history of this many draws instead")
+    p.add_argument("--seed", type=_parse_count, default=0, help="seed for the synthetic history (default 0)")
+    p.add_argument("--estimator", type=_parse_estimators, help="md, mm or mle (default mm)")
+    p.add_argument("--smoothing", type=float, default=0.0, help="additive smoothing for the mle estimator")
     p.add_argument("--window", type=_parse_window, help="fit on the last N draws, or 'all'")
-    p.add_argument("--warmup", type=int, help="draws to observe before the first prediction")
-    p.add_argument("--threshold", type=int, help="minimum match count that counts as a hit")
+    p.add_argument("--warmup", type=_parse_count, help="draws to observe before the first prediction")
+    p.add_argument("--threshold", type=_parse_count, help="minimum match count that counts as a hit")
     p.add_argument("--hits", type=_parse_int_list,
                    help="skip the model walk and report gap statistics for these hit indices")
     p.add_argument("--hits-file", dest="hits_file",
@@ -653,40 +598,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", type=_parse_int_list, help="comma-separated draw gaps between hits")
     p.add_argument("--gaps-file", dest="gaps_file",
                    help="backtest JSON document (its 'gaps' field) or an integer list file")
-    p.add_argument("--no-win-horizon", dest="no_win_horizon", type=int,
+    p.add_argument("--no-win-horizon", dest="no_win_horizon", type=_parse_count,
                    help="simulate a single stream that never wins for this many days")
-    p.add_argument("--ticket-price", dest="ticket_price", type=_parse_money, help="dollars per ticket (default 1)")
-    p.add_argument("--payout", type=_parse_money, help="dollars per winning ticket (default 500)")
-    p.add_argument("--quarter-days", dest="quarter_days", type=int, help="days per quarter (default 60)")
-    p.add_argument("--schedule", type=_parse_int_list, help="players per quarter (default 1,2,5,12)")
-    p.add_argument("--extension", type=_parse_extension, help="min-recover or ratio:R (default min-recover)")
-    p.add_argument("--accounting", type=_parse_accounting, help="paper or exact (default paper)")
+    p.add_argument("--ticket-price", dest="ticket_price", type=_parse_money, default=_PLAN.ticket_price_cents,
+                   help="dollars per ticket (default 1)")
+    p.add_argument("--payout", type=_parse_money, default=_PLAN.payout_per_ticket_cents,
+                   help="dollars per winning ticket (default 500)")
+    p.add_argument("--quarter-days", dest="quarter_days", type=_parse_count, default=_PLAN.quarter_days,
+                   help="days per quarter (default 60)")
+    p.add_argument("--schedule", type=_parse_int_list, default=_PLAN.schedule,
+                   help="players per quarter (default 1,2,5,12)")
+    p.add_argument("--extension", type=_parse_extension, default=_PLAN.extension,
+                   help="min-recover or ratio:R (default min-recover)")
+    p.add_argument("--accounting", type=AccountingMode, default=_PLAN.accounting,
+                   help="paper or exact (default paper)")
     p.set_defaults(func=cmd_simulate)
-
-    # Config-file values parse exactly like the flags they stand for.
-    for p in sub.choices.values():
-        p.set_defaults(converters={a.dest: a.type or str for a in p._actions if a.option_strings})
     return parser
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; with ``--config``, parse it a second time.
+
+    The file's values become the subcommand's defaults, each converted by
+    its flag's ``type``, so explicit flags still win.  Keys the subcommand
+    does not use are ignored so one file can serve several subcommands.
+    """
     parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    file_cfg = _load_config_file(args.config)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = sub.choices[args.command]
+    defaults = {}
+    for action in command._actions:
+        if action.dest in file_cfg and action.dest not in ("help", "config"):
+            try:
+                defaults[action.dest] = (action.type or str)(file_cfg[action.dest])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise CliError(f"config value for {action.dest!r}: {exc}") from None
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = parse_args(argv)
+        return args.func({k: v for k, v in vars(args).items() if k not in _INTERNAL_KEYS})
+    except SystemExit as exc:  # argparse has printed usage or help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # EstimationError is a ValueError, so this clause must come first.
     except (EstimationError, BacktestError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (HistoryParseError, HistoryValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

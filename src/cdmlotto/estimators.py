@@ -31,6 +31,7 @@ lift of exact zeros rather than a hidden one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,10 +98,10 @@ class EstimatorConfig:
     positivity_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mle_smoothing < 0:
-            raise ValueError("mle_smoothing must be nonnegative")
-        if self.positivity_floor < 0:
-            raise ValueError("positivity_floor must be nonnegative")
+        # ``nan < 0`` is False, so test for the valid range instead.
+        for name in ("mle_smoothing", "positivity_floor"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 def mle_alpha_from_stats(rows: int, col_means: np.ndarray, col_log_sums: np.ndarray) -> np.ndarray:

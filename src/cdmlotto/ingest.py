@@ -37,6 +37,7 @@ __all__ = [
     "HistoryParseError",
     "HistoryValidationError",
     "parse_history",
+    "is_digits",
     "serialize_history",
     "build_count_matrices",
     "slice_window",
@@ -150,13 +151,13 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
         if len(parts) != 3:
             raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
         index_text = parts[0].strip()
-        if not _is_digits(index_text):
+        if not is_digits(index_text):
             raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
         index = int(index_text)
         tokens = parts[2].split()
         # One check per row: tokens hold no whitespace, so the joined string
         # is all digits exactly when every token is.
-        if tokens and not _is_digits("".join(tokens)):
+        if tokens and not is_digits("".join(tokens)):
             raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
         numbers = tuple(map(int, tokens))
         try:
@@ -170,9 +171,10 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     return DrawHistory(spec, tuple(records))
 
 
-def _is_digits(token: str) -> bool:
+def is_digits(token: str) -> bool:
     """ASCII 0-9 only; ``int()`` would also take signs, underscores and
-    digits from other scripts."""
+    digits from other scripts.  History files and the CLI's integer
+    values share this rule."""
     return token.isascii() and token.isdigit()
 
 

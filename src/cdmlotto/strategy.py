@@ -39,6 +39,7 @@ __all__ = [
     "next_player_count",
     "simulate_stream",
     "simulate_streams",
+    "summarize_streams",
     "required_budget",
     "format_cents",
     "ledger_to_dict",
@@ -292,6 +293,11 @@ def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSumm
             ledgers.append(simulate_stream(g - 1, config))
         except CapExceededError as exc:
             raise CapExceededError(f"stream {i} (gap {g} draws): {exc}") from exc
+    return summarize_streams(ledgers)
+
+
+def summarize_streams(ledgers: Sequence[StreamLedger]) -> StreamsSummary:
+    """Totals over streams; the drawdown is the deepest single stream's."""
     total_spend = sum(ledger.total_spend_cents for ledger in ledgers)
     total_payout = sum(ledger.total_payout_cents for ledger in ledgers)
     return StreamsSummary(

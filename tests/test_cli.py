@@ -2,12 +2,17 @@
 and the JSON round trips between subcommands."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cdmlotto.cli import _effective, build_parser, main
+from cdmlotto.cli import build_parser, main, parse_args
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history
 
 
@@ -242,13 +247,11 @@ class TestConfigFile:
                 if not action.option_strings or action.dest in ("help", "config"):
                     continue
                 value = CONFIG_SAMPLES[action.dest]
-                from_flag = getattr(parser.parse_args([command, action.option_strings[0], value]), action.dest)
-                if isinstance(action, argparse._AppendAction):
-                    (from_flag,) = from_flag
+                from_flag = getattr(parse_args([command, action.option_strings[0], value]), action.dest)
                 config.write_text(f"{action.option_strings[0][2:]} = {value}\n")
-                args = parser.parse_args([command, "--config", str(config)])
-                from_file = _effective(args, {action.dest: None})[action.dest]
+                from_file = getattr(parse_args([command, "--config", str(config)]), action.dest)
                 assert from_file == from_flag, (command, action.dest)
+                assert from_file != action.default, (command, action.dest)
                 checked.add(action.dest)
         assert checked == set(CONFIG_SAMPLES)
 
@@ -286,6 +289,102 @@ class TestExitCodes:
                      "--input", str(history_csv), "--estimator", "mm"]) == 0
 
 
+class TestStrictValues:
+    """Integers follow the history files' ASCII-digit rule; money and
+    smoothing must be finite.  Without those rules most of these commands
+    exit 0 or crash."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--gaps", "1_0,+4"),
+        ("simulate", "--gaps", "44", "--schedule", "1,٢"),
+        ("simulate", "--no-win-horizon", "2_40"),
+        ("backtest", "--hits", "٣,1_0"),
+        ("backtest", "--hits", "-5"),
+        ("backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "1_00"),
+        ("backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "100", "--window", "٦٠",
+         "--warmup", "60"),
+        ("synth", "--game", "pick", "--picks", "+3", "--draws", "5"),
+    ])
+    def test_non_ascii_digit_integers_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("name", ["gaps.txt", "hits.txt"])
+    def test_integer_list_files_follow_the_same_rule(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("٣ 1_0 +20\n", encoding="utf-8")
+        argv = ("simulate", "--gaps-file") if name == "gaps.txt" else ("backtest", "--hits-file")
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert "expected JSON or an integer list" in err
+
+    @pytest.mark.parametrize("flag,value", [("--payout", "inf"), ("--ticket-price", "1e400"),
+                                            ("--payout", "1e307"), ("--ticket-price", "nan")])
+    def test_non_finite_money_is_a_usage_error(self, capsys, flag, value):
+        code, _, err = run(capsys, "simulate", "--gaps", "10", flag, value)
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_smoothing_must_be_finite_and_nonnegative(self, capsys, history_csv, value):
+        code, out, err = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6",
+                             "--input", str(history_csv), "--estimator", "mm",
+                             "--smoothing", value, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "mle_smoothing" in err
+
+
+# Every flag whose value is a number, with a fast command that takes it.
+NUMERIC_FLAGS = {
+    "--pool": ("predict", "--picks", "6"),
+    "--picks": ("predict", "--pool", "52"),
+    "--draws": ("backtest", "--pool", "52", "--picks", "6", "--seed", "1"),
+    "--seed": ("backtest", "--pool", "52", "--picks", "6", "--draws", "60"),
+    "--smoothing": ("backtest", "--pool", "52", "--picks", "6", "--draws", "60", "--estimator", "mle"),
+    "--window": ("backtest", "--pool", "52", "--picks", "6", "--draws", "60"),
+    "--warmup": ("backtest", "--pool", "52", "--picks", "6", "--draws", "60"),
+    "--threshold": ("backtest", "--pool", "52", "--picks", "6", "--draws", "60"),
+    "--hits": ("backtest",),
+    "--gaps": ("simulate",),
+    "--no-win-horizon": ("simulate",),
+    "--ticket-price": ("simulate", "--gaps", "44"),
+    "--payout": ("simulate", "--gaps", "44"),
+    "--quarter-days": ("simulate", "--gaps", "44"),
+    "--schedule": ("simulate", "--gaps", "44"),
+}
+
+# Short text keeps integer values, and so the work they ask for, small.
+numeric_text = st.one_of(
+    st.text(max_size=3),
+    st.floats().map(repr),
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["-inf", "1e307", "-0", "1_0", "+4", "٣", "0x10", " 7 ", ""]),
+)
+
+
+class TestNumericFlagsNeverCrash:
+    @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+    @settings(max_examples=25, deadline=None)
+    @given(value=numeric_text)
+    @example(value="inf")
+    @example(value="nan")
+    @example(value="1e400")
+    def test_any_text_exits_0_1_or_2(self, flag, value):
+        command, *rest = NUMERIC_FLAGS[flag]
+        argv = [command, *rest, f"{flag}={value}", "--format", "json"]
+        if command == "predict":
+            argv += ["--input", "/nonexistent/history.csv"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=pytest.fail)  # strict JSON: no NaN or Infinity
+
+
 class TestHistoryRoundTripViaCli:
     def test_parse_serialize_identity(self, capsys, history_csv):
         spec = GameSpec(GameKind.SET_DRAW, 52, 6)
@@ -317,6 +416,40 @@ GOLDEN_PREDICT = {
     "set": "4d345479a0e463fec4d47766effc0637e917cdfcebfdae960d1aef3567c82fc2",
     "pick": "79b553fd007f3795a91681280af0e5d0e6e5be8104edfd3809b2134215e0587a",
 }
+HITS = "0,44,659,1357,1369,1915,2039,3449,3685,4285"
+# name: (config file text or None, argv, sha256 of report.json if the run
+# writes it, else of stdout).  Each run starts in a directory holding
+# history.csv, 120 draws of the set game at seed 12.
+GOLDEN_RUNS = {
+    "simulate-defaults": (
+        None, ("simulate", "--gaps", "44,615,1410", "--format", "json"),
+        "f59b94fa7ee6170a9a752e210a0efbbaddf29c032182edf26d96d8b9e5eb59e0"),
+    "simulate-config": (
+        "format = json\noutput = report.json\ngaps = 44, 615\nticket-price = 2.5\npayout = 400\n"
+        "quarter_days = 30\nschedule = 1,3,7\nextension = ratio:2.4\naccounting = exact\n",
+        ("simulate",),
+        "0c390781920c72093cc3c1815dd2caac04ae187da10409944b74116f0892c99b"),
+    "hits-replay": (
+        None, ("backtest", "--hits", HITS, "--format", "json"),
+        "0af13e0f7edf3e07b59e58c6ebb77b377e1d619a42042ee70a727478e2fd9093"),
+    "synth": (
+        None, ("synth", "--game", "pick", "--picks", "3", "--draws", "50", "--seed", "9",
+               "--output", "draws.csv", "--format", "json"),
+        "0866f05ee2dc98c6b0a5c15c9488ff75248110eb1c5342e6291a10c62b2f561b"),
+    "backtest-config": (
+        "game = set\npool = 52\npicks = 6\ndraws = 150\nseed = 13\nestimator = mm\nsmoothing = 0.5\n"
+        "window = 40\nwarmup = 45\nthreshold = 2\nformat = json\n",
+        ("backtest",),
+        "dc22a4e3855d356408eba050a21f394c750b42562e8fe37a02fd8c940dc7fdda"),
+    "predict-config": (
+        "game = set\npool = 52\npicks = 6\ninput = history.csv\nestimator = md,mm,mle\n"
+        "smoothing = 1\nwindow = 60\nformat = json\n",
+        ("predict",),
+        "53d8066816878dc78f5ef8190ad49fed59e6c4817a6c2e51811c776f68aeeb96"),
+    "backtest-text": (
+        None, ("backtest", *GOLDEN_GAMES["set"][0], "--draws", "150", "--seed", "11", "--threshold", "2"),
+        "818f5a2e9402321ad06ab1211d7fc3b17df35f784a98012473f9a132a5f05a44"),
+}
 
 
 def sha256_of_stdout(capsys, *argv):
@@ -343,3 +476,19 @@ class TestGoldenBytes:
         digest = sha256_of_stdout(capsys, "predict", *flags, "--input", "history.csv",
                                   "--estimator", "md,mm,mle", "--smoothing", "1", "--format", "json")
         assert digest == GOLDEN_PREDICT[game]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_cli_run(self, capsys, tmp_path, monkeypatch, name):
+        config, argv, digest = GOLDEN_RUNS[name]
+        monkeypatch.chdir(tmp_path)  # the config echo records paths as given
+        assert main(["synth", *GOLDEN_GAMES["set"][0], "--draws", "120", "--seed", "12",
+                     "--output", "history.csv"]) == 0
+        capsys.readouterr()  # drop the confirmation line
+        if config is not None:
+            Path("run.cfg").write_text(config)
+            argv = (*argv, "--config", "run.cfg")
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        report = Path("report.json")
+        data = report.read_bytes() if report.exists() else out.encode()
+        assert hashlib.sha256(data).hexdigest() == digest

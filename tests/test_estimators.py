@@ -164,3 +164,11 @@ class TestEstimateAlphaDispatch:
             EstimatorConfig(EstimatorKind.MLE, mle_smoothing=-1)
         with pytest.raises(ValueError):
             EstimatorConfig(EstimatorKind.MOM, positivity_floor=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite_knobs(self, value):
+        # nan < 0 is False, so a sign test alone lets NaN through.
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorConfig(EstimatorKind.MLE, mle_smoothing=value)
+        with pytest.raises(ValueError, match="finite"):
+            EstimatorConfig(EstimatorKind.MOM, positivity_floor=value)

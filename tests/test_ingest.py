@@ -66,8 +66,8 @@ class TestParseHistory:
             parse_history("0,,1 2 3\n1,,4 x 6", PICK3)
 
     def test_missing_fields_is_a_parse_error(self):
-        # On the first line such a row is indistinguishable from a header by
-        # the non-numeric-first-field rule, so probe a later line.
+        # The first line is a header only when its first field is
+        # ``draw_index``, so such a row fails on any line; probe a later one.
         with pytest.raises(HistoryParseError, match="line 2"):
             parse_history("0,,1 2 3\n1;4 5 6", PICK3)
 
