@@ -7,10 +7,14 @@ the combination is scored against the draw that actually happened.  Draws
 whose match count reaches the hit threshold are hits; the gaps between
 hits feed the stretch statistics and the staking simulator.
 
-The loop keeps rolling column sums (and, for the smoothed-MLE path,
-rolling log sums plus a zero-entry counter) so a pass over a multi-decade
-history costs O(n K) instead of O(n^2 K).  Small-instance tests pin its
-output to the naive slice-and-refit loop.
+The walk evaluates a chunk of consecutive draws per array pass instead of
+one Python iteration per draw.  Prefix sums over the count matrices give
+every window's column sums (and, for the smoothed-MLE path, its log sums
+and zero-entry count) as one subtraction, so a pass over a multi-decade
+history costs O(n K) instead of O(n^2 K); the estimate, the predictive
+scores, the tie-broken pick and the match count then follow for the whole
+chunk at once.  Chunks bound the size of the temporary arrays.  Tests pin
+the output to the naive slice-and-refit loop.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import CountMatrix, predictive_expectation
+from .distributions import CountMatrix, _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats, smoothed_logs
 from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec, build_count_matrices
 
@@ -47,6 +51,10 @@ __all__ = [
 
 # Gaps below the cutoff are short stretches, at or above it long ones.
 SHORT_LONG_CUTOFF = 500
+
+# Draws scored per array pass: enough to amortise the per-pass Python
+# overhead, few enough that a pass's (chunk, K) temporaries stay small.
+_CHUNK = 512
 
 ALTERNATION_NOTE = (
     "alternation is the fraction of adjacent gap pairs whose short/long labels differ; "
@@ -84,7 +92,7 @@ class PredictedCombination:
     scores: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DrawOutcome:
     draw_index: int
     prediction: tuple[int, ...]
@@ -154,25 +162,36 @@ def select_combination(scores, spec: GameSpec) -> PredictedCombination:
         vec = np.asarray(scores, dtype=np.float64)
         if vec.ndim != 1 or vec.size != spec.categories:
             raise ValueError(f"set games need one score vector of length {spec.categories}")
-        finite = np.isfinite(vec)
-        if int(finite.sum()) < spec.picks:
-            raise ValueError(f"need at least {spec.picks} finite scores, got {int(finite.sum())}")
-        safe = np.where(finite, vec, -np.inf)
-        order = np.argsort(-safe, kind="stable")
-        numbers = tuple(sorted(int(i) + 1 for i in order[: spec.picks]))
-        return PredictedCombination(numbers, (vec,))
-    vectors = [np.asarray(v, dtype=np.float64) for v in scores]
-    if len(vectors) != spec.picks:
-        raise ValueError(f"digit games need {spec.picks} score vectors, got {len(vectors)}")
-    digits = []
-    for vec in vectors:
-        if vec.ndim != 1 or vec.size != 10:
+        vectors = (vec,)
+    else:
+        vectors = tuple(np.asarray(v, dtype=np.float64) for v in scores)
+        if len(vectors) != spec.picks:
+            raise ValueError(f"digit games need {spec.picks} score vectors, got {len(vectors)}")
+        if any(vec.ndim != 1 or vec.size != 10 for vec in vectors):
             raise ValueError("each position needs a score vector of length 10")
+    numbers = _select(spec, [vec[None] for vec in vectors])[0]
+    return PredictedCombination(tuple(numbers.tolist()), vectors)
+
+
+def _select(spec: GameSpec, scores: list[np.ndarray]) -> np.ndarray:
+    """The tie rule for a stacked batch: one row of picked numbers per row
+    of scores (the one score matrix of a set game, one per digit position)."""
+    if spec.kind is GameKind.SET_DRAW:
+        (vec,) = scores
         finite = np.isfinite(vec)
-        if not finite.any():
+        finite_count = finite.sum(axis=1)
+        short = finite_count < spec.picks
+        if short.any():
+            raise ValueError(f"need at least {spec.picks} finite scores, got {finite_count[short.argmax()]}")
+        order = np.argsort(np.where(finite, -vec, np.inf), axis=1, kind="stable")
+        return np.sort(order[:, : spec.picks], axis=1) + 1
+    digits = []
+    for vec in scores:
+        finite = np.isfinite(vec)
+        if not finite.any(axis=1).all():
             raise ValueError("need at least one finite score per position")
-        digits.append(int(np.argmax(np.where(finite, vec, -np.inf))))
-    return PredictedCombination(tuple(digits), tuple(vectors))
+        digits.append(np.argmax(np.where(finite, vec, -np.inf), axis=1))
+    return np.stack(digits, axis=1)
 
 
 def match_count(prediction: PredictedCombination, actual: DrawRecord, spec: GameSpec) -> int:
@@ -187,17 +206,25 @@ def match_count(prediction: PredictedCombination, actual: DrawRecord, spec: Game
         raise ValueError(
             f"combination arity mismatch: game plays {spec.picks}, got {len(predicted)} vs {len(drawn)}"
         )
+    return int(_match_counts(spec, np.array([predicted]), np.array([drawn]))[0])
+
+
+def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+    """The match rule for stacked (draws, picks) predictions and draws."""
     if spec.kind is GameKind.SET_DRAW:
-        return len(set(predicted) & set(drawn))
-    return sum(1 for a, b in zip(predicted, drawn) if a == b)
+        # Drawn numbers are distinct, so counting those the prediction
+        # holds counts the intersection.
+        return (drawn[:, :, None] == predicted[:, None, :]).any(axis=2).sum(axis=1)
+    return (predicted == drawn).sum(axis=1)
 
 
 class _RollingStats:
-    """Prefix-sum sufficient statistics for one count matrix.
+    """Sufficient statistics of any batch of windows of one count matrix.
 
-    Column sums come from an (n+1, K) prefix array.  md keeps the rows for
-    its trailing diagonal; mle keeps prefix log sums of the smoothed entries
-    plus a prefix zero counter, so its zero check needs no rescan.
+    Window ``[start, end)`` has column sums ``prefix[end] - prefix[start]``
+    from an (n+1, K) prefix array.  md reads its trailing diagonal straight
+    from the rows; mle subtracts prefix log sums of the smoothed entries and
+    a prefix zero counter, so its zero check needs no rescan.
     """
 
     def __init__(self, matrix: CountMatrix, estimator: EstimatorConfig):
@@ -206,7 +233,7 @@ class _RollingStats:
         n, k = counts.shape
         self.prefix = np.zeros((n + 1, k), dtype=np.int64)
         np.cumsum(counts, axis=0, out=self.prefix[1:])
-        self.tail_counts = counts if estimator.kind is EstimatorKind.MAIN_DIAGONAL else None
+        self.counts = counts if estimator.kind is EstimatorKind.MAIN_DIAGONAL else None
         self.log_prefix = self.zero_prefix = None
         if estimator.kind is EstimatorKind.MLE:
             logs, zeros = smoothed_logs(counts, estimator.mle_smoothing)
@@ -215,20 +242,18 @@ class _RollingStats:
             self.zero_prefix = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(zeros, out=self.zero_prefix[1:])
 
-    def alpha(self, start: int, end: int, col_sums: np.ndarray) -> np.ndarray:
-        rows = end - start
-        tail = log_sums = None
-        zero_count = 0
-        if self.tail_counts is not None:
-            tail = self.tail_counts[end - min(rows, col_sums.size):end]
+    def scores(self, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
+        """Predictive scores, one row per window ``[starts[i], ends[i])``."""
+        col_sums = self.prefix[ends] - self.prefix[starts]
+        diagonal = log_sums = zero_count = None
+        if self.counts is not None:
+            cols = np.arange(col_sums.shape[1])
+            diagonal = self.counts[ends[:, None] - cols.size + cols, cols]
         if self.log_prefix is not None:
-            log_sums = self.log_prefix[end] - self.log_prefix[start]
-            zero_count = self.zero_prefix[end] - self.zero_prefix[start]
-        return alpha_from_stats(self.estimator, rows, col_sums, tail, log_sums, zero_count)
-
-    def scores(self, start: int, end: int, m: int) -> np.ndarray:
-        col_sums = self.prefix[end] - self.prefix[start]
-        return predictive_expectation(self.alpha(start, end, col_sums), col_sums, m)
+            log_sums = self.log_prefix[ends] - self.log_prefix[starts]
+            zero_count = self.zero_prefix[ends] - self.zero_prefix[starts]
+        alpha = alpha_from_stats(self.estimator, ends - starts, col_sums, diagonal, log_sums, zero_count)
+        return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
 
 
 def _resolve(config: BacktestConfig, spec: GameSpec, n: int) -> tuple[int, int]:
@@ -259,33 +284,28 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     """Walk the history and score one prediction per post-warmup draw.
 
     A pure function of its inputs: repeated runs agree exactly.  Estimator
-    failures propagate as :class:`BacktestError` carrying the draw index.
+    failures propagate as :class:`BacktestError` carrying the index of the
+    first draw that fails.
     """
     spec = history.spec
     n = len(history.records)
     warmup, threshold = _resolve(config, spec, n)
-    matrices = build_count_matrices(history)
+    trackers = [_RollingStats(m, config.estimator) for m in build_count_matrices(history)]
     per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
-    trackers = [_RollingStats(m, config.estimator) for m in matrices]
+
+    def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        return _select(spec, [tracker.scores(starts, ends, per_matrix_picks) for tracker in trackers])
 
     records: list[DrawOutcome] = []
-    hit_indices: list[int] = []
-    tier_counts: Counter[int] = Counter()
-    for t in range(warmup, n):
-        start = 0 if config.window is None else t - config.window
-        try:
-            vectors = [tracker.scores(start, t, per_matrix_picks) for tracker in trackers]
-        except EstimationError as exc:
-            raise BacktestError(t, str(exc)) from exc
-        combination = select_combination(
-            vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec
-        )
-        matches = match_count(combination, history.records[t], spec)
-        records.append(DrawOutcome(t, combination.numbers, history.records[t].numbers, matches))
-        tier_counts[matches] += 1
-        if matches >= threshold:
-            hit_indices.append(t)
+    for first in range(warmup, n, _CHUNK):
+        ends = np.arange(first, min(first + _CHUNK, n))
+        starts = np.zeros_like(ends) if config.window is None else ends - config.window
+        predicted = _predict_chunk(predict, starts, ends)
+        actual = [record.numbers for record in history.records[first : first + ends.size]]
+        matches = _match_counts(spec, predicted, np.array(actual)).tolist()
+        records.extend(map(DrawOutcome, ends.tolist(), zip(*predicted.T.tolist()), actual, matches))
 
+    hit_indices = [r.draw_index for r in records if r.match_count >= threshold]
     stats = gap_stats(hit_indices)
     return BacktestResult(
         records=tuple(records),
@@ -294,10 +314,36 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
         average_gap=stats.average,
         max_gap=stats.max_gap,
         hit_count=len(hit_indices),
-        tier_counts=dict(tier_counts),
+        tier_counts=dict(Counter(r.match_count for r in records)),
         warmup=warmup,
         hit_threshold=threshold,
     )
+
+
+def _predict_chunk(predict, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``predict(starts, ends)``, or the error of the chunk's first failing draw.
+
+    A check raises for the first window that fails it, but an earlier window
+    may fail a later check.  Every check looks at one window at a time, so a
+    prefix of the chunk fails exactly when it holds a failing window:
+    bisection finds the shortest failing prefix, whose error concerns its
+    last window alone, as the per-draw order would report it.
+    """
+    try:
+        return predict(starts, ends)
+    except ValueError as exc:
+        error, bad = exc, ends.size
+    good = 0
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            predict(starts[:mid], ends[:mid])
+            good = mid
+        except ValueError as exc:
+            error, bad = exc, mid
+    if isinstance(error, EstimationError):
+        raise BacktestError(int(ends[bad - 1]), str(error)) from error
+    raise error
 
 
 def gap_stats(hit_indices: Sequence[int]) -> GapStats:

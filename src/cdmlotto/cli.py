@@ -129,6 +129,15 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     return kinds
 
 
+def _parse_smoothing(text: str) -> float:
+    """A smoothing value under ``EstimatorConfig``'s rule: finite and
+    nonnegative, checked here because a hits replay builds no config."""
+    try:
+        return EstimatorConfig(EstimatorKind.MLE, mle_smoothing=float(text)).mle_smoothing
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_money(text: str) -> int:
     try:
         amount = float(text) * 100
@@ -464,8 +473,9 @@ def _read_int_series(path: Path, field: str) -> list[int]:
         if field not in data:
             raise CliError(f"{path}: JSON document has no {field!r} field")
         data = data[field]
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise CliError(f"{path}: expected a list of integers")
+    # The text path's rule: bool is an int subclass, and counts are nonnegative.
+    if not isinstance(data, list) or not all(type(v) is int and v >= 0 for v in data):
+        raise CliError(f"{path}: expected a list of nonnegative integers")
     return data
 
 
@@ -572,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", type=_parse_estimators,
                    default=(EstimatorKind.MAIN_DIAGONAL, EstimatorKind.MOM),
                    help="md, mm or mle; comma-separate several (default md,mm)")
-    p.add_argument("--smoothing", type=float, default=0.0, help="additive smoothing for the mle estimator")
+    p.add_argument("--smoothing", type=_parse_smoothing, default=0.0, help="additive smoothing for the mle estimator")
     p.add_argument("--window", type=_parse_window, help="fit on the last N draws, or 'all'")
     p.set_defaults(func=cmd_predict)
 
@@ -583,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=_parse_count, help="generate a synthetic history of this many draws instead")
     p.add_argument("--seed", type=_parse_count, default=0, help="seed for the synthetic history (default 0)")
     p.add_argument("--estimator", type=_parse_estimators, help="md, mm or mle (default mm)")
-    p.add_argument("--smoothing", type=float, default=0.0, help="additive smoothing for the mle estimator")
+    p.add_argument("--smoothing", type=_parse_smoothing, default=0.0, help="additive smoothing for the mle estimator")
     p.add_argument("--window", type=_parse_window, help="fit on the last N draws, or 'all'")
     p.add_argument("--warmup", type=_parse_count, help="draws to observe before the first prediction")
     p.add_argument("--threshold", type=_parse_count, help="minimum match count that counts as a hit")

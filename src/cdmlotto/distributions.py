@@ -76,6 +76,11 @@ def _as_alpha(alpha, *, positive: bool, name: str = "alpha") -> np.ndarray:
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
+    return _check_alpha(arr, positive=positive, name=name)
+
+
+def _check_alpha(arr: np.ndarray, *, positive: bool, name: str = "alpha") -> np.ndarray:
+    """Concentration values of any shape: finite, and positive or nonnegative."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     if positive:
@@ -239,11 +244,20 @@ def predictive_expectation(alpha, counts, m: int) -> np.ndarray:
     _same_length(av, cv, "predictive_expectation")
     if m < 1 or int(m) != m:
         raise ValueError(f"m must be a positive integer, got {m}")
-    post = av + cv
-    s = float(post.sum())
-    if s <= 0.0:
-        raise ValueError("alpha + counts must have positive total mass")
-    return int(m) * post / s
+    return _predictive_scores(av[None], cv[None], int(m))[0]
+
+
+def _predictive_scores(alpha: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
+    """``m * (alpha + counts) / row total`` for a stacked batch of checked
+    concentration and count rows."""
+    post = alpha + counts
+    # Concentrations near the float64 limit overflow the totals; the
+    # selection's finiteness check rejects the scores that result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = post.sum(axis=1, keepdims=True)
+        if np.any(total <= 0.0):
+            raise ValueError("alpha + counts must have positive total mass")
+        return m * post / total
 
 
 def beta_bernoulli_posterior_pdf(p: float, successes: int, trials: int) -> float:

@@ -1,7 +1,6 @@
 """Closed-form estimators for the Dirichlet concentration vector.
 
-Three procedures, all cheap enough to refit inside a per-draw backtest
-loop:
+Three procedures, all cheap enough to refit at every draw of a backtest:
 
 * mle: closed-form maximum likelihood.  Per-category shares are the
   column means; the total mass divides a constant involving the
@@ -11,11 +10,12 @@ loop:
   freshest K draws).
 
 Each estimator exists once, in :func:`alpha_from_stats`, as a function of
-a window's sufficient statistics (rows, column sums, trailing rows, and
-for mle smoothed log sums and a zero count).  :func:`estimate_alpha`
-computes them from one matrix, the backtest from prefix sums for every
-window of its walk; ``estimate_mle``/``estimate_mom``/``estimate_main_diagonal``
-wrap ``estimate_alpha``.
+a stacked batch of windows' sufficient statistics (rows, column sums, the
+trailing diagonal, and for mle smoothed log sums and a zero count).
+:func:`estimate_alpha` computes them for one matrix, a batch of one; the
+backtest computes them from prefix sums for a chunk of its walk at a time.
+``estimate_mle``/``estimate_mom``/``estimate_main_diagonal`` wrap
+``estimate_alpha``.
 
 The MLE total-mass formula takes logs of every matrix entry and is
 therefore undefined whenever any entry is zero, which is always the case
@@ -104,24 +104,29 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def mle_alpha_from_stats(rows: int, col_means: np.ndarray, col_log_sums: np.ndarray) -> np.ndarray:
+def mle_alpha_from_stats(rows, col_means: np.ndarray, col_log_sums: np.ndarray) -> np.ndarray:
     """Closed-form MLE total mass times shares, from smoothed-matrix statistics.
 
-    ``col_means`` are the per-category means f_j of the smoothed entries,
-    ``col_log_sums`` the per-category sums of their logs.
+    Takes a stacked batch of windows: ``rows`` holds each window's row
+    count, row i of ``col_means`` its per-category means f_j of the
+    smoothed entries and row i of ``col_log_sums`` the per-category sums of
+    their logs.  A failure describes the first window that fails its check.
     """
+    rows = np.asarray(rows)
     f = np.asarray(col_means, dtype=np.float64)
     logs = np.asarray(col_log_sums, dtype=np.float64)
-    k = f.size
+    k = f.shape[1]
     # 0 ln 0 = 0 by convention.
     f_log_f = np.where(f > 0.0, f * np.log(np.where(f > 0.0, f, 1.0)), 0.0)
-    denominator = rows * float(f_log_f.sum()) - float((f * logs).sum())
-    if denominator == 0.0:
+    denominator = rows * f_log_f.sum(axis=1) - (f * logs).sum(axis=1)
+    if np.any(denominator == 0.0):
         raise DegenerateDataError("total-mass denominator is zero (all columns constant)")
     alpha0 = rows * (k - 1) * EULER_MASCHERONI / denominator
-    if alpha0 <= 0.0:
-        raise NonPositiveAlphaError(f"estimated total mass {alpha0:.6g} is not positive")
-    return alpha0 * f
+    nonpositive = alpha0 <= 0.0
+    if nonpositive.any():
+        first = float(alpha0[nonpositive.argmax()])
+        raise NonPositiveAlphaError(f"estimated total mass {first:.6g} is not positive")
+    return alpha0[:, None] * f
 
 
 def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
@@ -144,30 +149,38 @@ def smoothed_logs(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.
     return logs, zero.sum(axis=1)
 
 
-def alpha_from_stats(config: EstimatorConfig, rows: int, col_sums: np.ndarray, tail=None,
-                     log_sums=None, zero_count: int = 0) -> np.ndarray:
-    """The configured estimate from one window's sufficient statistics.
+def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagonal=None,
+                     log_sums=None, zero_count=None) -> np.ndarray:
+    """The configured estimate for a stacked batch of windows.
 
-    ``col_sums`` are the raw column sums of the window's ``rows`` rows.  md
-    reads ``tail``, the window's trailing ``min(rows, K)`` rows.  mle reads
-    ``log_sums`` and ``zero_count``, the column sums and the zero count of
+    Row i of each statistic describes window i: ``rows[i]`` rows whose raw
+    column sums are ``col_sums[i]``.  md reads ``diagonal[i]``, the main
+    diagonal of the window's trailing K rows.  mle reads ``log_sums[i]``
+    and ``zero_count[i]``, the column sums and the zero count of
     :func:`smoothed_logs` over the window.  The positivity floor is applied
-    last.
+    last.  Each check raises for the first window that fails it.
     """
+    rows = np.asarray(rows)
     if config.kind is EstimatorKind.MOM:
-        alpha = col_sums / rows
+        alpha = col_sums / rows[:, None]
     elif config.kind is EstimatorKind.MAIN_DIAGONAL:
-        k = col_sums.size
-        if rows < k:
-            raise InsufficientRowsError(f"need at least {k} rows for a trailing {k}x{k} window, got {rows}")
-        alpha = np.diagonal(tail).astype(np.float64)
+        k = col_sums.shape[1]
+        short = rows < k
+        if short.any():
+            raise InsufficientRowsError(
+                f"need at least {k} rows for a trailing {k}x{k} window, got {rows[short.argmax()]}"
+            )
+        alpha = diagonal.astype(np.float64)
     else:
-        if zero_count:
+        if np.any(zero_count):
             raise ZeroEntryError(
                 "window has zero entries after smoothing; the total-mass formula takes logs of every entry"
             )
-        col_means = (col_sums + rows * config.mle_smoothing) / rows
-        alpha = mle_alpha_from_stats(rows, col_means, log_sums)
+        # Huge smoothing overflows to inf or NaN here; the finiteness check on
+        # alpha rejects such estimates, so numpy's warnings would only be noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            col_means = (col_sums + rows[:, None] * config.mle_smoothing) / rows[:, None]
+            alpha = mle_alpha_from_stats(rows, col_means, log_sums)
     return apply_positivity_floor(alpha, config.positivity_floor)
 
 
@@ -180,11 +193,12 @@ def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
         counts = _as_counts(matrix, "counts", ndim=2)
         col_sums = counts.sum(axis=0)
     rows, k = counts.shape
-    log_sums, zero_count = None, 0
+    log_sums, zero_count = None, None
     if config.kind is EstimatorKind.MLE:
         logs, zeros = smoothed_logs(counts, config.mle_smoothing)
-        log_sums, zero_count = logs.sum(axis=0), int(zeros.sum())
-    return alpha_from_stats(config, rows, col_sums, counts[max(rows - k, 0):], log_sums, zero_count)
+        log_sums, zero_count = logs.sum(axis=0)[None], zeros.sum(keepdims=True)
+    diagonal = np.diagonal(counts[max(rows - k, 0):])[None]
+    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, log_sums, zero_count)[0]
 
 
 def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:

@@ -60,7 +60,14 @@ class HistoryParseError(ValueError):
 
 
 class HistoryValidationError(ValueError):
-    """A parsed row violates the game rules or the index order."""
+    """A parsed row violates the game rules or the index order.
+
+    ``position`` is the offending record's position in the history.
+    """
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -96,19 +103,21 @@ class DrawRecord:
     numbers: tuple[int, ...]
 
 
-def _validate_numbers(numbers: tuple[int, ...], spec: GameSpec) -> None:
+def _rule_break(numbers: tuple[int, ...], spec: GameSpec) -> str | None:
+    """Why a draw's numbers break the game rules, or None if they do not."""
     if len(numbers) != spec.picks:
-        raise HistoryValidationError(f"expected {spec.picks} numbers, got {len(numbers)}")
+        return f"expected {spec.picks} numbers, got {len(numbers)}"
     if spec.kind is GameKind.SET_DRAW:
         for n in numbers:
             if not 1 <= n <= spec.categories:
-                raise HistoryValidationError(f"number {n} outside the pool 1..{spec.categories}")
+                return f"number {n} outside the pool 1..{spec.categories}"
         if len(set(numbers)) != len(numbers):
-            raise HistoryValidationError(f"duplicate number in set draw: {numbers}")
+            return f"duplicate number in set draw: {numbers}"
     else:
         for n in numbers:
             if not 0 <= n <= 9:
-                raise HistoryValidationError(f"digit {n} outside 0..9")
+                return f"digit {n} outside 0..9"
+    return None
 
 
 @dataclass(frozen=True)
@@ -120,12 +129,12 @@ class DrawHistory:
 
     def __post_init__(self) -> None:
         previous = None
-        for record in self.records:
-            _validate_numbers(record.numbers, self.spec)
-            if previous is not None and record.draw_index != previous + 1:
-                raise HistoryValidationError(
-                    f"draw index {record.draw_index} does not follow {previous}"
-                )
+        for position, record in enumerate(self.records):
+            problem = _rule_break(record.numbers, self.spec)
+            if problem is None and previous is not None and record.draw_index != previous + 1:
+                problem = f"draw index {record.draw_index} does not follow {previous}"
+            if problem is not None:
+                raise HistoryValidationError(problem, position)
             previous = record.draw_index
 
 
@@ -133,11 +142,32 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     """Parse CSV text (or a line iterable) into a validated history.
 
     Malformed rows raise :class:`HistoryParseError` naming the line;
-    rows that break the game rules raise :class:`HistoryValidationError`.
+    rows that break the game rules raise :class:`HistoryValidationError`,
+    also naming the line.  Either way the first bad line in file order is
+    reported.  Rows are checked against the game rules once, by
+    :class:`DrawHistory`.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     records: list[DrawRecord] = []
-    previous = None
+    linenos: list[int] = []
+    try:
+        _parse_rows(lines, records, linenos)
+    except HistoryParseError:
+        _history(spec, records, linenos)  # a row above the malformed one may break the rules
+        raise
+    return _history(spec, records, linenos)
+
+
+def _history(spec: GameSpec, records: list[DrawRecord], linenos: list[int]) -> DrawHistory:
+    try:
+        return DrawHistory(spec, tuple(records))
+    except HistoryValidationError as exc:
+        raise HistoryValidationError(f"line {linenos[exc.position]}: {exc}") from None
+
+
+def _parse_rows(lines: Iterable[str], records: list[DrawRecord], linenos: list[int]) -> None:
+    """Append each data row's record and line number; raise on the first
+    malformed row."""
     first_line = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -153,22 +183,13 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
         index_text = parts[0].strip()
         if not is_digits(index_text):
             raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
-        index = int(index_text)
         tokens = parts[2].split()
         # One check per row: tokens hold no whitespace, so the joined string
         # is all digits exactly when every token is.
         if tokens and not is_digits("".join(tokens)):
             raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
-        numbers = tuple(map(int, tokens))
-        try:
-            _validate_numbers(numbers, spec)
-        except HistoryValidationError as exc:
-            raise HistoryValidationError(f"line {lineno}: {exc}") from None
-        if previous is not None and index != previous + 1:
-            raise HistoryValidationError(f"line {lineno}: draw index {index} does not follow {previous}")
-        previous = index
-        records.append(DrawRecord(index, parts[1] or None, numbers))
-    return DrawHistory(spec, tuple(records))
+        records.append(DrawRecord(int(index_text), parts[1] or None, tuple(map(int, tokens))))
+        linenos.append(lineno)
 
 
 def is_digits(token: str) -> bool:
@@ -197,19 +218,13 @@ def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
     if not history.records:
         raise ValueError("history is empty")
     spec = history.spec
-    n = len(history.records)
+    numbers = np.array([record.numbers for record in history.records], dtype=np.int64)
     if spec.kind is GameKind.SET_DRAW:
-        matrix = np.zeros((n, spec.categories), dtype=np.int64)
-        for i, record in enumerate(history.records):
-            matrix[i, np.asarray(record.numbers) - 1] = 1
+        matrix = np.zeros((len(numbers), spec.categories), dtype=np.int64)
+        matrix[np.arange(len(numbers))[:, None], numbers - 1] = 1
         return [CountMatrix(matrix)]
-    out = []
-    for position in range(spec.picks):
-        matrix = np.zeros((n, 10), dtype=np.int64)
-        for i, record in enumerate(history.records):
-            matrix[i, record.numbers[position]] = 1
-        out.append(CountMatrix(matrix))
-    return out
+    one_hot = np.eye(10, dtype=np.int64)
+    return [CountMatrix(one_hot[digits]) for digits in numbers.T]
 
 
 def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> CountMatrix:

@@ -1,6 +1,8 @@
 """Backtest tests: selection and scoring examples, gap statistics against
 the reference sequence, and the rolling loop pinned to a naive refit loop."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,7 +21,7 @@ from cdmlotto.backtest import (
     select_combination,
 )
 from cdmlotto.distributions import predictive_expectation
-from cdmlotto.estimators import EstimatorConfig, EstimatorKind, estimate_alpha
+from cdmlotto.estimators import EstimationError, EstimatorConfig, EstimatorKind, estimate_alpha
 from cdmlotto.ingest import (
     DrawHistory,
     DrawRecord,
@@ -32,6 +34,7 @@ from cdmlotto.ingest import (
 
 SIX_52 = GameSpec(GameKind.SET_DRAW, 52, 6)
 PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
+PICK4 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 4)
 
 # Reference hit sequence used throughout the gap-statistics checks.
 REFERENCE_HITS = [0, 44, 659, 1357, 1369, 1915, 2039, 3449, 3685, 4285]
@@ -120,10 +123,13 @@ def naive_backtest(history, config):
     outcomes = []
     for t in range(warmup, n):
         windows = [slice_window(m, t, config.window) for m in matrices]
-        vectors = [
-            predictive_expectation(estimate_alpha(w, config.estimator), w.col_sums, picks)
-            for w in windows
-        ]
+        try:
+            vectors = [
+                predictive_expectation(estimate_alpha(w, config.estimator), w.col_sums, picks)
+                for w in windows
+            ]
+        except EstimationError as exc:
+            raise BacktestError(t, str(exc)) from exc
         combo = select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec)
         matches = match_count(combo, history.records[t], spec)
         outcomes.append((t, combo.numbers, matches, matches >= threshold))
@@ -183,16 +189,58 @@ class TestRunBacktest:
         EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1.0),
     ])
     def test_rolling_loop_matches_naive_refit(self, spec, seed, estimator):
-        history = synthetic_history(spec, 90, seed=seed)
-        config = BacktestConfig(estimator, hit_threshold=2)
-        result = run_backtest(history, config)
-        reference = naive_backtest(history, config)
-        assert len(result.records) == len(reference)
-        for record, (t, numbers, matches, is_hit) in zip(result.records, reference):
-            assert record.draw_index == t
-            assert record.prediction == numbers
-            assert record.match_count == matches
-            assert (record.draw_index in result.hit_indices) == is_hit
+        # 1,600 draws span four chunks of the batched walk; each case runs
+        # on all prior draws and on a 60-draw window.
+        history = synthetic_history(spec, 1600, seed=seed)
+        for config in (BacktestConfig(estimator, hit_threshold=2),
+                       BacktestConfig(estimator, window=60, warmup=60, hit_threshold=2)):
+            result = run_backtest(history, config)
+            reference = naive_backtest(history, config)
+            assert len(result.records) == len(reference)
+            for record, (t, numbers, matches, is_hit) in zip(result.records, reference):
+                assert record.draw_index == t
+                assert record.prediction == numbers
+                assert record.match_count == matches
+                assert (record.draw_index in result.hit_indices) == is_hit
+
+    @pytest.mark.parametrize("spec,smoothing,window", [
+        (SIX_52, 1e100, None),  # the chunk's first-raised check fails later than draw 52 does
+        (SIX_52, 1e20, None),
+        (SIX_52, 1e290, 60),
+        (PICK4, 1e20, None),
+        (PICK4, 1e290, 60),
+    ])
+    def test_first_failing_draw_matches_naive_refit(self, spec, smoothing, window):
+        history = synthetic_history(spec, 1200, seed=9)
+        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
+                                window=window, warmup=window)
+        with pytest.raises(BacktestError) as walked:
+            run_backtest(history, config)
+        with pytest.raises(BacktestError) as naive:
+            naive_backtest(history, config)
+        assert (walked.value.draw_index, str(walked.value)) == (naive.value.draw_index, str(naive.value))
+
+    # A pick-1 history that stays on one digit for 800 draws: each window
+    # inside that run has constant columns, so its mle denominator is zero
+    # up to rounding.  The walk's prefix-sum logs round differently from
+    # the naive loop's window sums (which succeed or report a zero
+    # denominator here), so the draw and message were recorded from the
+    # per-draw walk before it was batched.
+    @pytest.mark.parametrize("smoothing,window,expected", [
+        (1.0, 60, "draw 1260: estimated total mass -1.37086e+15 is not positive"),
+        (0.5, 64, "draw 1264: estimated total mass -2.15432e+13 is not positive"),
+        (3.0, 100, "draw 1300: estimated total mass -5.03251e+12 is not positive"),
+    ])
+    def test_failure_past_the_first_chunk_names_its_draw(self, smoothing, window, expected):
+        rng = random.Random(5)
+        digits = [rng.randrange(10) for _ in range(1200)] + [3] * 800 + [rng.randrange(10) for _ in range(300)]
+        spec = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1)
+        history = DrawHistory(spec, tuple(DrawRecord(i, None, (d,)) for i, d in enumerate(digits)))
+        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
+                                window=window, warmup=window)
+        with pytest.raises(BacktestError) as excinfo:
+            run_backtest(history, config)
+        assert str(excinfo.value) == expected
 
     def test_windowed_run_matches_naive_refit(self):
         history = synthetic_history(SIX_52, 120, seed=31)

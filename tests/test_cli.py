@@ -319,6 +319,20 @@ class TestStrictValues:
         assert code == 2
         assert "expected JSON or an integer list" in err
 
+    @pytest.mark.parametrize("argv,text", [
+        (("simulate", "--gaps-file"), "[true, 44]"),
+        (("simulate", "--gaps-file"), '{"gaps": [44, -3]}'),
+        (("backtest", "--hits-file"), '{"hit_indices": [-3, 7]}'),
+        (("backtest", "--hits-file"), "[1, false]"),
+    ])
+    def test_json_integer_lists_follow_the_same_rule(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "series.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert "expected a list of nonnegative integers" in err
+
     @pytest.mark.parametrize("flag,value", [("--payout", "inf"), ("--ticket-price", "1e400"),
                                             ("--payout", "1e307"), ("--ticket-price", "nan")])
     def test_non_finite_money_is_a_usage_error(self, capsys, flag, value):
@@ -331,6 +345,14 @@ class TestStrictValues:
         code, out, err = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6",
                              "--input", str(history_csv), "--estimator", "mm",
                              "--smoothing", value, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "mle_smoothing" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_hits_replay_smoothing_must_be_finite_and_nonnegative(self, capsys, value):
+        # A hits replay fits no estimator, so only the flag's converter sees the value.
+        code, out, err = run(capsys, "backtest", "--hits", "1,5", "--smoothing", value, "--format", "json")
         assert code == 2
         assert out == ""
         assert "mle_smoothing" in err
@@ -416,6 +438,16 @@ GOLDEN_PREDICT = {
     "set": "4d345479a0e463fec4d47766effc0637e917cdfcebfdae960d1aef3567c82fc2",
     "pick": "79b553fd007f3795a91681280af0e5d0e6e5be8104edfd3809b2134215e0587a",
 }
+# Reports on histories long enough to span several chunks of the batched
+# walk, recorded before it was batched.
+GOLDEN_MULTI_CHUNK = {
+    ("backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "1700", "--seed", "41",
+     "--estimator", "mm", "--window", "all", "--threshold", "2", "--format", "json"):
+        "c8ddf6335dec6871e4e8f96348d4a7b99daa37351cf78d74dbf6241a7128d782",
+    ("backtest", "--game", "pick", "--picks", "4", "--draws", "1700", "--seed", "42", "--estimator", "mle",
+     "--smoothing", "1", "--window", "500", "--warmup", "500", "--threshold", "2", "--format", "text"):
+        "120b544f047afeb37a8d0a1169342812a8fd53f0f35bf42904ee0ab4b66873cd",
+}
 HITS = "0,44,659,1357,1369,1915,2039,3449,3685,4285"
 # name: (config file text or None, argv, sha256 of report.json if the run
 # writes it, else of stdout).  Each run starts in a directory holding
@@ -466,6 +498,10 @@ class TestGoldenBytes:
                 "--smoothing", "0.5", "--threshold", "2", "--format", "json"]
         argv += ["--window", "all"] if window == "all" else ["--window", width, "--warmup", width]
         assert sha256_of_stdout(capsys, *argv) == GOLDEN_BACKTEST[game, estimator, window]
+
+    @pytest.mark.parametrize("argv", sorted(GOLDEN_MULTI_CHUNK))
+    def test_multi_chunk_backtest(self, capsys, argv):
+        assert sha256_of_stdout(capsys, *argv) == GOLDEN_MULTI_CHUNK[argv]
 
     @pytest.mark.parametrize("game", sorted(GOLDEN_PREDICT))
     def test_predict_json(self, capsys, tmp_path, monkeypatch, game):

@@ -87,6 +87,17 @@ class TestParseHistory:
         with pytest.raises(HistoryValidationError, match="does not follow"):
             parse_history("0,,1 2 3\n2,,4 5 6", PICK3)
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("0,,1 2 3\n\n1,,1 2 13\n2,,x\n", HistoryValidationError, "line 3: digit 13 outside 0..9"),
+        ("0,,1 2 3\n1,,x\n2,,1 2 13\n", HistoryParseError, "line 2: numbers field 'x'"),
+        ("0,,1 2 3\n2,,1 2 3\n3,,1 2\n", HistoryValidationError, "line 2: draw index 2 does not follow 0"),
+        ("draw_index,date,numbers\n0,,1 2 3\n1,,1 2\n", HistoryValidationError, "line 3: expected 3 numbers"),
+    ])
+    def test_first_bad_line_in_file_order_is_reported(self, text, error, message):
+        with pytest.raises(error) as excinfo:
+            parse_history(text, PICK3)
+        assert str(excinfo.value).startswith(message)
+
     def test_dates_are_passed_through(self):
         history = parse_history("0,2022-07-09,1 2 3", PICK3)
         assert history.records[0].date == "2022-07-09"
