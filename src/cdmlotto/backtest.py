@@ -15,13 +15,20 @@ history costs O(n K) instead of O(n^2 K); the estimate, the predictive
 scores, the tie-broken pick and the match count then follow for the whole
 chunk at once.  Chunks bound the size of the temporary arrays.  Tests pin
 the output to the naive slice-and-refit loop.
+
+The result stays columnar: one int64 array each for the predicted draws'
+indices, predictions, actual numbers and match counts.  Hits, tier counts
+and the JSON records block come from array operations on those columns;
+:class:`DrawOutcome` objects are built only when a caller asks for
+``records`` or ``hits``.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from collections import Counter
-from dataclasses import dataclass
+import textwrap
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -115,9 +122,20 @@ class StretchSummary:
     cutoff: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestResult:
-    records: tuple[DrawOutcome, ...]
+    """The walk's outcome as whole-history columns plus its hit summary.
+
+    Row i of ``draw_indices`` (n,), ``predictions`` (n, picks), ``actuals``
+    (n, picks) and ``match_counts`` (n,), all read-only int64 arrays,
+    describes the i-th predicted draw.  ``records`` and ``hits`` build
+    :class:`DrawOutcome` rows from them on each access.
+    """
+
+    draw_indices: np.ndarray
+    predictions: np.ndarray
+    actuals: np.ndarray
+    match_counts: np.ndarray
     hit_indices: tuple[int, ...]
     gaps: tuple[int, ...]
     average_gap: float | None
@@ -127,18 +145,43 @@ class BacktestResult:
     warmup: int
     hit_threshold: int
 
-    def to_dict(self) -> dict:
-        """Machine-readable document with fixed field names."""
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BacktestResult):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    @property
+    def records(self) -> tuple[DrawOutcome, ...]:
+        """One outcome per predicted draw."""
+        return self._outcomes(slice(None))
+
+    @property
+    def hits(self) -> tuple[DrawOutcome, ...]:
+        """The outcomes whose match count reaches the hit threshold."""
+        return self._outcomes(self.match_counts >= self.hit_threshold)
+
+    def _outcomes(self, rows) -> tuple[DrawOutcome, ...]:
+        return tuple(map(
+            DrawOutcome,
+            self.draw_indices[rows].tolist(),
+            map(tuple, self.predictions[rows].tolist()),
+            map(tuple, self.actuals[rows].tolist()),
+            self.match_counts[rows].tolist(),
+        ))
+
+    def _record_columns(self) -> dict[str, np.ndarray]:
+        """Each field of a document record, with the column that holds it."""
         return {
-            "records": [
-                {
-                    "draw_index": r.draw_index,
-                    "prediction": list(r.prediction),
-                    "actual": list(r.actual),
-                    "match_count": r.match_count,
-                }
-                for r in self.records
-            ],
+            "draw_index": self.draw_indices,
+            "prediction": self.predictions,
+            "actual": self.actuals,
+            "match_count": self.match_counts,
+        }
+
+    def _summary(self) -> dict:
+        """Every document field but the records."""
+        return {
             "hit_indices": list(self.hit_indices),
             "gaps": list(self.gaps),
             "average_gap": self.average_gap,
@@ -148,6 +191,40 @@ class BacktestResult:
             "warmup": self.warmup,
             "hit_threshold": self.hit_threshold,
         }
+
+    def to_dict(self) -> dict:
+        """Machine-readable document with fixed field names."""
+        columns = self._record_columns()
+        rows = zip(*(column.tolist() for column in columns.values()))
+        return {"records": [dict(zip(columns, row)) for row in rows], **self._summary()}
+
+    def to_json(self, extra: Mapping | None = None) -> str:
+        """``json.dumps({**self.to_dict(), **extra}, sort_keys=True, indent=2)``,
+        with the records block written straight from the columns.
+
+        The rest of the document goes through ``json.dumps`` with a
+        placeholder list.  A top-level key is the only line that starts
+        with exactly two spaces and a quote (``json.dumps`` escapes line
+        breaks inside strings), so the placeholder is found unambiguously.
+        """
+        document = {**self._summary(), **(extra or {}), "records": []}
+        text = json.dumps(document, sort_keys=True, indent=2)
+        head, _, tail = text.partition('\n  "records": []')
+        return f'{head}\n  "records": {self._records_json()}{tail}'
+
+    def _records_json(self) -> str:
+        """The records list as ``json.dumps(indent=2)`` writes it one level
+        deep: one record's text with a ``%d`` slot per number, repeated per
+        draw and filled from the columns in sorted-key order."""
+        n = len(self.draw_indices)
+        if n == 0:
+            return "[]"
+        columns = self._record_columns()
+        slots = {name: "%d" if c.ndim == 1 else ["%d"] * c.shape[1] for name, c in columns.items()}
+        record = textwrap.indent(json.dumps(slots, sort_keys=True, indent=2), "    ").replace('"%d"', "%d")
+        values = np.column_stack([columns[name] for name in sorted(columns)]).ravel().tolist()
+        block = ",\n".join([record] * n) % tuple(values)
+        return f"[\n{block}\n  ]"
 
 
 def select_combination(scores, spec: GameSpec) -> PredictedCombination:
@@ -296,25 +373,32 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return _select(spec, [tracker.scores(starts, ends, per_matrix_picks) for tracker in trackers])
 
-    records: list[DrawOutcome] = []
+    chunks = []
     for first in range(warmup, n, _CHUNK):
         ends = np.arange(first, min(first + _CHUNK, n))
         starts = np.zeros_like(ends) if config.window is None else ends - config.window
-        predicted = _predict_chunk(predict, starts, ends)
-        actual = [record.numbers for record in history.records[first : first + ends.size]]
-        matches = _match_counts(spec, predicted, np.array(actual)).tolist()
-        records.extend(map(DrawOutcome, ends.tolist(), zip(*predicted.T.tolist()), actual, matches))
+        chunks.append(_predict_chunk(predict, starts, ends))
+    draw_indices = np.arange(warmup, n, dtype=np.int64)
+    predictions = np.concatenate(chunks).astype(np.int64, copy=False)
+    actuals = np.array([record.numbers for record in history.records[warmup:]], dtype=np.int64)
+    match_counts = _match_counts(spec, predictions, actuals).astype(np.int64, copy=False)
+    for column in (draw_indices, predictions, actuals, match_counts):
+        column.flags.writeable = False
 
-    hit_indices = [r.draw_index for r in records if r.match_count >= threshold]
+    hit_indices = tuple(draw_indices[match_counts >= threshold].tolist())
     stats = gap_stats(hit_indices)
+    tiers = np.bincount(match_counts).tolist()
     return BacktestResult(
-        records=tuple(records),
-        hit_indices=tuple(hit_indices),
+        draw_indices=draw_indices,
+        predictions=predictions,
+        actuals=actuals,
+        match_counts=match_counts,
+        hit_indices=hit_indices,
         gaps=stats.gaps,
         average_gap=stats.average,
         max_gap=stats.max_gap,
         hit_count=len(hit_indices),
-        tier_counts=dict(Counter(r.match_count for r in records)),
+        tier_counts={tier: count for tier, count in enumerate(tiers) if count},
         warmup=warmup,
         hit_threshold=threshold,
     )

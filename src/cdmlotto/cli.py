@@ -354,21 +354,15 @@ def _tier_gap_report(result: BacktestResult, picks: int) -> tuple[dict[int, floa
     """Average gap per minimum match count, plus log-linear projections for
     the counts with too few hits to measure.
 
-    One pass over the match counts keeps each tier's first and last hit and
-    its hit count; successive gaps telescope, so their average is
-    ``(last - first) / (hits - 1)``.
+    Successive gaps telescope, so a tier's average gap is
+    ``(last - first) / (hits - 1)`` over the draws that reach it.
     """
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    hits = [0] * (picks + 1)
-    for r in result.records:
-        for tier in range(1, r.match_count + 1):
-            first.setdefault(tier, r.draw_index)
-            last[tier] = r.draw_index
-            hits[tier] += 1
-    tiers = range(1, picks + 1)
-    observed = {t: (last[t] - first[t]) / (hits[t] - 1) for t in tiers if hits[t] >= 2}
-    missing = [t for t in tiers if hits[t] < 2]
+    observed: dict[int, float] = {}
+    for tier in range(1, picks + 1):
+        reached = result.draw_indices[result.match_counts >= tier]
+        if reached.size >= 2:
+            observed[tier] = int(reached[-1] - reached[0]) / (reached.size - 1)
+    missing = [t for t in range(1, picks + 1) if t not in observed]
     projections: dict[int, float] = {}
     if len(observed) >= 2 and missing:
         projections = extrapolate_gaps(observed, missing)
@@ -383,12 +377,11 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict, report: di
         f" estimator {cfg['estimator']}; window {'all' if window is None else window};"
         f" warmup {result.warmup}; threshold {result.hit_threshold}"
     )
-    lines.append(f"predicted draws: {len(result.records)}; hits: {result.hit_count}")
-    for r in result.records:
-        if r.match_count >= result.hit_threshold:
-            lines.append(f"draw {r.draw_index} (matched {r.match_count}):")
-            comparison = render_comparison([(cfg["estimator"], r.prediction)], r.actual)
-            lines.extend("  " + line for line in comparison)
+    lines.append(f"predicted draws: {len(result.draw_indices)}; hits: {result.hit_count}")
+    for r in result.hits:
+        lines.append(f"draw {r.draw_index} (matched {r.match_count}):")
+        comparison = render_comparison([(cfg["estimator"], r.prediction)], r.actual)
+        lines.extend("  " + line for line in comparison)
     lines.extend(_gap_lines(report))
     tiers = ", ".join(f"{k}: {v}" for k, v in sorted(result.tier_counts.items()))
     lines.append(f"match-count histogram: {tiers}")
@@ -441,14 +434,13 @@ def cmd_backtest(cfg: dict) -> int:
 
     if cfg["format"] == "json":
         observed, projections = _tier_gap_report(result, spec.picks)
-        document = {
+        fields = {
             "config": _config_echo(cfg, spec),
-            **result.to_dict(),
             **report,
             "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
             "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
         }
-        _emit(_json_dumps(document), cfg)
+        _emit(result.to_json(fields) + "\n", cfg)
     else:
         _emit(_backtest_text(result, spec, cfg, report), cfg)
     return 0

@@ -158,7 +158,9 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
     diagonal of the window's trailing K rows.  mle reads ``log_sums[i]``
     and ``zero_count[i]``, the column sums and the zero count of
     :func:`smoothed_logs` over the window.  The positivity floor is applied
-    last.  Each check raises for the first window that fails it.
+    last, and a non-finite estimate (huge mle smoothing overflows) raises
+    :class:`NonPositiveAlphaError`.  Each check raises for the first window
+    that fails it.
     """
     rows = np.asarray(rows)
     if config.kind is EstimatorKind.MOM:
@@ -181,7 +183,10 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
         with np.errstate(over="ignore", invalid="ignore"):
             col_means = (col_sums + rows[:, None] * config.mle_smoothing) / rows[:, None]
             alpha = mle_alpha_from_stats(rows, col_means, log_sums)
-    return apply_positivity_floor(alpha, config.positivity_floor)
+    alpha = apply_positivity_floor(alpha, config.positivity_floor)
+    if not np.isfinite(alpha).all():
+        raise NonPositiveAlphaError("estimated concentration is not finite")
+    return alpha
 
 
 def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:

@@ -5,11 +5,13 @@ The on-disk format is minimal CSV, one draw per line:
     draw_index,date,numbers
 
 ``numbers`` is a space-separated integer list and ``date`` is free-text
-metadata that may be empty.  Indices and numbers are ASCII digits only (no
-signs, underscores or other scripts' digits).  The first line is a header
-only when its first field is ``draw_index``.  File order is chronological
-order, oldest first.  Encoding is UTF-8 with LF or CRLF line endings; the
-CLI reads files as ``utf-8-sig``, dropping a leading byte-order mark.
+metadata without commas or line breaks; an empty date reads as no date.
+Indices and numbers are ASCII digits only (no signs, underscores or other
+scripts' digits).  The first line is a header only when its first field
+is ``draw_index``.  File order is chronological order, oldest first.
+Encoding is UTF-8 with LF, CRLF or CR line endings, and text given as a
+string splits into lines as a file does; the CLI reads files as
+``utf-8-sig``, dropping a leading byte-order mark.
 
 Two game families are supported.  Set-draw games pick ``picks`` distinct
 numbers from 1..pool without regard to order.  Positional-digit games
@@ -21,6 +23,7 @@ jackpot rules require).
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -147,7 +150,9 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     reported.  Rows are checked against the game rules once, by
     :class:`DrawHistory`.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    # A string splits as a text file does (``str.splitlines`` would also
+    # break at form feeds, U+2028 and other characters a file keeps).
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     records: list[DrawRecord] = []
     linenos: list[int] = []
     try:
@@ -200,7 +205,16 @@ def is_digits(token: str) -> bool:
 
 
 def serialize_history(history: DrawHistory) -> str:
-    """Inverse of :func:`parse_history`; round-trips exactly."""
+    """Inverse of :func:`parse_history`: the text parses back to an equal history.
+
+    A date that would read back differently, the empty string (read as no
+    date) or one holding a comma, CR or LF, raises ``ValueError`` naming
+    its draw index; nothing is written for such a history.
+    """
+    for r in history.records:
+        if r.date is not None and (not r.date or any(c in r.date for c in ",\r\n")):
+            raise ValueError(f"draw {r.draw_index}: date {r.date!r} cannot be written back; "
+                             "dates must be nonempty and hold no comma or line break")
     lines = [
         f"{r.draw_index},{r.date or ''},{' '.join(str(n) for n in r.numbers)}"
         for r in history.records

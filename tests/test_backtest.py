@@ -1,6 +1,7 @@
 """Backtest tests: selection and scoring examples, gap statistics against
 the reference sequence, and the rolling loop pinned to a naive refit loop."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestRunBacktest:
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         assert run_backtest(history, config) == run_backtest(history, config)
 
+    def test_results_differing_in_one_column_are_unequal(self):
+        history = synthetic_history(SIX_52, 150, seed=5)
+        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        predictions = result.predictions.copy()
+        predictions[-1, 0] += 1
+        assert dataclasses.replace(result, predictions=predictions) != result
+
+    def test_columns_hold_one_row_per_predicted_draw(self):
+        history = synthetic_history(PICK4, 200, seed=2)
+        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        assert result.draw_indices.tolist() == list(range(10, 200))
+        assert result.predictions.shape == result.actuals.shape == (190, 4)
+        assert result.actuals.tolist() == [list(r.numbers) for r in history.records[10:]]
+        assert tuple(r.draw_index for r in result.hits) == result.hit_indices
+        with pytest.raises(ValueError):
+            result.match_counts[0] = 4  # the columns are read-only
+
     @pytest.mark.parametrize("spec,seed", [(SIX_52, 23), (PICK3, 24)])
     @pytest.mark.parametrize("estimator", [
         EstimatorConfig(EstimatorKind.MOM),
@@ -209,6 +227,8 @@ class TestRunBacktest:
         (SIX_52, 1e290, 60),
         (PICK4, 1e20, None),
         (PICK4, 1e290, 60),
+        (SIX_52, 1e305, None),  # a non-finite estimate
+        (PICK4, 1e305, 60),
     ])
     def test_first_failing_draw_matches_naive_refit(self, spec, smoothing, window):
         history = synthetic_history(spec, 1200, seed=9)

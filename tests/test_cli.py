@@ -12,8 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdmlotto.backtest import ALTERNATION_NOTE, BacktestConfig, classify_stretches, extrapolate_gaps, run_backtest
 from cdmlotto.cli import build_parser, main, parse_args
-from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history
+from cdmlotto.estimators import EstimatorConfig, EstimatorKind
+from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history, synthetic_history
 
 
 def run(capsys, *argv):
@@ -138,6 +140,16 @@ class TestBacktest:
                            "--draws", "300", "--seed", "5", "--estimator", "mle", "--threshold", "2")
         assert code == 1
         assert "draw" in err
+
+    def test_non_finite_mle_estimate_is_a_model_error(self, capsys, history_csv):
+        flags = ("--game", "set", "--pool", "52", "--picks", "6", "--input", str(history_csv),
+                 "--estimator", "mle", "--smoothing", "1e305")
+        code, out, err = run(capsys, "backtest", *flags, "--threshold", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: draw 52: estimated concentration is not finite\n"
+        code, out, err = run(capsys, "predict", *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: estimated concentration is not finite\n"
 
     def test_hits_replay_reports_the_reference_average(self, capsys):
         code, out, _ = run(capsys, "backtest",
@@ -412,6 +424,76 @@ class TestHistoryRoundTripViaCli:
         spec = GameSpec(GameKind.SET_DRAW, 52, 6)
         text = history_csv.read_text()
         assert serialize_history(parse_history(text, spec)) == text
+
+
+def tier_gap_report_from_records(records, picks):
+    """Average gap per minimum match count, and projections for the rest,
+    as a one-pass loop over per-draw records."""
+    first, last, hits = {}, {}, [0] * (picks + 1)
+    for r in records:
+        for tier in range(1, r.match_count + 1):
+            first.setdefault(tier, r.draw_index)
+            last[tier] = r.draw_index
+            hits[tier] += 1
+    tiers = range(1, picks + 1)
+    observed = {t: (last[t] - first[t]) / (hits[t] - 1) for t in tiers if hits[t] >= 2}
+    missing = [t for t in tiers if hits[t] < 2]
+    projections = extrapolate_gaps(observed, missing) if len(observed) >= 2 and missing else {}
+    return observed, projections
+
+
+# name: (game, CLI flags, estimator, threshold)
+DIFFERENTIAL_GAMES = {
+    "set-2": (GameSpec(GameKind.SET_DRAW, 10, 2), ("--game", "set", "--pool", "10", "--picks", "2"),
+              EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), 1),
+    "set-6": (GameSpec(GameKind.SET_DRAW, 52, 6), ("--game", "set", "--pool", "52", "--picks", "6"),
+              EstimatorConfig(EstimatorKind.MOM), 2),
+    "pick-1": (GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1), ("--game", "pick", "--picks", "1"),
+               EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1.0), 1),
+    "pick-4": (GameSpec(GameKind.POSITIONAL_DIGITS, 10, 4), ("--game", "pick", "--picks", "4"),
+               EstimatorConfig(EstimatorKind.MLE, mle_smoothing=0.5), 2),
+}
+
+
+class TestBacktestJsonMatchesDocumentDump:
+    """The backtest JSON equals ``json.dumps`` of the whole document, with
+    the records from ``to_dict()``, on histories of several chunks and on a
+    one-record walk, read from a path that holds ``"records"``."""
+
+    @pytest.mark.parametrize("game", sorted(DIFFERENTIAL_GAMES))
+    @pytest.mark.parametrize("window", [None, 60])
+    @pytest.mark.parametrize("draws", [1600, 61])
+    def test_byte_identical(self, capsys, tmp_path, game, window, draws):
+        spec, flags, estimator, threshold = DIFFERENTIAL_GAMES[game]
+        history = synthetic_history(spec, draws, seed=draws + spec.picks)
+        path = tmp_path / '"records": [],' / "history.csv"
+        path.parent.mkdir()
+        path.write_text(serialize_history(history), encoding="utf-8")
+        argv = ["backtest", *flags, "--input", str(path), "--estimator", estimator.kind.value,
+                "--smoothing", str(estimator.mle_smoothing), "--threshold", str(threshold),
+                "--warmup", "60", "--window", "all" if window is None else str(window), "--format", "json"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        config = json.loads(out)["config"]
+        assert config["input"] == str(path)
+
+        result = run_backtest(history, BacktestConfig(estimator, window=window, warmup=60, hit_threshold=threshold))
+        assert len(result.records) == draws - 60
+        observed, projections = tier_gap_report_from_records(result.records, spec.picks)
+        stretch = classify_stretches(result.gaps)
+        document = {
+            "config": config,
+            **result.to_dict(),
+            "stretch": {
+                "cutoff": stretch.cutoff,
+                "labels": list(stretch.labels),
+                "alternation_fraction": stretch.alternation_fraction,
+                "note": ALTERNATION_NOTE,
+            },
+            "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
+            "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
+        }
+        assert out == json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 # sha256 of the JSON reports on small seeded histories.  Any change to these

@@ -1,9 +1,12 @@
 """History parsing, validation, matrix construction, and windowing."""
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdmlotto.ingest import (
     DrawHistory,
@@ -116,6 +119,46 @@ class TestParseHistory:
         for spec in (SIX_52, PICK3):
             history = synthetic_history(spec, 40, seed=13)
             assert parse_history(serialize_history(history), spec) == history
+
+    @pytest.mark.parametrize("date", ["Jan 1, 2022", "2022\n01", "2022\r", ""])
+    def test_dates_that_cannot_be_written_back_are_refused(self, date):
+        history = DrawHistory(PICK3, (DrawRecord(6, "ok", (1, 2, 3)), DrawRecord(7, date, (4, 5, 6))))
+        with pytest.raises(ValueError, match="draw 7: date"):
+            serialize_history(history)
+
+
+# Dates from any text, plus characters that ``str.splitlines`` breaks at
+# but a text file keeps inside a line.
+dates = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]))
+
+
+@st.composite
+def histories(draw):
+    spec = draw(st.sampled_from([SIX_52, PICK3]))
+    first = draw(st.integers(0, 10**6))
+    records = []
+    for index in range(first, first + draw(st.integers(1, 5))):
+        if spec.kind is GameKind.SET_DRAW:
+            numbers = draw(st.lists(st.integers(1, 52), min_size=6, max_size=6, unique=True))
+        else:
+            numbers = draw(st.lists(st.integers(0, 9), min_size=3, max_size=3))
+        records.append(DrawRecord(index, draw(dates), tuple(numbers)))
+    return DrawHistory(spec, tuple(records))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300)
+    @given(histories())
+    def test_serialized_history_parses_back_or_is_refused(self, history):
+        try:
+            text = serialize_history(history)
+        except ValueError:
+            assert any(r.date == "" or (r.date and any(c in r.date for c in ",\r\n")) for r in history.records)
+            return
+        assert parse_history(text, history.spec) == history
+        # The same text read as a UTF-8 file.
+        handle = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8-sig")
+        assert parse_history(handle, history.spec) == history
 
 
 class TestDrawHistoryInvariants:
