@@ -32,7 +32,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=414)
     parser.add_argument("--threshold", type=int, default=2)
     parser.add_argument("--smoothing", type=float, default=1.0,
-                        help="additive smoothing for the mle estimator (its log terms need positive entries)")
+                        help="additive smoothing for the mle estimator: the log of a zero entry is undefined, "
+                             "so it must be positive on 0/1 draw matrices")
     args = parser.parse_args()
 
     spec = GameSpec(GameKind.SET_DRAW, args.pool, args.picks)

@@ -9,12 +9,13 @@ hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  Prefix sums over the count matrices give
-every window's column sums (and, for the smoothed-MLE path, its log sums
-and zero-entry count) as one subtraction, so a pass over a multi-decade
-history costs O(n K) instead of O(n^2 K); the estimate, the predictive
-scores, the tie-broken pick and the match count then follow for the whole
-chunk at once.  Chunks bound the size of the temporary arrays.  Tests pin
-the output to the naive slice-and-refit loop.
+every window's column sums as one subtraction.  The matrices are 0/1
+indicator matrices, so the row count and those column sums are all that
+mm and the smoothed MLE read (md adds the trailing diagonal), and a pass
+over a multi-decade history costs O(n K) instead of O(n^2 K).  The
+estimate, the predictive scores, the tie-broken pick and the match count
+then follow for the whole chunk at once.  Chunks bound the size of the
+temporary arrays.  Tests pin the output to the naive slice-and-refit loop.
 
 The result stays columnar: one int64 array each for the predicted draws'
 indices, predictions, actual numbers and match counts.  Hits, tier counts
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .distributions import CountMatrix, _check_alpha, _predictive_scores
-from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats, smoothed_logs
+from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
 from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec, build_count_matrices
 
 __all__ = [
@@ -299,9 +300,9 @@ class _RollingStats:
     """Sufficient statistics of any batch of windows of one count matrix.
 
     Window ``[start, end)`` has column sums ``prefix[end] - prefix[start]``
-    from an (n+1, K) prefix array.  md reads its trailing diagonal straight
-    from the rows; mle subtracts prefix log sums of the smoothed entries and
-    a prefix zero counter, so its zero check needs no rescan.
+    from an (n+1, K) prefix array.  The matrix is a 0/1 indicator matrix,
+    so mm and mle need nothing more; md reads its trailing diagonal
+    straight from the rows.
     """
 
     def __init__(self, matrix: CountMatrix, estimator: EstimatorConfig):
@@ -311,25 +312,15 @@ class _RollingStats:
         self.prefix = np.zeros((n + 1, k), dtype=np.int64)
         np.cumsum(counts, axis=0, out=self.prefix[1:])
         self.counts = counts if estimator.kind is EstimatorKind.MAIN_DIAGONAL else None
-        self.log_prefix = self.zero_prefix = None
-        if estimator.kind is EstimatorKind.MLE:
-            logs, zeros = smoothed_logs(counts, estimator.mle_smoothing)
-            self.log_prefix = np.zeros((n + 1, k), dtype=np.float64)
-            np.cumsum(logs, axis=0, out=self.log_prefix[1:])
-            self.zero_prefix = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(zeros, out=self.zero_prefix[1:])
 
     def scores(self, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
         """Predictive scores, one row per window ``[starts[i], ends[i])``."""
         col_sums = self.prefix[ends] - self.prefix[starts]
-        diagonal = log_sums = zero_count = None
+        diagonal = None
         if self.counts is not None:
             cols = np.arange(col_sums.shape[1])
             diagonal = self.counts[ends[:, None] - cols.size + cols, cols]
-        if self.log_prefix is not None:
-            log_sums = self.log_prefix[ends] - self.log_prefix[starts]
-            zero_count = self.zero_prefix[ends] - self.zero_prefix[starts]
-        alpha = alpha_from_stats(self.estimator, ends - starts, col_sums, diagonal, log_sums, zero_count)
+        alpha = alpha_from_stats(self.estimator, ends - starts, col_sums, diagonal)
         return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
 
 

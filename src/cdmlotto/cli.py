@@ -157,7 +157,9 @@ def _load_config_file(path: str) -> dict[str, str]:
     except FileNotFoundError:
         raise CliError(f"config file not found: {path}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # read_text turns every line ending into "\n"; str.splitlines would also
+    # break at form feeds, U+2028 and other characters a line may hold.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -453,7 +455,7 @@ def cmd_backtest(cfg: dict) -> int:
 def _read_int_series(path: Path, field: str) -> list[int]:
     """Integers from a JSON document (its ``field`` list, or a bare list) or
     whitespace/comma-separated text."""
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         data = json.loads(text)
     except json.JSONDecodeError:

@@ -10,18 +10,22 @@ Three procedures, all cheap enough to refit at every draw of a backtest:
   freshest K draws).
 
 Each estimator exists once, in :func:`alpha_from_stats`, as a function of
-a stacked batch of windows' sufficient statistics (rows, column sums, the
-trailing diagonal, and for mle smoothed log sums and a zero count).
-:func:`estimate_alpha` computes them for one matrix, a batch of one; the
-backtest computes them from prefix sums for a chunk of its walk at a time.
+a stacked batch of windows' sufficient statistics: rows and column sums,
+plus the trailing diagonal for md.  :func:`estimate_alpha` computes them
+for one matrix, a batch of one; the backtest computes them from prefix
+sums for a chunk of its walk at a time.
 ``estimate_mle``/``estimate_mom``/``estimate_main_diagonal`` wrap
 ``estimate_alpha``.
 
-The MLE total-mass formula takes logs of every matrix entry and is
-therefore undefined whenever any entry is zero, which is always the case
-for 0/1 indicator matrices.  ``smoothing`` adds a uniform offset first
-for opt-in use on such data; the default of 0 errors instead of silently
-adjusting.
+The MLE total-mass formula sums the logs of the smoothed entries
+``x + smoothing``.  On a 0/1 indicator matrix, the kind every game's
+history builds, column j's log sum is ``(r - c_j) log s + c_j log1p(s)``,
+so the formula is exact from the row count r and the integer column sums
+c_j alone; it is then positive unless every column is constant.  Other
+integer matrices (the paper's hand examples) sum the logs of their
+entries.  Either way a zero entry has no log: the default smoothing of 0
+errors on one instead of silently adjusting, and ``smoothing`` adds a
+uniform offset first for opt-in use on such data.
 
 The moment and diagonal estimators can legitimately return zero entries.
 Density code downstream rejects those while the predictive expectation
@@ -53,7 +57,6 @@ __all__ = [
     "estimate_main_diagonal",
     "estimate_alpha",
     "alpha_from_stats",
-    "smoothed_logs",
     "mle_alpha_from_stats",
     "apply_positivity_floor",
 ]
@@ -104,29 +107,24 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
-def mle_alpha_from_stats(rows, col_means: np.ndarray, col_log_sums: np.ndarray) -> np.ndarray:
-    """Closed-form MLE total mass times shares, from smoothed-matrix statistics.
+def mle_alpha_from_stats(rows, col_means: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Closed-form MLE total mass times shares, from each window's total-mass denominator.
 
     Takes a stacked batch of windows: ``rows`` holds each window's row
     count, row i of ``col_means`` its per-category means f_j of the
-    smoothed entries and row i of ``col_log_sums`` the per-category sums of
-    their logs.  A failure describes the first window that fails its check.
+    smoothed entries x_ij and ``denominator[i]`` the sum over its entries of
+    ``f_j log(f_j / x_ij)``.  A failure describes the first window that
+    fails its check.
     """
-    rows = np.asarray(rows)
-    f = np.asarray(col_means, dtype=np.float64)
-    logs = np.asarray(col_log_sums, dtype=np.float64)
-    k = f.shape[1]
-    # 0 ln 0 = 0 by convention.
-    f_log_f = np.where(f > 0.0, f * np.log(np.where(f > 0.0, f, 1.0)), 0.0)
-    denominator = rows * f_log_f.sum(axis=1) - (f * logs).sum(axis=1)
+    rows, col_means, denominator = np.asarray(rows), np.asarray(col_means), np.asarray(denominator)
     if np.any(denominator == 0.0):
         raise DegenerateDataError("total-mass denominator is zero (all columns constant)")
-    alpha0 = rows * (k - 1) * EULER_MASCHERONI / denominator
+    alpha0 = rows * (col_means.shape[1] - 1) * EULER_MASCHERONI / denominator
     nonpositive = alpha0 <= 0.0
     if nonpositive.any():
         first = float(alpha0[nonpositive.argmax()])
         raise NonPositiveAlphaError(f"estimated total mass {first:.6g} is not positive")
-    return alpha0[:, None] * f
+    return alpha0[:, None] * col_means
 
 
 def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
@@ -136,35 +134,24 @@ def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
     return np.where(alpha == 0.0, floor, alpha)
 
 
-def smoothed_logs(counts: np.ndarray, smoothing: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entry ``log(count + smoothing)`` and per-row zero counts, for mle.
-
-    Entries that are zero after smoothing are counted and get a log of 0,
-    so sums stay finite and the zero check can run per window.
-    """
-    logs = counts + float(smoothing)
-    zero = logs == 0.0
-    logs[zero] = 1.0
-    np.log(logs, out=logs)
-    return logs, zero.sum(axis=1)
-
-
 def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagonal=None,
-                     log_sums=None, zero_count=None) -> np.ndarray:
+                     log_sums=None) -> np.ndarray:
     """The configured estimate for a stacked batch of windows.
 
     Row i of each statistic describes window i: ``rows[i]`` rows whose raw
     column sums are ``col_sums[i]``.  md reads ``diagonal[i]``, the main
-    diagonal of the window's trailing K rows.  mle reads ``log_sums[i]``
-    and ``zero_count[i]``, the column sums and the zero count of
-    :func:`smoothed_logs` over the window.  The positivity floor is applied
-    last, and a non-finite estimate (huge mle smoothing overflows) raises
-    :class:`NonPositiveAlphaError`.  Each check raises for the first window
-    that fails it.
+    diagonal of the window's trailing K rows.  mle treats the windows as
+    0/1 indicator matrices and needs nothing more, unless ``log_sums[i]``
+    gives the column sums of ``log(x + smoothing)`` over a general integer
+    window (-inf where an entry is zero after smoothing).  The positivity
+    floor is applied last, and a non-finite estimate (huge mle smoothing
+    overflows) raises :class:`NonPositiveAlphaError`.  Each check raises
+    for the first window that fails it.
     """
     rows = np.asarray(rows)
+    r = rows[:, None]
     if config.kind is EstimatorKind.MOM:
-        alpha = col_sums / rows[:, None]
+        alpha = col_sums / r
     elif config.kind is EstimatorKind.MAIN_DIAGONAL:
         k = col_sums.shape[1]
         short = rows < k
@@ -174,15 +161,26 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
             )
         alpha = diagonal.astype(np.float64)
     else:
-        if np.any(zero_count):
+        s = config.mle_smoothing
+        # A 0/1 column has a zero entry exactly when its sum is below the row count.
+        if np.isneginf(log_sums).any() if log_sums is not None else s == 0 and np.any(col_sums < r):
             raise ZeroEntryError(
                 "window has zero entries after smoothing; the total-mass formula takes logs of every entry"
             )
         # Huge smoothing overflows to inf or NaN here; the finiteness check on
         # alpha rejects such estimates, so numpy's warnings would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            col_means = (col_sums + rows[:, None] * config.mle_smoothing) / rows[:, None]
-            alpha = mle_alpha_from_stats(rows, col_means, log_sums)
+            col_means = (col_sums + r * s) / r
+            if log_sums is not None:
+                f_log_f = col_means * np.log(col_means)
+                denominator = rows * f_log_f.sum(axis=1) - (col_means * log_sums).sum(axis=1)
+            elif s == 0:
+                denominator = np.zeros(rows.shape)  # every entry is 1, so every column is constant
+            else:
+                # Each column's share of sum_i f log(f / x_i); exactly 0 for a constant column.
+                p = col_sums / r
+                denominator = rows * ((s + p) * (np.log1p(p / s) - p * np.log1p(1 / s))).sum(axis=1)
+            alpha = mle_alpha_from_stats(rows, col_means, denominator)
     alpha = apply_positivity_floor(alpha, config.positivity_floor)
     if not np.isfinite(alpha).all():
         raise NonPositiveAlphaError("estimated concentration is not finite")
@@ -198,12 +196,12 @@ def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
         counts = _as_counts(matrix, "counts", ndim=2)
         col_sums = counts.sum(axis=0)
     rows, k = counts.shape
-    log_sums, zero_count = None, None
-    if config.kind is EstimatorKind.MLE:
-        logs, zeros = smoothed_logs(counts, config.mle_smoothing)
-        log_sums, zero_count = logs.sum(axis=0)[None], zeros.sum(keepdims=True)
+    log_sums = None
+    if config.kind is EstimatorKind.MLE and counts.max(initial=0) > 1:
+        with np.errstate(divide="ignore"):  # a zero entry's log is -inf, which the estimator reports
+            log_sums = np.log(counts + config.mle_smoothing).sum(axis=0)[None]
     diagonal = np.diagonal(counts[max(rows - k, 0):])[None]
-    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, log_sums, zero_count)[0]
+    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, log_sums)[0]
 
 
 def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:

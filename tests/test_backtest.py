@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
@@ -34,6 +34,7 @@ from cdmlotto.ingest import (
 )
 
 SIX_52 = GameSpec(GameKind.SET_DRAW, 52, 6)
+PICK1 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1)
 PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
 PICK4 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 4)
 
@@ -135,6 +136,14 @@ def naive_backtest(history, config):
         matches = match_count(combo, history.records[t], spec)
         outcomes.append((t, combo.numbers, matches, matches >= threshold))
     return outcomes
+
+
+# A pick-1 history that stays on digit 3 for 800 draws, past the walk's first chunk.
+_rng = random.Random(5)
+CONSTANT_RUN = DrawHistory(PICK1, tuple(
+    DrawRecord(i, None, (d,)) for i, d in enumerate(
+        [_rng.randrange(10) for _ in range(1200)] + [3] * 800 + [_rng.randrange(10) for _ in range(300)])
+))
 
 
 class TestRunBacktest:
@@ -240,27 +249,51 @@ class TestRunBacktest:
             naive_backtest(history, config)
         assert (walked.value.draw_index, str(walked.value)) == (naive.value.draw_index, str(naive.value))
 
-    # A pick-1 history that stays on one digit for 800 draws: each window
-    # inside that run has constant columns, so its mle denominator is zero
-    # up to rounding.  The walk's prefix-sum logs round differently from
-    # the naive loop's window sums (which succeed or report a zero
-    # denominator here), so the draw and message were recorded from the
-    # per-draw walk before it was batched.
     @pytest.mark.parametrize("smoothing,window,expected", [
-        (1.0, 60, "draw 1260: estimated total mass -1.37086e+15 is not positive"),
-        (0.5, 64, "draw 1264: estimated total mass -2.15432e+13 is not positive"),
-        (3.0, 100, "draw 1300: estimated total mass -5.03251e+12 is not positive"),
+        (1.0, 60, "draw 1260: total-mass denominator is zero (all columns constant)"),
+        (0.5, 64, "draw 1264: total-mass denominator is zero (all columns constant)"),
+        (3.0, 100, "draw 1300: total-mass denominator is zero (all columns constant)"),
     ])
     def test_failure_past_the_first_chunk_names_its_draw(self, smoothing, window, expected):
-        rng = random.Random(5)
-        digits = [rng.randrange(10) for _ in range(1200)] + [3] * 800 + [rng.randrange(10) for _ in range(300)]
-        spec = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1)
-        history = DrawHistory(spec, tuple(DrawRecord(i, None, (d,)) for i, d in enumerate(digits)))
+        # The first window inside the constant run has constant columns.
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
                                 window=window, warmup=window)
-        with pytest.raises(BacktestError) as excinfo:
-            run_backtest(history, config)
-        assert str(excinfo.value) == expected
+        with pytest.raises(BacktestError) as walked:
+            run_backtest(CONSTANT_RUN, config)
+        with pytest.raises(BacktestError) as naive:
+            naive_backtest(CONSTANT_RUN, config)
+        assert str(walked.value) == str(naive.value) == expected
+
+    @pytest.mark.parametrize("smoothing", [0.1, 0.5, 1.0, 3.0, 10.0, 1e3])
+    @pytest.mark.parametrize("window", [None, 60, 64, 100, 500])
+    def test_constant_run_matches_naive_refit(self, smoothing, window):
+        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
+                                window=window, warmup=window)
+        try:
+            walked = [(r.draw_index, r.prediction) for r in run_backtest(CONSTANT_RUN, config).records]
+        except BacktestError as exc:
+            walked = (exc.draw_index, str(exc))
+        try:
+            naive = [(t, numbers) for t, numbers, _, _ in naive_backtest(CONSTANT_RUN, config)]
+        except BacktestError as exc:
+            naive = (exc.draw_index, str(exc))
+        assert walked == naive
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        game=st.sampled_from([SIX_52, GameSpec(GameKind.SET_DRAW, 10, 2), PICK3]),
+        window=st.sampled_from([None, 60]),
+        smoothing=st.floats(-6, 9).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mle_picks_are_the_mm_picks(self, game, window, smoothing, seed):
+        """On 0/1 windows the mle score alpha0 (s + p_j) + c_j rises with the
+        column sum c_j and ties where c_j ties, so it ranks as mm does."""
+        history = synthetic_history(game, 150, seed=seed)
+        mle, mm = (run_backtest(history, BacktestConfig(estimator, window=window, warmup=window or 60))
+                   for estimator in (EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
+                                     EstimatorConfig(EstimatorKind.MOM)))
+        np.testing.assert_array_equal(mle.predictions, mm.predictions)
 
     def test_windowed_run_matches_naive_refit(self):
         history = synthetic_history(SIX_52, 120, seed=31)

@@ -3,9 +3,10 @@ structural identities of the three procedures."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.distributions import CountMatrix
@@ -15,6 +16,7 @@ from cdmlotto.estimators import (
     EstimatorConfig,
     EstimatorKind,
     InsufficientRowsError,
+    NonPositiveAlphaError,
     ZeroEntryError,
     estimate_alpha,
     estimate_main_diagonal,
@@ -29,6 +31,67 @@ def random_count_matrix(rng, rows=None, cols=None, row_total=None):
     row_total = row_total or int(rng.integers(1, 12))
     p = rng.dirichlet(np.ones(cols))
     return CountMatrix(rng.multinomial(row_total, p, size=rows))
+
+
+@st.composite
+def indicator_windows(draw):
+    """A 0/1 window of set-style rows (the same number of ones in each) or
+    one-hot rows, repeating a few distinct rows so constant columns occur."""
+    k = draw(st.integers(2, 52))
+    r = draw(st.integers(1, 200))
+    ones = draw(st.one_of(st.just(1), st.integers(1, k - 1)))
+    distinct = draw(st.integers(1, r))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = np.argsort(rng.random((distinct, k)), axis=1) < ones
+    return patterns[rng.integers(0, distinct, r)].astype(np.int64)
+
+
+def mp_mle(counts, s):
+    """The closed-form MLE from its log-of-entries definition: total mass
+    r (K-1) gamma / sum_j f_j sum_i log(f_j / (x_ij + s)), in 50-digit
+    arithmetic."""
+    with mpmath.workdps(50):
+        r, k = counts.shape
+        s = mpmath.mpf(s)
+        f = [(int(c) + r * s) / r for c in counts.sum(axis=0)]
+        denominator = mpmath.fsum(
+            f_j * mpmath.fsum(mpmath.log(f_j / (x + s)) for x in column.tolist())
+            for f_j, column in zip(f, counts.T)
+        )
+        alpha0 = r * (k - 1) * mpmath.mpf(EULER_MASCHERONI) / denominator
+        return np.array([float(alpha0 * f_j) for f_j in f])
+
+
+def all_columns_constant(counts):
+    col_sums = counts.sum(axis=0)
+    return bool(np.all((col_sums == 0) | (col_sums == len(counts))))
+
+
+class TestIndicatorMle:
+    @settings(max_examples=60, deadline=None)
+    @given(counts=indicator_windows(), exponent=st.floats(-3, 3))
+    def test_column_sum_form_matches_the_log_of_entries_definition(self, counts, exponent):
+        assume(not all_columns_constant(counts))
+        s = 10.0**exponent
+        np.testing.assert_allclose(estimate_mle(counts, s), mp_mle(counts, s), rtol=1e-9)
+
+    @settings(deadline=None)
+    @given(counts=indicator_windows(), exponent=st.floats(-6, 12))
+    def test_total_mass_is_positive_unless_every_column_is_constant(self, counts, exponent):
+        # The denominator is exactly 0 (DegenerateDataError) for constant
+        # columns; a negative one would raise NonPositiveAlphaError.
+        s = 10.0**exponent
+        if all_columns_constant(counts):
+            with pytest.raises(DegenerateDataError):
+                estimate_mle(counts, s)
+        else:
+            assert np.all(estimate_mle(counts, s) > 0.0)
+
+    @pytest.mark.parametrize("counts", [[[0, 1], [0, 1]], [[1, 1], [1, 1]], [[1, 0], [0, 1]]])
+    def test_unsmoothed_zero_entry_is_reported_before_constant_columns(self, counts):
+        expected = ZeroEntryError if np.min(counts) == 0 else DegenerateDataError
+        with pytest.raises(expected):
+            estimate_mle(np.array(counts))
 
 
 class TestMle:
@@ -55,6 +118,11 @@ class TestMle:
     def test_negative_smoothing_rejected(self):
         with pytest.raises(ValueError):
             estimate_mle(np.array([[1, 2], [2, 1]]), smoothing=-0.5)
+
+    def test_non_finite_estimate_is_rejected(self):
+        # The log-of-entries form of a general integer matrix overflows here.
+        with pytest.raises(NonPositiveAlphaError, match="estimated concentration is not finite"):
+            estimate_mle(np.array([[1, 2], [2, 1]]), smoothing=1e305)
 
     def test_share_identity(self):
         """Each entry over the estimate's total equals the column mean's
