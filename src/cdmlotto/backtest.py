@@ -9,9 +9,10 @@ hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  Prefix sums over the count matrices give
-every window's column sums as one subtraction.  The matrices are 0/1
-indicator matrices, so the row count and those column sums are all that
-mm and the smoothed MLE read (md adds the trailing diagonal), and a pass
+every window's column sums as one subtraction.  They are built straight
+from the history's numbers column, without materialising the 0/1
+indicator matrices, and the row count and those column sums are all that
+mm and the smoothed MLE read (md adds the trailing diagonal), so a pass
 over a multi-decade history costs O(n K) instead of O(n^2 K).  The
 estimate, the predictive scores, the tie-broken pick and the match count
 then follow for the whole chunk at once.  Chunks bound the size of the
@@ -34,9 +35,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .distributions import CountMatrix, _check_alpha, _predictive_scores
+from .distributions import _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
-from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec, build_count_matrices
+from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec
 
 __all__ = [
     "SHORT_LONG_CUTOFF",
@@ -297,31 +298,45 @@ def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> n
 
 
 class _RollingStats:
-    """Sufficient statistics of any batch of windows of one count matrix.
+    """Sufficient statistics of any batch of windows of one indicator matrix.
 
-    Window ``[start, end)`` has column sums ``prefix[end] - prefix[start]``
-    from an (n+1, K) prefix array.  The matrix is a 0/1 indicator matrix,
-    so mm and mle need nothing more; md reads its trailing diagonal
-    straight from the rows.
+    Row t of the matrix has a one in each column of ``picked[t]`` and zeros
+    elsewhere; the matrix itself is never built.  The ones are scattered
+    into an (n+1, K) array that is then summed in place, so window
+    ``[start, end)`` has column sums ``prefix[end] - prefix[start]``.  mm
+    and mle need nothing more; md reads its trailing diagonal as prefix
+    differences too, entry (t, c) being ``prefix[t + 1, c] - prefix[t, c]``.
     """
 
-    def __init__(self, matrix: CountMatrix, estimator: EstimatorConfig):
+    def __init__(self, picked: np.ndarray, k: int, estimator: EstimatorConfig):
         self.estimator = estimator
-        counts = matrix.counts
-        n, k = counts.shape
+        n = len(picked)
         self.prefix = np.zeros((n + 1, k), dtype=np.int64)
-        np.cumsum(counts, axis=0, out=self.prefix[1:])
-        self.counts = counts if estimator.kind is EstimatorKind.MAIN_DIAGONAL else None
+        self.prefix[np.arange(1, n + 1)[:, None], picked] = 1
+        np.cumsum(self.prefix, axis=0, out=self.prefix)
+
+    def trailing_diagonal(self, ends: np.ndarray) -> np.ndarray:
+        """Row i: the main diagonal of the K matrix rows before ``ends[i]``."""
+        cols = np.arange(self.prefix.shape[1])
+        rows = ends[:, None] - cols.size + cols
+        return self.prefix[rows + 1, cols] - self.prefix[rows, cols]
 
     def scores(self, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
         """Predictive scores, one row per window ``[starts[i], ends[i])``."""
         col_sums = self.prefix[ends] - self.prefix[starts]
-        diagonal = None
-        if self.counts is not None:
-            cols = np.arange(col_sums.shape[1])
-            diagonal = self.counts[ends[:, None] - cols.size + cols, cols]
+        md = self.estimator.kind is EstimatorKind.MAIN_DIAGONAL
+        diagonal = self.trailing_diagonal(ends) if md else None
         alpha = alpha_from_stats(self.estimator, ends - starts, col_sums, diagonal)
         return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
+
+
+def _trackers(history: DrawHistory, estimator: EstimatorConfig) -> list[_RollingStats]:
+    """One tracker per count matrix of :func:`~cdmlotto.ingest.build_count_matrices`,
+    in its order: the set matrix, or one per digit position."""
+    numbers = history.numbers
+    if history.spec.kind is GameKind.SET_DRAW:
+        return [_RollingStats(numbers - 1, history.spec.categories, estimator)]
+    return [_RollingStats(digits[:, None], 10, estimator) for digits in numbers.T]
 
 
 def _resolve(config: BacktestConfig, spec: GameSpec, n: int) -> tuple[int, int]:
@@ -356,9 +371,9 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     first draw that fails.
     """
     spec = history.spec
-    n = len(history.records)
+    n = len(history)
     warmup, threshold = _resolve(config, spec, n)
-    trackers = [_RollingStats(m, config.estimator) for m in build_count_matrices(history)]
+    trackers = _trackers(history, config.estimator)
     per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -371,7 +386,7 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
         chunks.append(_predict_chunk(predict, starts, ends))
     draw_indices = np.arange(warmup, n, dtype=np.int64)
     predictions = np.concatenate(chunks).astype(np.int64, copy=False)
-    actuals = np.array([record.numbers for record in history.records[warmup:]], dtype=np.int64)
+    actuals = history.numbers[warmup:]
     match_counts = _match_counts(spec, predictions, actuals).astype(np.int64, copy=False)
     for column in (draw_indices, predictions, actuals, match_counts):
         column.flags.writeable = False

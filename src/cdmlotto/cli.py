@@ -249,12 +249,12 @@ def cmd_synth(cfg: dict) -> int:
         document = {
             "config": _config_echo(cfg, spec),
             "generator": SYNTH_GENERATOR,
-            "rows": len(history.records),
+            "rows": len(history),
         }
         sys.stdout.write(_json_dumps(document))
     else:
         print(
-            f"wrote {len(history.records)} draws to {cfg['output']}"
+            f"wrote {len(history)} draws to {cfg['output']}"
             f" (generator={SYNTH_GENERATOR}, seed={cfg['seed']})"
         )
     return 0
@@ -267,11 +267,11 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_predict(cfg: dict) -> int:
     spec = _game_spec(cfg)
     history = _load_history(cfg, spec)
-    if not history.records:
+    if not len(history):
         raise CliError("history is empty")
     matrices = build_count_matrices(history)
     window = _window_arg(cfg["window"])
-    n = len(history.records)
+    n = len(history)
     if window is not None and window > n:
         raise CliError(f"window {window} exceeds the {n} available draws")
     windows = [slice_window(m, n, window) for m in matrices]

@@ -22,10 +22,11 @@ The MLE total-mass formula sums the logs of the smoothed entries
 history builds, column j's log sum is ``(r - c_j) log s + c_j log1p(s)``,
 so the formula is exact from the row count r and the integer column sums
 c_j alone; it is then positive unless every column is constant.  Other
-integer matrices (the paper's hand examples) sum the logs of their
-entries.  Either way a zero entry has no log: the default smoothing of 0
-errors on one instead of silently adjusting, and ``smoothing`` adds a
-uniform offset first for opt-in use on such data.
+integer matrices (the paper's hand examples) sum a nonnegative term per
+entry, again exactly 0 only for a constant column.  Either way a zero
+entry has no log: the default smoothing of 0 errors on one instead of
+silently adjusting, and ``smoothing`` adds a uniform offset first for
+opt-in use on such data.
 
 The moment and diagonal estimators can legitimately return zero entries.
 Density code downstream rejects those while the predictive expectation
@@ -135,18 +136,18 @@ def apply_positivity_floor(alpha: np.ndarray, floor: float) -> np.ndarray:
 
 
 def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagonal=None,
-                     log_sums=None) -> np.ndarray:
+                     entries=None) -> np.ndarray:
     """The configured estimate for a stacked batch of windows.
 
     Row i of each statistic describes window i: ``rows[i]`` rows whose raw
     column sums are ``col_sums[i]``.  md reads ``diagonal[i]``, the main
     diagonal of the window's trailing K rows.  mle treats the windows as
-    0/1 indicator matrices and needs nothing more, unless ``log_sums[i]``
-    gives the column sums of ``log(x + smoothing)`` over a general integer
-    window (-inf where an entry is zero after smoothing).  The positivity
-    floor is applied last, and a non-finite estimate (huge mle smoothing
-    overflows) raises :class:`NonPositiveAlphaError`.  Each check raises
-    for the first window that fails it.
+    0/1 indicator matrices and needs nothing more, unless ``entries``, a
+    (windows, rows, K) array, gives the entries of general integer
+    windows.  The positivity floor is applied last, and a non-finite
+    estimate (huge mle smoothing overflows) raises
+    :class:`NonPositiveAlphaError`.  Each check raises for the first
+    window that fails it.
     """
     rows = np.asarray(rows)
     r = rows[:, None]
@@ -163,7 +164,7 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
     else:
         s = config.mle_smoothing
         # A 0/1 column has a zero entry exactly when its sum is below the row count.
-        if np.isneginf(log_sums).any() if log_sums is not None else s == 0 and np.any(col_sums < r):
+        if s == 0 and (np.any(entries == 0) if entries is not None else np.any(col_sums < r)):
             raise ZeroEntryError(
                 "window has zero entries after smoothing; the total-mass formula takes logs of every entry"
             )
@@ -171,20 +172,48 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
         # alpha rejects such estimates, so numpy's warnings would only be noise.
         with np.errstate(over="ignore", invalid="ignore"):
             col_means = (col_sums + r * s) / r
-            if log_sums is not None:
-                f_log_f = col_means * np.log(col_means)
-                denominator = rows * f_log_f.sum(axis=1) - (col_means * log_sums).sum(axis=1)
+            p = col_sums / r
+            if entries is not None:
+                denominator = _entry_denominator(entries, p, s)
             elif s == 0:
                 denominator = np.zeros(rows.shape)  # every entry is 1, so every column is constant
             else:
                 # Each column's share of sum_i f log(f / x_i); exactly 0 for a constant column.
-                p = col_sums / r
                 denominator = rows * ((s + p) * (np.log1p(p / s) - p * np.log1p(1 / s))).sum(axis=1)
             alpha = mle_alpha_from_stats(rows, col_means, denominator)
     alpha = apply_positivity_floor(alpha, config.positivity_floor)
     if not np.isfinite(alpha).all():
         raise NonPositiveAlphaError("estimated concentration is not finite")
     return alpha
+
+
+def _entry_denominator(entries: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:
+    """Per window, sum_j f_j sum_i log((s + p_j) / (s + x_ij)), with f_j = s + p_j.
+
+    With v = (x_ij - p_j) / (s + p_j), a column's v sum to 0, so its log sum
+    equals sum_i (v - log1p(v)): nonnegative terms, 0 only where x_ij = p_j.
+    The sum is therefore exactly 0 only when every column is constant.
+    ``f_j (v - log1p(v))`` is evaluated as ``(x - p) v psi(v)``, with
+    ``psi(v) = (v - log1p(v)) / v**2`` taken from its series near 0, so
+    neither the cancellation of the log terms nor an underflowing ``v**2``
+    at huge smoothing loses it.
+    """
+    deviation = entries - p[:, None, :]
+    v = deviation / (s + p[:, None, :])
+    return (deviation * v * _log1p_remainder(v)).sum(axis=(1, 2))
+
+
+def _log1p_remainder(v: np.ndarray) -> np.ndarray:
+    """``(v - log1p(v)) / v**2`` for v > -1; it tends to 1/2 at v = 0."""
+    near_zero = np.abs(v) < 0.01
+    # 1/2 - v/3 + v**2/4 - ... to the v**8 term; the first omitted term is
+    # below 1e-18 of the sum where the series is used.
+    series = np.full_like(v, 1 / 10)
+    for k in range(9, 1, -1):
+        series = 1 / k - v * series
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (v - np.log1p(v)) / v**2
+    return np.where(near_zero, series, direct)
 
 
 def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
@@ -196,12 +225,10 @@ def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
         counts = _as_counts(matrix, "counts", ndim=2)
         col_sums = counts.sum(axis=0)
     rows, k = counts.shape
-    log_sums = None
-    if config.kind is EstimatorKind.MLE and counts.max(initial=0) > 1:
-        with np.errstate(divide="ignore"):  # a zero entry's log is -inf, which the estimator reports
-            log_sums = np.log(counts + config.mle_smoothing).sum(axis=0)[None]
+    # 0/1 windows fit from their column sums; others sum a term per entry.
+    entries = counts[None] if config.kind is EstimatorKind.MLE and counts.max(initial=0) > 1 else None
     diagonal = np.diagonal(counts[max(rows - k, 0):])[None]
-    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, log_sums)[0]
+    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, entries)[0]
 
 
 def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:

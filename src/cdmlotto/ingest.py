@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -51,6 +52,9 @@ __all__ = [
 # The seeded generator behind synthetic histories; recorded in CLI output
 # metadata so runs are comparable.
 SYNTH_GENERATOR = "pcg64"
+
+# Draw indices are stored as int64; numpy's text conversion saturates here.
+_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 
 class GameKind(Enum):
@@ -123,36 +127,168 @@ def _rule_break(numbers: tuple[int, ...], spec: GameSpec) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+def _rule_breaks(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """Per row of an (n, picks) array, whether :func:`_rule_break` objects."""
+    if spec.kind is GameKind.SET_DRAW:
+        ordered = np.sort(numbers, axis=1)
+        duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        return duplicate | (ordered[:, 0] < 1) | (ordered[:, -1] > spec.categories)
+    return ((numbers < 0) | (numbers > 9)).any(axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class DrawHistory:
-    """A validated, chronologically ordered sequence of draws."""
+    """A validated, chronologically ordered sequence of draws, held as columns.
+
+    Row i of ``draw_indices`` (n,) and ``numbers`` (n, picks), read-only
+    int64 arrays, and ``dates[i]`` (a string, or None for no date) describe
+    the i-th draw.  The constructor copies the arrays and checks the game
+    rules and the index order as array operations, raising
+    :class:`HistoryValidationError` for the first row that breaks one.
+    ``records`` builds :class:`DrawRecord` rows on each access, and
+    :meth:`from_records` builds a history from them.
+    """
 
     spec: GameSpec
-    records: tuple[DrawRecord, ...]
+    draw_indices: np.ndarray
+    numbers: np.ndarray
+    dates: tuple[str | None, ...]
 
     def __post_init__(self) -> None:
+        indices = np.array(self.draw_indices, dtype=np.int64)
+        numbers = np.array(self.numbers, dtype=np.int64)
+        dates = tuple(self.dates)
+        n = len(dates)
+        if indices.shape != (n,) or numbers.shape != (n, self.spec.picks):
+            raise ValueError(f"a history of n draws needs n indices, an (n, {self.spec.picks}) numbers array "
+                             f"and n dates; got shapes {indices.shape} and {numbers.shape} with {n} dates")
+        for column in (indices, numbers):
+            column.flags.writeable = False
+        object.__setattr__(self, "draw_indices", indices)
+        object.__setattr__(self, "numbers", numbers)
+        object.__setattr__(self, "dates", dates)
+        bad = _rule_breaks(numbers, self.spec)
+        bad[1:] |= indices[1:] != indices[:-1] + 1
+        if bad.any():
+            position = int(bad.argmax())
+            problem = _rule_break(tuple(numbers[position].tolist()), self.spec)
+            if problem is None:
+                problem = f"draw index {indices[position]} does not follow {indices[position - 1]}"
+            raise HistoryValidationError(problem, position)
+
+    @classmethod
+    def from_records(cls, spec: GameSpec, records: Iterable[DrawRecord]) -> DrawHistory:
+        """The history of these records, checked one record at a time in
+        order: a record of the wrong arity, or with an index beyond the
+        int64 columns, is reported in its place like any other rule break."""
+        records = tuple(records)
         previous = None
-        for position, record in enumerate(self.records):
-            problem = _rule_break(record.numbers, self.spec)
+        for position, record in enumerate(records):
+            problem = _rule_break(record.numbers, spec)
             if problem is None and previous is not None and record.draw_index != previous + 1:
                 problem = f"draw index {record.draw_index} does not follow {previous}"
+            if problem is None and not -_INDEX_MAX <= record.draw_index <= _INDEX_MAX:
+                problem = f"draw index {record.draw_index} does not fit in 64 bits"
             if problem is not None:
                 raise HistoryValidationError(problem, position)
             previous = record.draw_index
+        return cls(
+            spec,
+            np.array([record.draw_index for record in records], dtype=np.int64),
+            np.array([record.numbers for record in records], dtype=np.int64).reshape(len(records), spec.picks),
+            tuple(record.date for record in records),
+        )
+
+    @property
+    def records(self) -> tuple[DrawRecord, ...]:
+        """One record per draw."""
+        return tuple(map(DrawRecord, self.draw_indices.tolist(), self.dates, map(tuple, self.numbers.tolist())))
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DrawHistory):
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and self.dates == other.dates
+            and np.array_equal(self.draw_indices, other.draw_indices)
+            and np.array_equal(self.numbers, other.numbers)
+        )
 
 
 def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
-    """Parse CSV text (or a line iterable) into a validated history.
+    """Parse CSV text, a text file handle or a line iterable into a validated history.
 
     Malformed rows raise :class:`HistoryParseError` naming the line;
     rows that break the game rules raise :class:`HistoryValidationError`,
     also naming the line.  Either way the first bad line in file order is
-    reported.  Rows are checked against the game rules once, by
-    :class:`DrawHistory`.
+    reported.  Text and file handles are read once and try the columnar
+    fast path first; other iterables go to the per-line parser.
     """
-    # A string splits as a text file does (``str.splitlines`` would also
-    # break at form feeds, U+2028 and other characters a file keeps).
-    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    if isinstance(source, str):
+        text = source
+        # A string splits as a text file does (``str.splitlines`` would also
+        # break at form feeds, U+2028 and other characters a file keeps).
+        lines = io.StringIO(source, newline=None)
+    elif isinstance(source, io.TextIOBase):
+        # The per-line parser gets the lines as the handle's newline mode split them.
+        lines = source.readlines()
+        text = "".join(lines)
+    else:
+        text, lines = None, source
+    history = None if text is None else _parse_columns(text, spec)
+    return history if history is not None else _parse_lines(lines, spec)
+
+
+def _parse_columns(text: str, spec: GameSpec) -> DrawHistory | None:
+    """The history of text in the usual shape, or None for any other text.
+
+    The usual shape: LF line endings, an optional header whose first field
+    is exactly ``draw_index``, then one ``index,date,numbers`` row per line
+    with no blank line; the index is ASCII digits and the numbers are
+    ``picks`` ASCII-digit tokens joined by single spaces; every row keeps
+    the game rules and follows the index before it.  Whatever else such
+    text might mean is the per-line parser's to decide.
+    """
+    if "\r" in text:
+        return None
+    rows = text.split("\n")
+    if rows[-1] == "":
+        rows.pop()
+    if rows and rows[0].split(",", 1)[0] == "draw_index":
+        del rows[0]
+    if list(map(str.count, rows, repeat(","))).count(2) != len(rows):
+        return None
+    fields = ",".join(rows).split(",")
+    indices, dates, numbers = fields[0::3], fields[1::3], fields[2::3]
+    index_digits = "".join(indices)
+    numbers_text = " ".join(numbers)
+    number_digits = numbers_text.replace(" ", "")
+    # Single spaces throughout make every row's space count its token count
+    # less one, and leave no empty token.
+    usual = (
+        index_digits.isascii() and index_digits.isdigit() and "" not in indices
+        and number_digits.isascii() and number_digits.isdigit()
+        and "  " not in numbers_text and not numbers_text.startswith(" ") and not numbers_text.endswith(" ")
+        and set(map(str.count, numbers, repeat(" "))) == {spec.picks - 1}
+    )
+    if not usual:
+        return None
+    draw_indices = np.fromstring(" ".join(indices), dtype=np.int64, sep=" ")
+    if draw_indices.max() == _INDEX_MAX:  # an index that does not fit in int64 saturates
+        return None
+    values = np.fromstring(numbers_text, dtype=np.int64, sep=" ").reshape(len(rows), spec.picks)
+    try:
+        return DrawHistory(spec, draw_indices, values, tuple(date or None for date in dates))
+    except HistoryValidationError:
+        return None
+
+
+def _parse_lines(lines: Iterable[str], spec: GameSpec) -> DrawHistory:
+    """The per-line parser: every row is checked in file order, so the
+    first bad line is the one an error names."""
     records: list[DrawRecord] = []
     linenos: list[int] = []
     try:
@@ -165,7 +301,7 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
 
 def _history(spec: GameSpec, records: list[DrawRecord], linenos: list[int]) -> DrawHistory:
     try:
-        return DrawHistory(spec, tuple(records))
+        return DrawHistory.from_records(spec, records)
     except HistoryValidationError as exc:
         raise HistoryValidationError(f"line {linenos[exc.position]}: {exc}") from None
 
@@ -211,15 +347,19 @@ def serialize_history(history: DrawHistory) -> str:
     date) or one holding a comma, CR or LF, raises ``ValueError`` naming
     its draw index; nothing is written for such a history.
     """
-    for r in history.records:
-        if r.date is not None and (not r.date or any(c in r.date for c in ",\r\n")):
-            raise ValueError(f"draw {r.draw_index}: date {r.date!r} cannot be written back; "
+    indices = history.draw_indices.tolist()
+    for index, date in zip(indices, history.dates):
+        if date is not None and (not date or any(c in date for c in ",\r\n")):
+            raise ValueError(f"draw {index}: date {date!r} cannot be written back; "
                              "dates must be nonempty and hold no comma or line break")
-    lines = [
-        f"{r.draw_index},{r.date or ''},{' '.join(str(n) for n in r.numbers)}"
-        for r in history.records
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    if not indices:
+        return ""
+    # One line's text with a slot per field, repeated per draw and filled
+    # from the columns row by row.
+    line = "%d,%s," + " ".join(["%d"] * history.spec.picks)
+    dates = [date or "" for date in history.dates]
+    values = [value for row in zip(indices, dates, *history.numbers.T.tolist()) for value in row]
+    return "\n".join([line] * len(indices)) % tuple(values) + "\n"
 
 
 def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
@@ -227,22 +367,25 @@ def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
 
     Set games produce a single n-by-pool 0/1 matrix whose rows sum to the
     number of picks.  Digit games produce one n-by-10 one-hot matrix per
-    position (row sum 1).
+    position (row sum 1).  The indicators are built as int8, so each
+    matrix's own int64 copy is the only int64 copy.
     """
-    if not history.records:
+    n = len(history)
+    if not n:
         raise ValueError("history is empty")
     spec = history.spec
-    numbers = np.array([record.numbers for record in history.records], dtype=np.int64)
     if spec.kind is GameKind.SET_DRAW:
-        matrix = np.zeros((len(numbers), spec.categories), dtype=np.int64)
-        matrix[np.arange(len(numbers))[:, None], numbers - 1] = 1
+        matrix = np.zeros((n, spec.categories), dtype=np.int8)
+        matrix[np.arange(n)[:, None], history.numbers - 1] = 1
         return [CountMatrix(matrix)]
-    one_hot = np.eye(10, dtype=np.int64)
-    return [CountMatrix(one_hot[digits]) for digits in numbers.T]
+    one_hot = np.eye(10, dtype=np.int8)
+    return [CountMatrix(one_hot[digits]) for digits in history.numbers.T]
 
 
 def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> CountMatrix:
-    """Rows ``[end - width, end)`` of the matrix, or ``[0, end)`` when width is None."""
+    """Rows ``[end - width, end)`` of the matrix, or ``[0, end)`` when width is None.
+
+    A window of every row is the matrix itself, not a copy."""
     if not 1 <= end <= matrix.rows:
         raise ValueError(f"end must lie in [1, {matrix.rows}], got {end}")
     if width is None:
@@ -253,6 +396,8 @@ def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> Cou
         if width > end:
             raise ValueError(f"window of width {width} does not fit before row {end}")
         start = end - width
+    if start == 0 and end == matrix.rows:
+        return matrix
     return CountMatrix(matrix.counts[start:end])
 
 
@@ -266,12 +411,15 @@ def synthetic_history(spec: GameSpec, draws: int, seed: int) -> DrawHistory:
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(draws):
-        if spec.kind is GameKind.SET_DRAW:
-            picked = rng.choice(spec.categories, size=spec.picks, replace=False)
-            numbers = tuple(sorted(int(v) + 1 for v in picked))
-        else:
-            numbers = tuple(int(d) for d in rng.integers(0, 10, size=spec.picks))
-        records.append(DrawRecord(i, None, numbers))
-    return DrawHistory(spec, tuple(records))
+    numbers = np.empty((draws, spec.picks), dtype=np.int64)
+    # One generator call per draw: the stream, and so every synthetic
+    # history, depends on the call sizes.
+    if spec.kind is GameKind.SET_DRAW:
+        for row in numbers:
+            row[:] = rng.choice(spec.categories, size=spec.picks, replace=False)
+        numbers.sort(axis=1)
+        numbers += 1
+    else:
+        for row in numbers:
+            row[:] = rng.integers(0, 10, size=spec.picks)
+    return DrawHistory(spec, np.arange(draws), numbers, (None,) * draws)

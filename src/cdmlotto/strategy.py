@@ -283,16 +283,24 @@ def simulate_stream(
 
 
 def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSummary:
-    """One stream per hit gap; the winning draw is the gap-th draw of its stream."""
+    """One stream per hit gap; the winning draw is the gap-th draw of its stream.
+
+    A ledger is a pure function of its gap, so each distinct gap is
+    simulated once, at its first stream, and its frozen ledger is shared
+    by every later stream with that gap.
+    """
+    by_gap: dict[int, StreamLedger] = {}
     ledgers = []
     for i, gap in enumerate(gaps):
         g = int(gap)
         if g < 1:
             raise ValueError(f"gap {i} must be a positive draw count, got {gap}")
-        try:
-            ledgers.append(simulate_stream(g - 1, config))
-        except CapExceededError as exc:
-            raise CapExceededError(f"stream {i} (gap {g} draws): {exc}") from exc
+        if g not in by_gap:
+            try:
+                by_gap[g] = simulate_stream(g - 1, config)
+            except CapExceededError as exc:
+                raise CapExceededError(f"stream {i} (gap {g} draws): {exc}") from exc
+        ledgers.append(by_gap[g])
     return summarize_streams(ledgers)
 
 

@@ -13,6 +13,7 @@ from cdmlotto.backtest import (
     ALTERNATION_NOTE,
     BacktestConfig,
     BacktestError,
+    _trackers,
     classify_stretches,
     extrapolate_gaps,
     gap_stats,
@@ -118,7 +119,8 @@ def naive_backtest(history, config):
     """Slice-and-refit reference loop; the rolling loop must agree with it."""
     spec = history.spec
     matrices = build_count_matrices(history)
-    n = len(history.records)
+    records = history.records
+    n = len(records)
     warmup = config.warmup if config.warmup is not None else max(spec.categories, 10)
     threshold = config.hit_threshold if config.hit_threshold is not None else spec.picks
     picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
@@ -133,17 +135,36 @@ def naive_backtest(history, config):
         except EstimationError as exc:
             raise BacktestError(t, str(exc)) from exc
         combo = select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec)
-        matches = match_count(combo, history.records[t], spec)
+        matches = match_count(combo, records[t], spec)
         outcomes.append((t, combo.numbers, matches, matches >= threshold))
     return outcomes
 
 
 # A pick-1 history that stays on digit 3 for 800 draws, past the walk's first chunk.
 _rng = random.Random(5)
-CONSTANT_RUN = DrawHistory(PICK1, tuple(
+CONSTANT_RUN = DrawHistory.from_records(PICK1, tuple(
     DrawRecord(i, None, (d,)) for i, d in enumerate(
         [_rng.randrange(10) for _ in range(1200)] + [3] * 800 + [_rng.randrange(10) for _ in range(300)])
 ))
+
+
+class TestRollingStatsFromNumbers:
+    """The walk's prefix arrays come straight from the numbers column; they
+    must be the running sums of the count matrices the naive refit slices."""
+
+    @pytest.mark.parametrize("spec", [SIX_52, PICK3])
+    def test_prefix_is_the_cumulative_count_matrix(self, spec):
+        history = synthetic_history(spec, 300, seed=6)
+        matrices = build_count_matrices(history)
+        trackers = _trackers(history, EstimatorConfig(EstimatorKind.MAIN_DIAGONAL))
+        assert len(trackers) == len(matrices)
+        for tracker, matrix in zip(trackers, matrices):
+            assert tracker.prefix.dtype == np.int64
+            np.testing.assert_array_equal(tracker.prefix[0], 0)
+            np.testing.assert_array_equal(tracker.prefix[1:], np.cumsum(matrix.counts, axis=0))
+            ends = np.arange(matrix.cols, matrix.rows + 1)
+            expected = [np.diagonal(matrix.counts[end - matrix.cols:end]) for end in ends]
+            np.testing.assert_array_equal(tracker.trailing_diagonal(ends), expected)
 
 
 class TestRunBacktest:
@@ -152,7 +173,7 @@ class TestRunBacktest:
         drawn set itself and the prediction must match it in full."""
         numbers = (2, 9, 17, 25, 33, 41)
         records = tuple(DrawRecord(i, None, numbers) for i in range(10))
-        history = DrawHistory(SIX_52, records)
+        history = DrawHistory.from_records(SIX_52, records)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=3, hit_threshold=6)
         result = run_backtest(history, config)
         assert result.hit_indices == tuple(range(3, 10))

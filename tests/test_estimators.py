@@ -46,11 +46,11 @@ def indicator_windows(draw):
     return patterns[rng.integers(0, distinct, r)].astype(np.int64)
 
 
-def mp_mle(counts, s):
+def mp_mle(counts, s, digits=50):
     """The closed-form MLE from its log-of-entries definition: total mass
     r (K-1) gamma / sum_j f_j sum_i log(f_j / (x_ij + s)), in 50-digit
-    arithmetic."""
-    with mpmath.workdps(50):
+    arithmetic (huge smoothing needs more: the logs are of 1 + O(1/s))."""
+    with mpmath.workdps(digits):
         r, k = counts.shape
         s = mpmath.mpf(s)
         f = [(int(c) + r * s) / r for c in counts.sum(axis=0)]
@@ -65,6 +65,19 @@ def mp_mle(counts, s):
 def all_columns_constant(counts):
     col_sums = counts.sum(axis=0)
     return bool(np.all((col_sums == 0) | (col_sums == len(counts))))
+
+
+@st.composite
+def integer_windows(draw):
+    """A general nonnegative integer window with some entry above 1, so the
+    per-entry form applies; narrow value ranges make constant columns occur."""
+    k = draw(st.integers(2, 8))
+    r = draw(st.integers(1, 30))
+    top = draw(st.integers(2, 40))
+    counts = np.array(draw(st.lists(st.lists(st.integers(0, top), min_size=k, max_size=k),
+                                    min_size=r, max_size=r)))
+    assume(counts.max() > 1)
+    return counts
 
 
 class TestIndicatorMle:
@@ -92,6 +105,40 @@ class TestIndicatorMle:
         expected = ZeroEntryError if np.min(counts) == 0 else DegenerateDataError
         with pytest.raises(expected):
             estimate_mle(np.array(counts))
+
+
+class TestGeneralMle:
+    """The per-entry total-mass denominator of general integer matrices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(counts=integer_windows(), exponent=st.floats(-3, 12))
+    def test_entry_form_matches_the_log_of_entries_definition(self, counts, exponent):
+        assume(not (counts == counts[0]).all())
+        s = 10.0**exponent
+        np.testing.assert_allclose(estimate_mle(counts, s), mp_mle(counts, s), rtol=1e-9)
+
+    @settings(deadline=None)
+    @given(counts=integer_windows(), exponent=st.floats(-3, 300))
+    def test_denominator_vanishes_only_for_constant_columns(self, counts, exponent):
+        s = 10.0**exponent
+        if (counts == counts[0]).all():
+            with pytest.raises(DegenerateDataError):
+                estimate_mle(counts, s)
+        else:
+            try:
+                assert np.all(estimate_mle(counts, s) > 0.0)
+            except NonPositiveAlphaError as exc:
+                assert "not finite" in str(exc)  # total mass times shares overflows
+
+    @pytest.mark.parametrize("s", [1e10, 1e100, 1e150])
+    def test_large_smoothing_keeps_a_nonconstant_matrix_fit(self, s):
+        counts = np.array([[1, 2], [2, 1]])
+        np.testing.assert_allclose(estimate_mle(counts, s), mp_mle(counts, s, digits=400), rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [1e200, 1e300])
+    def test_overflowing_fit_is_reported_as_not_finite(self, s):
+        with pytest.raises(NonPositiveAlphaError, match="estimated concentration is not finite"):
+            estimate_mle(np.array([[1, 2], [2, 1]]), s)
 
 
 class TestMle:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdmlotto import ingest
 from cdmlotto.ingest import (
     DrawHistory,
     DrawRecord,
@@ -16,6 +17,7 @@ from cdmlotto.ingest import (
     HistoryParseError,
     HistoryValidationError,
     build_count_matrices,
+    is_digits,
     parse_history,
     serialize_history,
     slice_window,
@@ -122,7 +124,7 @@ class TestParseHistory:
 
     @pytest.mark.parametrize("date", ["Jan 1, 2022", "2022\n01", "2022\r", ""])
     def test_dates_that_cannot_be_written_back_are_refused(self, date):
-        history = DrawHistory(PICK3, (DrawRecord(6, "ok", (1, 2, 3)), DrawRecord(7, date, (4, 5, 6))))
+        history = DrawHistory.from_records(PICK3, (DrawRecord(6, "ok", (1, 2, 3)), DrawRecord(7, date, (4, 5, 6))))
         with pytest.raises(ValueError, match="draw 7: date"):
             serialize_history(history)
 
@@ -143,7 +145,7 @@ def histories(draw):
         else:
             numbers = draw(st.lists(st.integers(0, 9), min_size=3, max_size=3))
         records.append(DrawRecord(index, draw(dates), tuple(numbers)))
-    return DrawHistory(spec, tuple(records))
+    return DrawHistory.from_records(spec, tuple(records))
 
 
 class TestRoundTripProperty:
@@ -164,12 +166,12 @@ class TestRoundTripProperty:
 class TestDrawHistoryInvariants:
     def test_records_must_satisfy_spec(self):
         with pytest.raises(HistoryValidationError):
-            DrawHistory(SIX_52, (DrawRecord(0, None, (1, 2, 3)),))
+            DrawHistory.from_records(SIX_52, (DrawRecord(0, None, (1, 2, 3)),))
 
     def test_indices_must_step_by_one(self):
         records = (DrawRecord(0, None, (1, 2, 3)), DrawRecord(5, None, (4, 5, 6)))
         with pytest.raises(HistoryValidationError):
-            DrawHistory(PICK3, records)
+            DrawHistory.from_records(PICK3, records)
 
 
 class TestBuildCountMatrices:
@@ -190,7 +192,7 @@ class TestBuildCountMatrices:
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            build_count_matrices(DrawHistory(SIX_52, ()))
+            build_count_matrices(DrawHistory.from_records(SIX_52, ()))
 
     def test_column_sums_match_direct_tally(self):
         history = synthetic_history(SIX_52, 200, seed=2)
@@ -320,3 +322,301 @@ class TestStrictIngest:
         flags = ["--game", "pick", "--picks", "3"] if spec is PICK3 else ["--pool", "52", "--picks", "6"]
         assert self.cli("predict", *flags, "--input", str(path)) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestColumnarHistory:
+    RECORDS = (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "d", (4, 5, 6)), DrawRecord(6, None, (7, 7, 0)))
+
+    def test_columns_are_read_only_int64_copies(self):
+        indices, numbers = np.array([4, 5]), np.array([[1, 2, 3], [4, 5, 6]])
+        history = DrawHistory(PICK3, indices, numbers, (None, "d"))
+        indices[0], numbers[0, 0] = 9, 9
+        assert history.draw_indices.tolist() == [4, 5] and history.numbers[0, 0] == 1
+        for column in (history.draw_indices, history.numbers):
+            assert column.dtype == np.int64 and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_records_rebuild_the_same_records(self):
+        history = DrawHistory.from_records(PICK3, self.RECORDS)
+        assert history.records == self.RECORDS
+        assert len(history) == 3
+        np.testing.assert_array_equal(history.numbers, [[1, 2, 3], [4, 5, 6], [7, 7, 0]])
+        assert history.dates == (None, "d", None)
+        assert DrawHistory.from_records(PICK3, history.records) == history
+
+    @pytest.mark.parametrize("changed", [
+        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "d", (4, 5, 6)), DrawRecord(6, None, (7, 7, 1))),
+        tuple(DrawRecord(r.draw_index + 1, r.date, r.numbers) for r in RECORDS),
+        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "e", (4, 5, 6)), DrawRecord(6, None, (7, 7, 0))),
+        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, None, (4, 5, 6)), DrawRecord(6, None, (7, 7, 0))),
+    ], ids=["number", "index", "date", "no-date"])
+    def test_one_changed_field_makes_histories_unequal(self, changed):
+        history = DrawHistory.from_records(PICK3, self.RECORDS)
+        assert history != DrawHistory.from_records(PICK3, changed)
+        assert history == DrawHistory.from_records(PICK3, self.RECORDS)
+
+    def test_equality_needs_the_same_game(self):
+        pick = DrawHistory.from_records(PICK3, [DrawRecord(0, None, (1, 2, 3))])
+        set_game = DrawHistory.from_records(GameSpec(GameKind.SET_DRAW, 9, 3), [DrawRecord(0, None, (1, 2, 3))])
+        assert pick != set_game
+
+    def test_shape_mismatch_is_rejected(self):
+        with pytest.raises(ValueError, match="needs n indices"):
+            DrawHistory(PICK3, np.array([0]), np.array([[1, 2]]), (None,))
+        with pytest.raises(ValueError, match="needs n indices"):
+            DrawHistory(PICK3, np.array([0, 1]), np.array([[1, 2, 3]]), (None,))
+
+    def test_index_beyond_int64_is_refused_naming_its_line(self):
+        # numpy's text conversion saturates such an index at 2**63 - 1.
+        for text, message in [
+            ("9223372036854775808,,1 2 3\n", "line 1: draw index 9223372036854775808 does not fit in 64 bits"),
+            ("9223372036854775806,,1 2 3\n9223372036854775808,,4 5 6\n",
+             "line 2: draw index 9223372036854775808 does not follow 9223372036854775806"),
+        ]:
+            with pytest.raises(HistoryValidationError) as excinfo:
+                parse_history(text, PICK3)
+            assert str(excinfo.value) == message
+        history = parse_history("9223372036854775806,,1 2 3\n9223372036854775807,,4 5 6\n", PICK3)
+        assert history.draw_indices.tolist() == [2**63 - 2, 2**63 - 1]
+
+    def test_usual_text_takes_the_columnar_path(self, monkeypatch):
+        def per_line(lines, spec):
+            raise AssertionError("the per-line parser ran")
+
+        history = synthetic_history(SIX_52, 60, seed=4)
+        text = "draw_index,date,numbers\n" + serialize_history(history)
+        monkeypatch.setattr(ingest, "_parse_lines", per_line)
+        assert parse_history(text, SIX_52) == history
+        assert parse_history(io.StringIO(text.rstrip("\n")), SIX_52) == history
+        dated = text.replace(",,", ",2022-01-01,", 3)
+        assert parse_history(dated, SIX_52).dates[:4] == ("2022-01-01",) * 3 + (None,)
+
+
+SMALL_SET = GameSpec(GameKind.SET_DRAW, 9, 3)
+
+
+@st.composite
+def draw_columns(draw):
+    """Columns within a whisker of the game rules: numbers one past either
+    end of the range, repeats, and index steps of 0 or 2."""
+    spec = draw(st.sampled_from([SMALL_SET, PICK3]))
+    n = draw(st.integers(0, 6))
+    low, high = (0, 10) if spec.kind is GameKind.SET_DRAW else (-1, 10)
+    numbers = draw(st.lists(st.lists(st.integers(low, high), min_size=3, max_size=3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 0, 2]), min_size=n, max_size=n))
+    indices = [draw(st.integers(0, 5)) + sum(steps[:i]) for i in range(n)]
+    return spec, indices, numbers
+
+
+def raised(build):
+    try:
+        build()
+    except HistoryValidationError as exc:
+        return type(exc), str(exc), exc.position
+    return None
+
+
+class TestArrayChecks:
+    @settings(max_examples=300)
+    @given(draw_columns())
+    def test_array_checks_report_what_the_record_checks_report(self, columns):
+        spec, indices, numbers = columns
+        records = [DrawRecord(i, None, tuple(row)) for i, row in zip(indices, numbers)]
+        direct = raised(lambda: DrawHistory(spec, np.array(indices, dtype=np.int64),
+                                            np.array(numbers, dtype=np.int64).reshape(-1, 3), (None,) * len(indices)))
+        assert direct == raised(lambda: DrawHistory.from_records(spec, records))
+
+
+# The per-line parser as it stood before the columnar fast path, kept as the
+# reference: parse_history must return an equal history, or raise the same
+# exception class with the same message.
+def oracle_rule_break(numbers, spec):
+    if len(numbers) != spec.picks:
+        return f"expected {spec.picks} numbers, got {len(numbers)}"
+    if spec.kind is GameKind.SET_DRAW:
+        for n in numbers:
+            if not 1 <= n <= spec.categories:
+                return f"number {n} outside the pool 1..{spec.categories}"
+        if len(set(numbers)) != len(numbers):
+            return f"duplicate number in set draw: {numbers}"
+    else:
+        for n in numbers:
+            if not 0 <= n <= 9:
+                return f"digit {n} outside 0..9"
+    return None
+
+
+def oracle_check(spec, records, linenos):
+    previous = None
+    for position, record in enumerate(records):
+        problem = oracle_rule_break(record.numbers, spec)
+        if problem is None and previous is not None and record.draw_index != previous + 1:
+            problem = f"draw index {record.draw_index} does not follow {previous}"
+        if problem is not None:
+            raise HistoryValidationError(f"line {linenos[position]}: {problem}")
+        previous = record.draw_index
+
+
+def oracle_rows(lines, records, linenos):
+    first_line = True
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",", 2)
+        if first_line:
+            first_line = False
+            if parts[0].strip() == "draw_index":
+                continue
+        if len(parts) != 3:
+            raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
+        index_text = parts[0].strip()
+        if not is_digits(index_text):
+            raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
+        tokens = parts[2].split()
+        if tokens and not is_digits("".join(tokens)):
+            raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
+        records.append(DrawRecord(int(index_text), parts[1] or None, tuple(map(int, tokens))))
+        linenos.append(lineno)
+
+
+def oracle_parse(source, spec):
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    records, linenos = [], []
+    try:
+        oracle_rows(lines, records, linenos)
+    except HistoryParseError:
+        oracle_check(spec, records, linenos)
+        raise
+    oracle_check(spec, records, linenos)
+    return tuple(records)
+
+
+def numbers_flaws(tokens, high):
+    """Unusual numbers fields made from a valid one, by name."""
+    first, rest = tokens[0], tokens[1:]
+    return {
+        "sign": " ".join(["+" + first, *rest]),
+        "underscore": " ".join([first + "_0", *rest]),
+        "arabic_digit": " ".join(["\u0663", *rest]),
+        "above_range": " ".join([str(high + 1), *rest]),
+        "zero": " ".join(["0", *rest]),
+        "huge": " ".join(["99999999999999999999", *rest]),
+        "repeat": " ".join([first, first, *rest[1:]]),
+        "short": " ".join(tokens[:-1]),
+        "long": " ".join([*tokens, first]),
+        "comma": ",".join(tokens[:2]) + " " + " ".join(tokens[2:]),
+        "double_space": "  ".join(tokens),
+        "short_double_space": first + "  " + " ".join(tokens[1:-1]),
+        "short_leading_space": " " + " ".join(tokens[:-1]),
+        "short_trailing_space": " ".join(tokens[:-1]) + " ",
+        "edge_spaces": " " + " ".join(tokens) + " ",
+        "tab": "\t".join(tokens),
+        "leading_zero": " ".join(["0" + first, *rest]),
+        "empty": "",
+        "letter": " ".join(["x", *rest]),
+    }
+
+
+INDEX_FLAWS = {"gap": None, "index_sign": "+{}", "index_space": " {}", "index_empty": "",
+               "index_arabic": "\u0661", "index_letter": "{}x"}
+NUMBERS_FLAWS = list(numbers_flaws(["1"] * 3, 9))
+ROW_FLAWS = [*INDEX_FLAWS, "missing_field", "extra_field", "shifted_comma", *NUMBERS_FLAWS]
+TEXT_FLAWS = ["blank_line", "padded_line", "bom", "crlf", "cr", "mixed_newlines", "no_final_newline",
+              "header", "header_bare", "header_spaced", "header_typo", "header_extra"]
+HEADERS = {"header": "draw_index,date,numbers", "header_bare": "draw_index", "header_spaced": " draw_index ,x",
+           "header_typo": "draw_indx,date,numbers", "header_extra": "draw_index,date,numbers,extra"}
+DATES = ["", "2022-01-01", " x y ", "\u65e5", "\x0c", "\x85", "\r", "a\rb"]
+
+
+@st.composite
+def csv_texts(draw, flaws=st.lists(st.sampled_from(ROW_FLAWS + TEXT_FLAWS), max_size=2)):
+    """History text in the usual shape, then at most two flaws: of a row
+    (each kind the per-line parser tells apart, and near misses of the fast
+    path's own checks) or of the text (line breaks, blank lines, padding,
+    headers, a byte-order mark)."""
+    spec = draw(st.sampled_from([SMALL_SET, PICK3, SIX_52]))
+    high = spec.categories if spec.kind is GameKind.SET_DRAW else 9
+    n = draw(st.integers(0, 7))
+    first = draw(st.integers(0, 30))
+    dated = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        if spec.kind is GameKind.SET_DRAW:
+            numbers = draw(st.lists(st.integers(1, high), min_size=spec.picks, max_size=spec.picks, unique=True))
+        else:
+            numbers = draw(st.lists(st.integers(0, 9), min_size=spec.picks, max_size=spec.picks))
+        rows.append([str(first + i), draw(st.sampled_from(DATES)) if dated else "", " ".join(map(str, numbers))])
+    flaws = draw(flaws)
+    for flaw in flaws:
+        if flaw not in ROW_FLAWS or not rows:
+            continue
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        if flaw == "gap":
+            row[0] = str(int(row[0]) + 1) if row[0].isdigit() else row[0]
+        elif flaw in INDEX_FLAWS:
+            row[0] = INDEX_FLAWS[flaw].format(row[0])
+        elif flaw == "missing_field":
+            del row[1]
+        elif flaw == "extra_field":
+            row.append("x")
+        elif flaw == "shifted_comma" and i + 1 < len(rows):
+            # Row i loses a comma that row i + 1 gains, so a split of the
+            # whole text at every comma would still see three fields a row.
+            rows[i], rows[i + 1] = row[:-1], [row[-1], *rows[i + 1]]
+        elif flaw in NUMBERS_FLAWS:
+            row[-1] = numbers_flaws(row[-1].split() or ["1"], high)[flaw]
+    lines = [",".join(row) for row in rows]
+    for flaw in flaws:
+        if flaw in HEADERS:
+            lines.insert(0, HEADERS[flaw])
+        elif flaw == "blank_line":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", "\t"])))
+        elif flaw == "padded_line" and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i] = draw(st.sampled_from([" ", "\t", ""])) + lines[i] + draw(st.sampled_from([" ", "\t", ""]))
+    breaks = ["\n"] * len(lines)
+    if "crlf" in flaws or "cr" in flaws:
+        breaks = ["\r\n" if "crlf" in flaws else "\r"] * len(lines)
+    if "mixed_newlines" in flaws:
+        breaks = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    if "no_final_newline" in flaws and lines:
+        text = text[: -len(breaks[-1])]
+    if "bom" in flaws:
+        text = "\ufeff" + text
+    return spec, text
+
+
+def outcome(parse, source, spec):
+    try:
+        result = parse(source, spec)
+    except (HistoryParseError, HistoryValidationError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else result.records
+
+
+class TestParserDifferential:
+    @staticmethod
+    def check(spec, text, handle_newline):
+        expected = outcome(oracle_parse, text, spec)
+        assert outcome(parse_history, text, spec) == expected
+        data = text.encode("utf-8")
+
+        def handle():
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=handle_newline)
+
+        assert outcome(parse_history, handle(), spec) == outcome(oracle_parse, handle(), spec)
+
+    @settings(max_examples=300)
+    @given(csv_texts(), st.sampled_from([None, ""]))
+    def test_parse_history_agrees_with_the_per_line_parser(self, case, handle_newline):
+        self.check(*case, handle_newline)
+
+    @pytest.mark.parametrize("flaw", ROW_FLAWS + TEXT_FLAWS)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_each_flaw_alone(self, flaw, data):
+        self.check(*data.draw(csv_texts(flaws=st.just([flaw]))), data.draw(st.sampled_from([None, ""])))

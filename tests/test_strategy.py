@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cdmlotto import strategy
 from cdmlotto.strategy import (
     AccountingMode,
     CapExceededError,
@@ -17,6 +18,7 @@ from cdmlotto.strategy import (
     required_budget,
     simulate_stream,
     simulate_streams,
+    summarize_streams,
 )
 
 DEFAULTS = StrategyConfig()
@@ -176,6 +178,25 @@ class TestSimulateStreams:
         config = StrategyConfig(player_cap=10)
         with pytest.raises(CapExceededError, match="stream 1"):
             simulate_streams([44, 100_000], config)
+
+    def test_each_distinct_gap_is_simulated_once(self, monkeypatch):
+        offsets = []
+
+        def counted(offset, config, horizon_days=None):
+            offsets.append(offset)
+            return simulate_stream(offset, config, horizon_days)
+
+        gaps = [44, 615, 44, 698, 615, 44]
+        monkeypatch.setattr(strategy, "simulate_stream", counted)
+        summary = simulate_streams(gaps, DEFAULTS)
+        assert offsets == [43, 614, 697]
+        assert summary.streams[0] is summary.streams[2] is summary.streams[5]
+        assert summary == summarize_streams([simulate_stream(g - 1, DEFAULTS) for g in gaps])
+
+    def test_cap_error_names_the_first_stream_with_the_gap(self):
+        config = StrategyConfig(player_cap=10)
+        with pytest.raises(CapExceededError, match=r"^stream 2 \(gap 100000 draws\)"):
+            simulate_streams([44, 44, 100_000, 100_000], config)
 
 
 class TestRequiredBudget:
