@@ -229,17 +229,19 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     """
     if isinstance(source, str):
         text = source
+    elif isinstance(source, io.TextIOBase):
+        # Kept as lines, split as the handle's newline mode splits them, in
+        # case the per-line parser needs them.
+        source = source.readlines()
+        text = "".join(source)
+    else:
+        text = None
+    history = None if text is None else _parse_columns(text, spec)
+    if history is None:
         # A string splits as a text file does (``str.splitlines`` would also
         # break at form feeds, U+2028 and other characters a file keeps).
-        lines = io.StringIO(source, newline=None)
-    elif isinstance(source, io.TextIOBase):
-        # The per-line parser gets the lines as the handle's newline mode split them.
-        lines = source.readlines()
-        text = "".join(lines)
-    else:
-        text, lines = None, source
-    history = None if text is None else _parse_columns(text, spec)
-    return history if history is not None else _parse_lines(lines, spec)
+        history = _parse_lines(io.StringIO(source, newline=None) if isinstance(source, str) else source, spec)
+    return history
 
 
 def _parse_columns(text: str, spec: GameSpec) -> DrawHistory | None:
