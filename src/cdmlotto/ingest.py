@@ -187,7 +187,7 @@ class DrawHistory:
             problem = _rule_break(record.numbers, spec)
             if problem is None and previous is not None and record.draw_index != previous + 1:
                 problem = f"draw index {record.draw_index} does not follow {previous}"
-            if problem is None and not -_INDEX_MAX <= record.draw_index <= _INDEX_MAX:
+            if problem is None and not -_INDEX_MAX - 1 <= record.draw_index <= _INDEX_MAX:
                 problem = f"draw index {record.draw_index} does not fit in 64 bits"
             if problem is not None:
                 raise HistoryValidationError(problem, position)
