@@ -178,6 +178,9 @@ class TestSimulateStreams:
         config = StrategyConfig(player_cap=10)
         with pytest.raises(CapExceededError, match="stream 1"):
             simulate_streams([44, 100_000], config)
+        # A repeated gap is simulated once, at the first stream that has it.
+        with pytest.raises(CapExceededError, match=r"^stream 2 \(gap 100000 draws\)"):
+            simulate_streams([44, 44, 100_000, 100_000], config)
 
     def test_each_distinct_gap_is_simulated_once(self, monkeypatch):
         offsets = []
@@ -192,11 +195,6 @@ class TestSimulateStreams:
         assert offsets == [43, 614, 697]
         assert summary.streams[0] is summary.streams[2] is summary.streams[5]
         assert summary == summarize_streams([simulate_stream(g - 1, DEFAULTS) for g in gaps])
-
-    def test_cap_error_names_the_first_stream_with_the_gap(self):
-        config = StrategyConfig(player_cap=10)
-        with pytest.raises(CapExceededError, match=r"^stream 2 \(gap 100000 draws\)"):
-            simulate_streams([44, 44, 100_000, 100_000], config)
 
 
 class TestRequiredBudget:
