@@ -33,8 +33,7 @@ import textwrap
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .distributions import _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
 from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec
@@ -56,6 +55,8 @@ __all__ = [
     "classify_stretches",
     "extrapolate_gaps",
     "render_comparison",
+    "json_list_item",
+    "json_with_list",
 ]
 
 # Gaps below the cutoff are short stretches, at or above it long ones.
@@ -202,31 +203,41 @@ class BacktestResult:
 
     def to_json(self, extra: Mapping | None = None) -> str:
         """``json.dumps({**self.to_dict(), **extra}, sort_keys=True, indent=2)``,
-        with the records block written straight from the columns.
-
-        The rest of the document goes through ``json.dumps`` with a
-        placeholder list.  A top-level key is the only line that starts
-        with exactly two spaces and a quote (``json.dumps`` escapes line
-        breaks inside strings), so the placeholder is found unambiguously.
-        """
-        document = {**self._summary(), **(extra or {}), "records": []}
-        text = json.dumps(document, sort_keys=True, indent=2)
-        head, _, tail = text.partition('\n  "records": []')
-        return f'{head}\n  "records": {self._records_json()}{tail}'
+        with the records block written straight from the columns."""
+        return json_with_list({**self._summary(), **(extra or {})}, "records", self._records_json())
 
     def _records_json(self) -> str:
-        """The records list as ``json.dumps(indent=2)`` writes it one level
-        deep: one record's text with a ``%d`` slot per number, repeated per
-        draw and filled from the columns in sorted-key order."""
-        n = len(self.draw_indices)
-        if n == 0:
-            return "[]"
+        """The records as :func:`json_with_list` takes them: one record's
+        text with a ``%d`` slot per number, repeated per draw and filled
+        from the columns in sorted-key order."""
         columns = self._record_columns()
         slots = {name: "%d" if c.ndim == 1 else ["%d"] * c.shape[1] for name, c in columns.items()}
-        record = textwrap.indent(json.dumps(slots, sort_keys=True, indent=2), "    ").replace('"%d"', "%d")
+        record = json_list_item(slots).replace('"%d"', "%d")
         values = np.column_stack([columns[name] for name in sorted(columns)]).ravel().tolist()
-        block = ",\n".join([record] * n) % tuple(values)
-        return f"[\n{block}\n  ]"
+        return ",\n".join([record] * len(self.draw_indices)) % tuple(values)
+
+
+def json_list_item(value) -> str:
+    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it as an
+    item of a list that is a top-level field of the document."""
+    return textwrap.indent(json.dumps(value, sort_keys=True, indent=2), "    ")
+
+
+def json_with_list(document: Mapping, key: str, items: str) -> str:
+    """``json.dumps({**document, key: [...]}, sort_keys=True, indent=2)``,
+    given the list's :func:`json_list_item` texts joined by ``",\\n"``
+    (the empty string for an empty list).
+
+    The rest of the document goes through ``json.dumps`` with a
+    placeholder list.  A top-level key is the only line that starts with
+    exactly two spaces and a quote (``json.dumps`` escapes line breaks
+    inside strings), so the placeholder is found unambiguously.  Repeated
+    or templated items are thus written without encoding each one.
+    """
+    text = json.dumps({**document, key: []}, sort_keys=True, indent=2)
+    head, _, tail = text.partition(f'\n  "{key}": []')
+    block = f"[\n{items}\n  ]" if items else "[]"
+    return f'{head}\n  "{key}": {block}{tail}'
 
 
 def select_combination(scores, spec: GameSpec) -> PredictedCombination:

@@ -32,6 +32,8 @@ from .backtest import (
     classify_stretches,
     extrapolate_gaps,
     gap_stats,
+    json_list_item,
+    json_with_list,
     render_comparison,
     run_backtest,
     select_combination,
@@ -497,16 +499,20 @@ def cmd_simulate(cfg: dict) -> int:
         gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps"))
         summary = simulate_streams(gaps, config)
     streams = summary.streams
+    keys = gaps or [None] * len(streams)
+    # A ledger is a function of its gap, so each distinct stream is rendered
+    # once and its text repeated.
+    distinct = dict(zip(keys, streams))
 
     budget = required_budget(max(gaps), config) if gaps else None
 
     if cfg["format"] == "json":
+        items = {
+            g: json_list_item({**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)})
+            for g, ledger in distinct.items()
+        }
         document = {
             "config": _config_echo(cfg),
-            "streams": [
-                {**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)}
-                for g, ledger in zip(gaps or [None] * len(streams), streams)
-            ],
             "aggregate": {
                 "total_spend_cents": summary.total_spend_cents,
                 "total_payout_cents": summary.total_payout_cents,
@@ -515,25 +521,25 @@ def cmd_simulate(cfg: dict) -> int:
                 "required_budget_cents": budget,
             },
         }
-        _emit(_json_dumps(document), cfg)
+        _emit(json_with_list(document, "streams", ",\n".join([items[g] for g in keys])) + "\n", cfg)
         return 0
 
-    lines: list[str] = []
-    for i, ledger in enumerate(streams):
-        title = f"stream {i + 1}" + (f": gap {gaps[i]} draws" if gaps else ": no win")
-        lines.extend(render_ledger(ledger, title))
-        lines.append("")
-    lines.append(
+    bodies = {g: "\n".join(render_ledger(ledger)) for g, ledger in distinct.items()}
+    report = "".join(
+        f"stream {i + 1}" + (f": gap {g} draws" if gaps else ": no win") + f"\n{bodies[g]}\n\n"
+        for i, g in enumerate(keys)
+    )
+    lines = [
         f"aggregate: streams {len(streams)},"
         f" spend {format_cents(summary.total_spend_cents)},"
         f" payout {format_cents(summary.total_payout_cents)},"
         f" profit {format_cents(summary.profit_cents)},"
         f" max drawdown {format_cents(summary.max_drawdown_cents)}"
-    )
+    ]
     if budget is not None:
         lines.append(f"required budget for the longest gap ({max(gaps)} draws): {format_cents(budget)}")
     lines.append("note: each player plays one combination per draw; the 21-combination per-player cap is not binding")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit(report + "\n".join(lines) + "\n", cfg)
     return 0
 
 

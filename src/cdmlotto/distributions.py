@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._numpy import np
 
 __all__ = [
     "CountMatrix",

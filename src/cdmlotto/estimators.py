@@ -40,8 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .distributions import CountMatrix, _as_counts
 
 __all__ = [
@@ -179,12 +178,24 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
                 denominator = np.zeros(rows.shape)  # every entry is 1, so every column is constant
             else:
                 # Each column's share of sum_i f log(f / x_i); exactly 0 for a constant column.
-                denominator = rows * ((s + p) * (np.log1p(p / s) - p * np.log1p(1 / s))).sum(axis=1)
+                denominator = rows * ((s + p) * (_log1p_ratio(p, s) - p * _log1p_ratio(1, s))).sum(axis=1)
             alpha = mle_alpha_from_stats(rows, col_means, denominator)
     alpha = apply_positivity_floor(alpha, config.positivity_floor)
     if not np.isfinite(alpha).all():
         raise NonPositiveAlphaError("estimated concentration is not finite")
     return alpha
+
+
+def _log1p_ratio(q, s: float):
+    """``log1p(q / s)`` for q >= 0 and s > 0.
+
+    A subnormal s overflows ``1 / s`` and ``q / s``, so there it is
+    ``log(s + q) - log(s)``, one form for every q: a constant column's two
+    terms still cancel exactly.  Normal s keeps ``log1p(q / s)``.
+    """
+    if math.isfinite(1 / s):
+        return np.log1p(q / s)
+    return np.log(s + q) - np.log(s)
 
 
 def _entry_denominator(entries: np.ndarray, p: np.ndarray, s: float) -> np.ndarray:

@@ -29,8 +29,7 @@ from enum import Enum
 from itertools import repeat
 from typing import Iterable
 
-import numpy as np
-
+from ._numpy import np
 from .distributions import CountMatrix
 
 __all__ = [
@@ -54,7 +53,7 @@ __all__ = [
 SYNTH_GENERATOR = "pcg64"
 
 # Draw indices are stored as int64; numpy's text conversion saturates here.
-_INDEX_MAX = int(np.iinfo(np.int64).max)
+_INDEX_MAX = 2**63 - 1
 
 
 class GameKind(Enum):

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
@@ -300,6 +300,13 @@ class TestRunBacktest:
             naive = (exc.draw_index, str(exc))
         assert walked == naive
 
+    def test_subnormal_smoothing_matches_naive_refit(self):
+        # 1/s overflows at this smoothing, so the mle fit takes its log-difference form.
+        history = synthetic_history(SIX_52, 700, seed=8)
+        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1e-320), hit_threshold=2)
+        walked = [(r.draw_index, r.prediction, r.match_count) for r in run_backtest(history, config).records]
+        assert walked == [(t, numbers, matches) for t, numbers, matches, _ in naive_backtest(history, config)]
+
     @settings(max_examples=30, deadline=None)
     @given(
         game=st.sampled_from([SIX_52, GameSpec(GameKind.SET_DRAW, 10, 2), PICK3]),
@@ -307,6 +314,9 @@ class TestRunBacktest:
         smoothing=st.floats(-6, 9).map(lambda e: 10.0**e),
         seed=st.integers(0, 2**16),
     )
+    # Subnormal smoothing, where 1/s overflows.
+    @example(game=SIX_52, window=None, smoothing=1e-320, seed=3)
+    @example(game=PICK3, window=60, smoothing=5e-324, seed=4)
     def test_mle_picks_are_the_mm_picks(self, game, window, smoothing, seed):
         """On 0/1 windows the mle score alpha0 (s + p_j) + c_j rises with the
         column sum c_j and ties where c_j ties, so it ranks as mm does."""

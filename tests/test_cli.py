@@ -6,7 +6,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,18 @@ from cdmlotto.backtest import ALTERNATION_NOTE, BacktestConfig, classify_stretch
 from cdmlotto.cli import build_parser, main, parse_args
 from cdmlotto.estimators import EstimatorConfig, EstimatorKind
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history, synthetic_history
+from cdmlotto.strategy import (
+    AccountingMode,
+    StrategyConfig,
+    format_cents,
+    ledger_to_dict,
+    render_ledger,
+    required_budget,
+    simulate_stream,
+    summarize_streams,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -238,6 +253,60 @@ class TestSimulate:
         document = json.loads(out)
         players = [q["players"] for q in document["streams"][0]["quarters"]]
         assert players[:5] == [1, 2, 5, 12, 29]  # ceil(2.4 * 12)
+
+
+class TestSimulateMatchesPerStreamOracle:
+    """simulate renders each distinct stream once and repeats its text; the
+    report must equal one built stream by stream, with ``ledger_to_dict``
+    and ``json.dumps`` or with ``render_ledger``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(st.sampled_from([1, 2, 120, 121, 615, 1410]), min_size=1, max_size=30),
+        accounting=st.sampled_from(["paper", "exact"]),
+        fmt=st.sampled_from(["json", "text"]),
+    )
+    @example(gaps=None, accounting="exact", fmt="json")  # None: --no-win-horizon
+    @example(gaps=None, accounting="paper", fmt="text")
+    def test_report_equals_the_oracle(self, gaps, accounting, fmt):
+        source = ["--no-win-horizon", "200"] if gaps is None else ["--gaps", ",".join(map(str, gaps))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", *source, "--accounting", accounting, "--format", fmt]) == 0
+
+        config = StrategyConfig(accounting=AccountingMode(accounting))
+        if gaps is None:
+            streams = [(None, "stream 1: no win", simulate_stream(None, config, horizon_days=200))]
+        else:
+            streams = [(g, f"stream {i + 1}: gap {g} draws", simulate_stream(g - 1, config))
+                       for i, g in enumerate(gaps)]
+        summary = summarize_streams([ledger for _, _, ledger in streams])
+        budget = required_budget(max(gaps), config) if gaps else None
+        if fmt == "json":
+            document = {
+                "config": json.loads(out.getvalue())["config"],
+                "streams": [{**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)}
+                            for g, _, ledger in streams],
+                "aggregate": {
+                    "total_spend_cents": summary.total_spend_cents,
+                    "total_payout_cents": summary.total_payout_cents,
+                    "profit_cents": summary.profit_cents,
+                    "max_drawdown_cents": summary.max_drawdown_cents,
+                    "required_budget_cents": budget,
+                },
+            }
+            assert out.getvalue() == json.dumps(document, sort_keys=True, indent=2) + "\n"
+            return
+        lines = [line for _, title, ledger in streams for line in (*render_ledger(ledger, title), "")]
+        lines.append(
+            f"aggregate: streams {len(streams)}, spend {format_cents(summary.total_spend_cents)},"
+            f" payout {format_cents(summary.total_payout_cents)}, profit {format_cents(summary.profit_cents)},"
+            f" max drawdown {format_cents(summary.max_drawdown_cents)}"
+        )
+        if budget is not None:
+            lines.append(f"required budget for the longest gap ({max(gaps)} draws): {format_cents(budget)}")
+        lines.append("note: each player plays one combination per draw; the 21-combination per-player cap is not binding")
+        assert out.getvalue() == "\n".join(lines) + "\n"
 
 
 # One sample value per flag; a new flag needs a sample here.
@@ -636,3 +705,63 @@ class TestGoldenBytes:
         report = Path("report.json")
         data = report.read_bytes() if report.exists() else out.encode()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Runs each command of argv[2] (a JSON list of argv lists) through main() in
+# one interpreter and prints, as JSON, the traced layers that importing the
+# CLI left unloaded and, per command, its exit code and whether numpy ran.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from tracer import TRACED
+import cdmlotto.cli
+
+def numpy_ran():
+    # Names only: reading an attribute of the deferred numpy module loads it.
+    return any(name.startswith("numpy.") for name in sys.modules)
+
+report = {
+    "unloaded_layers": [layer for layer in TRACED if "cdmlotto." + layer not in sys.modules],
+    "runs": [["import cdmlotto.cli", 0, numpy_ran()]],
+}
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cdmlotto.cli.main(argv)
+    report["runs"].append([" ".join(argv), code, numpy_ran()])
+print(json.dumps(report))
+"""
+
+
+class TestNumpyFreePaths:
+    """Staking replays, hits replays, help and usage errors use no arrays, so
+    they never execute numpy; predict, the positive control, does."""
+
+    def test_only_array_commands_load_numpy(self, capsys, tmp_path):
+        flags = list(GOLDEN_GAMES["set"][0])
+        history, report = tmp_path / "history.csv", tmp_path / "bt.json"
+        assert main(["synth", *flags, "--draws", "200", "--seed", "3", "--output", str(history)]) == 0
+        assert main(["backtest", *flags, "--input", str(history), "--threshold", "2",
+                     "--format", "json", "--output", str(report)]) == 0
+        capsys.readouterr()
+        numpy_free = [
+            ["simulate", "--gaps", "44,615,44", "--format", "json"],
+            ["simulate", "--gaps-file", str(report)],
+            ["simulate", "--no-win-horizon", "240", "--accounting", "exact", "--format", "json"],
+            ["backtest", "--hits", HITS, "--format", "json"],
+            ["backtest", "--hits-file", str(report)],
+            ["--help"],
+            ["simulate", "--gaps", "44", "--no-win-horizon", "10"],
+        ]
+        control = ["predict", *flags, "--input", str(history), "--estimator", "mle", "--smoothing", "1"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, str(ROOT / "perfbench"), json.dumps([*numpy_free, control])],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        probe = json.loads(proc.stdout)
+        assert probe["unloaded_layers"] == []
+        expected = [["import cdmlotto.cli", 0, False]]
+        expected += [[" ".join(argv), 2 if argv[-1] == "10" else 0, False] for argv in numpy_free]
+        expected += [[" ".join(control), 0, True]]
+        assert probe["runs"] == expected

@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.distributions import CountMatrix
@@ -90,6 +90,9 @@ class TestIndicatorMle:
 
     @settings(deadline=None)
     @given(counts=indicator_windows(), exponent=st.floats(-6, 12))
+    # Subnormal smoothing, where 1/s overflows: constant columns still cancel exactly.
+    @example(counts=np.array([[1, 0, 1], [1, 0, 1]]), exponent=-320.0)
+    @example(counts=np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]]), exponent=-320.0)
     def test_total_mass_is_positive_unless_every_column_is_constant(self, counts, exponent):
         # The denominator is exactly 0 (DegenerateDataError) for constant
         # columns; a negative one would raise NonPositiveAlphaError.
