@@ -19,6 +19,7 @@ problems.
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -153,15 +154,28 @@ def _parse_money(text: str) -> int:
     return cents
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _read_text(path: str | Path, role: str) -> str:
+    """A ``utf-8-sig`` file's text with every line ending read as ``"\\n"``,
+    as a text-mode read gives it.  A missing file, or a byte that is not
+    UTF-8, is a usage error naming the file (and the line, counted at LF,
+    CRLF or CR as the history parser counts)."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
+        raise CliError(f"{role} file not found: {path}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"))
+        raise CliError(f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    # read_text turns every line ending into "\n"; str.splitlines would also
-    # break at form feeds, U+2028 and other characters a line may hold.
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # str.splitlines would also break at form feeds, U+2028 and other
+    # characters a line may hold.
+    for lineno, raw in enumerate(_read_text(path, "config").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -190,11 +204,7 @@ def _window_arg(value) -> int | None:
 
 def _load_history(cfg: dict, spec: GameSpec) -> DrawHistory:
     if cfg["input"] is not None:
-        path = Path(cfg["input"])
-        if not path.exists():
-            raise CliError(f"input file not found: {path}")
-        with open(path, encoding="utf-8-sig") as handle:
-            return parse_history(handle, spec)
+        return parse_history(_read_text(Path(cfg["input"]), "input"), spec)
     if cfg.get("draws") is not None:
         return synthetic_history(spec, cfg["draws"], cfg["seed"])
     raise CliError("provide --input PATH, or --draws N with --seed for a synthetic history")
@@ -405,10 +415,7 @@ def _hits_replay(cfg: dict) -> int:
     if cfg["hits"] is not None:
         indices = list(cfg["hits"])
     else:
-        path = Path(cfg["hits_file"])
-        if not path.exists():
-            raise CliError(f"hits file not found: {path}")
-        indices = _read_int_series(path, "hit_indices")
+        indices = _read_int_series(Path(cfg["hits_file"]), "hit_indices", "hits")
     report = _gap_report(indices)
     if cfg["format"] == "json":
         _emit(_json_dumps({"config": _config_echo(cfg), **report}), cfg)
@@ -454,10 +461,10 @@ def cmd_backtest(cfg: dict) -> int:
 # simulate
 
 
-def _read_int_series(path: Path, field: str) -> list[int]:
-    """Integers from a JSON document (its ``field`` list, or a bare list) or
-    whitespace/comma-separated text."""
-    text = path.read_text(encoding="utf-8-sig")
+def _read_int_series(path: Path, field: str, role: str) -> list[int]:
+    """Integers from a JSON document (its ``field`` list, a bare list or one
+    bare integer) or whitespace/comma-separated text."""
+    text = _read_text(path, role)
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
@@ -465,6 +472,8 @@ def _read_int_series(path: Path, field: str) -> list[int]:
             return [_parse_count(tok) for tok in text.replace(",", " ").split()]
         except argparse.ArgumentTypeError:
             raise CliError(f"{path}: expected JSON or an integer list") from None
+    if type(data) is int:  # one integer, as the text path reads it; bool is an int subclass
+        data = [data]
     if isinstance(data, dict):
         if field not in data:
             raise CliError(f"{path}: JSON document has no {field!r} field")
@@ -496,7 +505,7 @@ def cmd_simulate(cfg: dict) -> int:
         gaps: list[int] = []
         summary = summarize_streams([simulate_stream(None, config, horizon_days=cfg["no_win_horizon"])])
     else:
-        gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps"))
+        gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps", "gaps"))
         summary = simulate_streams(gaps, config)
     streams = summary.streams
     keys = gaps or [None] * len(streams)

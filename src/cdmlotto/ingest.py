@@ -11,7 +11,11 @@ scripts' digits).  The first line is a header only when its first field
 is ``draw_index``.  File order is chronological order, oldest first.
 Encoding is UTF-8 with LF, CRLF or CR line endings, and text given as a
 string splits into lines as a file does; the CLI reads files as
-``utf-8-sig``, dropping a leading byte-order mark.
+``utf-8-sig``, dropping a leading byte-order mark.  Blank lines are
+skipped; any whitespace may pad a row, its index and its numbers (a date
+keeps its spaces) and separate numbers.
+One parser reads every input: it checks all rows as whole columns and
+arrays, then explains the first bad line from that line's text.
 
 Two game families are supported.  Set-draw games pick ``picks`` distinct
 numbers from 1..pool without regard to order.  Positional-digit games
@@ -23,7 +27,6 @@ jackpot rules require).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -54,6 +57,12 @@ SYNTH_GENERATOR = "pcg64"
 
 # Draw indices are stored as int64; numpy's text conversion saturates here.
 _INDEX_MAX = 2**63 - 1
+
+# The whitespace ``str.split`` breaks at but numpy's text conversion does
+# not read, each mapped to a space.
+_ODD_SPACES = str.maketrans(dict.fromkeys(
+    "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000", " "))
 
 
 class GameKind(Enum):
@@ -223,115 +232,77 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     Malformed rows raise :class:`HistoryParseError` naming the line;
     rows that break the game rules raise :class:`HistoryValidationError`,
     also naming the line.  Either way the first bad line in file order is
-    reported.  Text and file handles are read once and try the columnar
-    fast path first; other iterables go to the per-line parser.
+    reported.  A string splits into lines as a text file does; a handle or
+    other iterable keeps its own lines.
+
+    Each check runs over the whole column at once (a search row by row
+    runs only when it fails) and keeps only the rows before the first row
+    that fails it; :class:`DrawHistory` then validates those rows.  The
+    row that stopped them is the first bad line, and :func:`_row_error`
+    explains it from its text.
     """
     if isinstance(source, str):
-        text = source
-    elif isinstance(source, io.TextIOBase):
-        # Kept as lines, split as the handle's newline mode splits them, in
-        # case the per-line parser needs them.
-        source = source.readlines()
-        text = "".join(source)
-    else:
-        text = None
-    history = None if text is None else _parse_columns(text, spec)
-    if history is None:
-        # A string splits as a text file does (``str.splitlines`` would also
-        # break at form feeds, U+2028 and other characters a file keeps).
-        history = _parse_lines(io.StringIO(source, newline=None) if isinstance(source, str) else source, spec)
-    return history
-
-
-def _parse_columns(text: str, spec: GameSpec) -> DrawHistory | None:
-    """The history of text in the usual shape, or None for any other text.
-
-    The usual shape: LF line endings, an optional header whose first field
-    is exactly ``draw_index``, then one ``index,date,numbers`` row per line
-    with no blank line; the index is ASCII digits and the numbers are
-    ``picks`` ASCII-digit tokens joined by single spaces; every row keeps
-    the game rules and follows the index before it.  Whatever else such
-    text might mean is the per-line parser's to decide.
-    """
-    if "\r" in text:
-        return None
-    rows = text.split("\n")
-    if rows[-1] == "":
-        rows.pop()
-    if rows and rows[0].split(",", 1)[0] == "draw_index":
-        del rows[0]
-    if list(map(str.count, rows, repeat(","))).count(2) != len(rows):
-        return None
-    fields = ",".join(rows).split(",")
-    indices, dates, numbers = fields[0::3], fields[1::3], fields[2::3]
-    index_digits = "".join(indices)
-    numbers_text = " ".join(numbers)
-    number_digits = numbers_text.replace(" ", "")
-    # Single spaces throughout make every row's space count its token count
-    # less one, and leave no empty token.
-    usual = (
-        index_digits.isascii() and index_digits.isdigit() and "" not in indices
-        and number_digits.isascii() and number_digits.isdigit()
-        and "  " not in numbers_text and not numbers_text.startswith(" ") and not numbers_text.endswith(" ")
-        and set(map(str.count, numbers, repeat(" "))) == {spec.picks - 1}
-    )
-    if not usual:
-        return None
-    draw_indices = np.fromstring(" ".join(indices), dtype=np.int64, sep=" ")
-    if draw_indices.max() == _INDEX_MAX:  # an index that does not fit in int64 saturates
-        return None
-    values = np.fromstring(numbers_text, dtype=np.int64, sep=" ").reshape(len(rows), spec.picks)
+        # ``str.splitlines`` would also break at form feeds, U+2028 and
+        # other characters a file keeps inside a line.
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = list(map(str.strip, source))
+    rows = list(filter(None, lines))
+    header = 1 if rows and rows[0].split(",", 1)[0].strip() == "draw_index" else 0
+    data = rows[header:]
+    # Two commas a row: a third would leave a comma in the numbers.
+    n = _kept(np.fromiter(map(str.count, data, repeat(",")), np.int64, len(data)) != 2)
+    fields = ",".join(data[:n]).split(",") if n else []
+    index_texts = list(map(str.strip, fields[0::3]))
+    # Whitespace-padded ASCII digits, then an index that fits in int64.
+    if not (all(index_texts) and is_digits("".join(index_texts))):
+        n = next((i for i, text in enumerate(index_texts) if not is_digits(text)), n)
+    indices = np.fromstring(" ".join(index_texts[:n]), dtype=np.int64, sep=" ")
+    n = next((i for i in np.flatnonzero(indices == _INDEX_MAX).tolist() if int(index_texts[i]) > _INDEX_MAX), n)
+    # Numbers: ASCII digits between whitespace, then picks of them a row.
+    # The column test encodes every other character, a lone surrogate too,
+    # as "?"; the search also stops at an empty field, which has too few.
+    numbers = fields[2::3][:n]
+    if not "".join(numbers).encode("ascii", "replace").translate(None, b" \t").isdigit():
+        n = next((i for i, field in enumerate(numbers) if not is_digits("".join(field.split()))), n)
+    # A -1 closes each row, so each row's count shows.
+    text = " -1 ".join(numbers[:n] + [""]).translate(_ODD_SPACES)
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    n = _kept(np.diff(np.flatnonzero(values < 0), prepend=-1) != spec.picks + 1)
+    values = values[: n * (spec.picks + 1)].reshape(n, spec.picks + 1)[:, :-1]
     try:
-        return DrawHistory(spec, draw_indices, values, tuple(date or None for date in dates))
-    except HistoryValidationError:
-        return None
-
-
-def _parse_lines(lines: Iterable[str], spec: GameSpec) -> DrawHistory:
-    """The per-line parser: every row is checked in file order, so the
-    first bad line is the one an error names."""
-    records: list[DrawRecord] = []
-    linenos: list[int] = []
-    try:
-        _parse_rows(lines, records, linenos)
-    except HistoryParseError:
-        _history(spec, records, linenos)  # a row above the malformed one may break the rules
-        raise
-    return _history(spec, records, linenos)
-
-
-def _history(spec: GameSpec, records: list[DrawRecord], linenos: list[int]) -> DrawHistory:
-    try:
-        return DrawHistory.from_records(spec, records)
+        history = DrawHistory(spec, indices[:n], values, tuple([date or None for date in fields[1::3][:n]]))
     except HistoryValidationError as exc:
-        raise HistoryValidationError(f"line {linenos[exc.position]}: {exc}") from None
+        n = exc.position
+    if n == len(data):
+        return history
+    lineno = [i for i, line in enumerate(lines, start=1) if line][header + n]
+    raise _row_error(data[n], lineno, int(indices[n - 1]) if n else None, spec)
 
 
-def _parse_rows(lines: Iterable[str], records: list[DrawRecord], linenos: list[int]) -> None:
-    """Append each data row's record and line number; raise on the first
-    malformed row."""
-    first_line = True
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",", 2)
-        if first_line:
-            first_line = False
-            if parts[0].strip() == "draw_index":
-                continue  # optional header
-        if len(parts) != 3:
-            raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
-        index_text = parts[0].strip()
-        if not is_digits(index_text):
-            raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
-        tokens = parts[2].split()
-        # One check per row: tokens hold no whitespace, so the joined string
-        # is all digits exactly when every token is.
-        if tokens and not is_digits("".join(tokens)):
-            raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
-        records.append(DrawRecord(int(index_text), parts[1] or None, tuple(map(int, tokens))))
-        linenos.append(lineno)
+def _kept(bad: np.ndarray) -> int:
+    """How many rows come before the first one flagged bad."""
+    return int(bad.argmax()) if bad.any() else len(bad)
+
+
+def _row_error(line: str, lineno: int, previous_index: int | None, spec: GameSpec) -> ValueError:
+    """The error of a bad row, rebuilt from its text: the parse rules, then
+    the checks of :meth:`DrawHistory.from_records` in its order.  The row
+    follows one indexed ``previous_index``, or none when that is None."""
+    parts = line.split(",", 2)
+    if len(parts) != 3:
+        return HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
+    if not is_digits(parts[0].strip()):
+        return HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
+    tokens = parts[2].split()
+    if tokens and not is_digits("".join(tokens)):
+        return HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
+    index = int(parts[0])
+    problem = _rule_break(tuple(map(int, tokens)), spec)
+    if problem is None and previous_index is not None and index != previous_index + 1:
+        problem = f"draw index {index} does not follow {previous_index}"
+    if problem is None and index > _INDEX_MAX:
+        problem = f"draw index {index} does not fit in 64 bits"
+    return HistoryValidationError(f"line {lineno}: {problem}")
 
 
 def is_digits(token: str) -> bool:

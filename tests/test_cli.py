@@ -431,6 +431,9 @@ class TestStrictValues:
         (("simulate", "--gaps-file"), '{"gaps": [44, -3]}'),
         (("backtest", "--hits-file"), '{"hit_indices": [-3, 7]}'),
         (("backtest", "--hits-file"), "[1, false]"),
+        (("simulate", "--gaps-file"), "-3"),
+        (("backtest", "--hits-file"), "true"),
+        (("simulate", "--gaps-file"), "1.5"),
     ])
     def test_json_integer_lists_follow_the_same_rule(self, capsys, tmp_path, argv, text):
         path = tmp_path / "series.json"
@@ -439,6 +442,16 @@ class TestStrictValues:
         assert code == 2
         assert out == ""
         assert "expected a list of nonnegative integers" in err
+
+    @pytest.mark.parametrize("argv,field", [(("simulate", "--gaps-file"), "streams"),
+                                            (("backtest", "--hits-file"), "hit_indices")])
+    def test_one_integer_list_file_is_a_one_item_list(self, capsys, tmp_path, argv, field):
+        path = tmp_path / "series"
+        path.write_text("44\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        read = json.loads(out)[field]
+        assert (read if field == "hit_indices" else [s["gap_draws"] for s in read]) == [44]
 
     @pytest.mark.parametrize("flag,value", [("--payout", "inf"), ("--ticket-price", "1e400"),
                                             ("--payout", "1e307"), ("--ticket-price", "nan")])
@@ -519,6 +532,42 @@ class TestHistoryRoundTripViaCli:
         spec = GameSpec(GameKind.SET_DRAW, 52, 6)
         text = history_csv.read_text()
         assert serialize_history(parse_history(text, spec)) == text
+
+    def test_unusual_text_reports_as_its_lf_form_does(self, capsys, history_csv):
+        argv = ("backtest", "--pool", "52", "--picks", "6", "--input", str(history_csv), "--format", "json")
+        rows = history_csv.read_text().splitlines()
+        code, lf_report, _ = run(capsys, *argv)
+        assert code == 0
+        padded = [f" {index},{date}, {numbers.replace(' ', '  ')}\t" for index, date, numbers in
+                  (row.split(",") for row in rows)]
+        history_csv.write_bytes("\r\n".join([padded[0], "", *padded[1:]]).encode() + b"\r\n")
+        assert run(capsys, *argv) == (0, lf_report, "")
+
+
+# Each file the CLI reads: its flag, a command that reads it, and a first line.
+INPUT_FILES = {
+    "input": (["backtest", "--pool", "52", "--picks", "6", "--input"], b"0,,1 2 3 4 5 6"),
+    "config": (["simulate", "--gaps", "44", "--config"], b"seed = 5"),
+    "gaps": (["simulate", "--gaps-file"], b"44"),
+    "hits": (["backtest", "--hits-file"], b"0,44"),
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("role", INPUT_FILES)
+    def test_missing_file_names_its_role_and_path(self, capsys, tmp_path, role):
+        path = tmp_path / "nope"
+        assert run(capsys, *INPUT_FILES[role][0], str(path)) == (2, "", f"error: {role} file not found: {path}\n")
+
+    @pytest.mark.parametrize("role", INPUT_FILES)
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, capsys, tmp_path, role):
+        argv, first_line = INPUT_FILES[role]
+        path = tmp_path / "file"
+        # Lines end at CRLF, then CR, so the bad byte is on line 3.
+        path.write_bytes(b"\xef\xbb\xbf" + first_line + b"\r\n\r" + b"caf\xe9\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
 
 
 def tier_gap_report_from_records(records, picks):

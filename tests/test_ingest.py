@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,8 @@ class TestParseHistory:
         ("0,,1 2 3\n1,,x\n2,,1 2 13\n", HistoryParseError, "line 2: numbers field 'x'"),
         ("0,,1 2 3\n2,,1 2 3\n3,,1 2\n", HistoryValidationError, "line 2: draw index 2 does not follow 0"),
         ("draw_index,date,numbers\n0,,1 2 3\n1,,1 2\n", HistoryValidationError, "line 3: expected 3 numbers"),
+        ("0,,1 2 3\n2,,1 2 13\n", HistoryValidationError, "line 2: digit 13 outside 0..9"),
+        ("0,,1 2 3\n1,,4 5 \ud800\n", HistoryParseError, "line 2: numbers field '4 5 \\ud800'"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, text, error, message):
         with pytest.raises(error) as excinfo:
@@ -380,18 +383,6 @@ class TestColumnarHistory:
         history = parse_history("9223372036854775806,,1 2 3\n9223372036854775807,,4 5 6\n", PICK3)
         assert history.draw_indices.tolist() == [2**63 - 2, 2**63 - 1]
 
-    def test_usual_text_takes_the_columnar_path(self, monkeypatch):
-        def per_line(lines, spec):
-            raise AssertionError("the per-line parser ran")
-
-        history = synthetic_history(SIX_52, 60, seed=4)
-        text = "draw_index,date,numbers\n" + serialize_history(history)
-        monkeypatch.setattr(ingest, "_parse_lines", per_line)
-        assert parse_history(text, SIX_52) == history
-        assert parse_history(io.StringIO(text.rstrip("\n")), SIX_52) == history
-        dated = text.replace(",,", ",2022-01-01,", 3)
-        assert parse_history(dated, SIX_52).dates[:4] == ("2022-01-01",) * 3 + (None,)
-
 
 SMALL_SET = GameSpec(GameKind.SET_DRAW, 9, 3)
 
@@ -620,3 +611,20 @@ class TestParserDifferential:
     @given(data=st.data())
     def test_each_flaw_alone(self, flaw, data):
         self.check(*data.draw(csv_texts(flaws=st.just([flaw]))), data.draw(st.sampled_from([None, ""])))
+
+
+class TestAnyWhitespace:
+    """Whitespace that numpy's text conversion does not read is mapped to a
+    space before it; ``str.split``, and so the per-line parser, breaks at it."""
+
+    def test_odd_spaces_are_the_spaces_numpy_does_not_read(self):
+        spaces = {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert set(ingest._ODD_SPACES) == spaces - set(map(ord, " \t\n\x0b\x0c\r"))
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
+    def test_any_whitespace_pads_rows_and_separates_numbers(self, space):
+        text = f"{space}0,{space},1{space}2 3{space}\n1{space},,4{space * 2}5\t6\n"
+        assert parse_history(text, PICK3).records == oracle_parse(text, PICK3)
+        assert [r.numbers for r in parse_history(text, PICK3).records] == [(1, 2, 3), (4, 5, 6)]
+        bad = text + f"2,,7{space}x 9\n"
+        assert outcome(parse_history, bad, PICK3) == outcome(oracle_parse, bad, PICK3)
