@@ -81,7 +81,10 @@ def _parse_count(text: str) -> int:
     """A nonnegative integer of ASCII digits, the rule history files follow."""
     if not is_digits(text.strip()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer of ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"an integer of {len(text.strip())} digits is too long to read") from None
 
 
 def _parse_window(text: str):
@@ -470,8 +473,10 @@ def _read_int_series(path: Path, field: str, role: str) -> list[int]:
     except json.JSONDecodeError:
         try:
             return [_parse_count(tok) for tok in text.replace(",", " ").split()]
-        except argparse.ArgumentTypeError:
-            raise CliError(f"{path}: expected JSON or an integer list") from None
+        except argparse.ArgumentTypeError as exc:
+            raise CliError(f"{path}: expected JSON or an integer list; {exc}") from None
+    except ValueError:  # a JSON integer with more digits than int() converts
+        raise CliError(f"{path}: an integer is too long to read") from None
     if type(data) is int:  # one integer, as the text path reads it; bool is an int subclass
         data = [data]
     if isinstance(data, dict):

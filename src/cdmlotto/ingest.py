@@ -257,7 +257,7 @@ def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:
     if not (all(index_texts) and is_digits("".join(index_texts))):
         n = next((i for i, text in enumerate(index_texts) if not is_digits(text)), n)
     indices = np.fromstring(" ".join(index_texts[:n]), dtype=np.int64, sep=" ")
-    n = next((i for i in np.flatnonzero(indices == _INDEX_MAX).tolist() if int(index_texts[i]) > _INDEX_MAX), n)
+    n = next((i for i in np.flatnonzero(indices == _INDEX_MAX).tolist() if _integer(index_texts[i]) > _INDEX_MAX), n)
     # Numbers: ASCII digits between whitespace, then picks of them a row.
     # The column test encodes every other character, a lone surrogate too,
     # as "?"; the search also stops at an empty field, which has too few.
@@ -296,13 +296,26 @@ def _row_error(line: str, lineno: int, previous_index: int | None, spec: GameSpe
     tokens = parts[2].split()
     if tokens and not is_digits("".join(tokens)):
         return HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
-    index = int(parts[0])
-    problem = _rule_break(tuple(map(int, tokens)), spec)
+    index = _integer(parts[0])
+    problem = _rule_break(tuple(map(_integer, tokens)), spec)
     if problem is None and previous_index is not None and index != previous_index + 1:
         problem = f"draw index {index} does not follow {previous_index}"
     if problem is None and index > _INDEX_MAX:
         problem = f"draw index {index} does not fit in 64 bits"
     return HistoryValidationError(f"line {lineno}: {problem}")
+
+
+def _integer(digits: str):
+    """The value of a string of ASCII digits, padded or not.  A value of 20
+    or more digits lies beyond int64 and every game's range, and may be too
+    long for ``int()``, so it comes as a ``Decimal``, which compares and
+    prints as the same integer."""
+    digits = digits.strip().lstrip("0") or "0"
+    if len(digits) < 20:
+        return int(digits)
+    from decimal import Decimal  # only a bad row needs it
+
+    return Decimal(digits)
 
 
 def is_digits(token: str) -> bool:
@@ -383,15 +396,17 @@ def synthetic_history(spec: GameSpec, draws: int, seed: int) -> DrawHistory:
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
     rng = np.random.default_rng(seed)
-    numbers = np.empty((draws, spec.picks), dtype=np.int64)
-    # One generator call per draw: the stream, and so every synthetic
-    # history, depends on the call sizes.
     if spec.kind is GameKind.SET_DRAW:
+        # One call per draw, which the stream pins: one call for all draws
+        # would need a copy of numpy's private Floyd-plus-shuffle sampler,
+        # and pools above 10,000 would still need the loop.
+        numbers = np.empty((draws, spec.picks), dtype=np.int64)
         for row in numbers:
             row[:] = rng.choice(spec.categories, size=spec.picks, replace=False)
         numbers.sort(axis=1)
         numbers += 1
     else:
-        for row in numbers:
-            row[:] = rng.integers(0, 10, size=spec.picks)
+        # Each bounded digit reads one 32-bit word of the stream whatever the
+        # call size, so one call gives the digits of one call per draw.
+        numbers = rng.integers(0, 10, size=(draws, spec.picks))
     return DrawHistory(spec, np.arange(draws), numbers, (None,) * draws)

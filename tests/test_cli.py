@@ -33,6 +33,9 @@ from cdmlotto.strategy import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# More digits than Python's int() converts by default (4,300).
+HUGE = "9" * 5000
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -403,14 +406,23 @@ class TestStrictValues:
         assert code == 2
         assert out == ""
 
-    @pytest.mark.parametrize("name", ["gaps.txt", "hits.txt"])
-    def test_integer_list_files_follow_the_same_rule(self, capsys, tmp_path, name):
+    @pytest.mark.parametrize("name,text,message", [
+        pytest.param("gaps.txt", "٣ 1_0 +20\n", "expected JSON or an integer list", id="gaps.txt"),
+        pytest.param("hits.txt", "٣ 1_0 +20\n", "expected JSON or an integer list", id="hits.txt"),
+        # Past 4,300 digits int() refuses a value, and json.loads raises its ValueError.
+        pytest.param("gaps.txt", f"44 {HUGE}\n", "an integer of 5000 digits is too long", id="gaps.txt-huge"),
+        pytest.param("hits.txt", f"{HUGE}\n", "an integer is too long", id="hits.txt-huge"),
+        pytest.param("gaps.json", f'{{"gaps": [44, {HUGE}]}}', "an integer is too long", id="gaps.json-huge"),
+        pytest.param("hits.json", f"[0, {HUGE}]", "an integer is too long", id="hits.json-huge"),
+    ])
+    def test_integer_list_files_follow_the_same_rule(self, capsys, tmp_path, name, text, message):
         path = tmp_path / name
-        path.write_text("٣ 1_0 +20\n", encoding="utf-8")
-        argv = ("simulate", "--gaps-file") if name == "gaps.txt" else ("backtest", "--hits-file")
-        code, _, err = run(capsys, *argv, str(path))
-        assert code == 2
-        assert "expected JSON or an integer list" in err
+        path.write_text(text, encoding="utf-8")
+        argv = ("simulate", "--gaps-file") if name.startswith("gaps") else ("backtest", "--hits-file")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
 
     @pytest.mark.parametrize("argv,text,field", [
         (("simulate", "--gaps-file"), "44 615 698\n", "streams"),
@@ -507,15 +519,35 @@ numeric_text = st.one_of(
 
 
 class TestNumericFlagsNeverCrash:
+    """Each value reaches its converter by two routes: the flag itself and a
+    ``key = value`` line of a ``--config`` file."""
+
     @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
     @settings(max_examples=25, deadline=None)
     @given(value=numeric_text)
     @example(value="inf")
     @example(value="nan")
     @example(value="1e400")
+    @example(value=HUGE)
     def test_any_text_exits_0_1_or_2(self, flag, value):
+        self.exits_cleanly(flag, [f"{flag}={value}"])
+
+    @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
+    @settings(max_examples=25, deadline=None)
+    @given(value=numeric_text)
+    @example(value="inf")
+    @example(value="nan")
+    @example(value="1e400")
+    @example(value=HUGE)
+    def test_any_config_value_exits_0_1_or_2(self, tmp_path_factory, flag, value):
+        config = tmp_path_factory.mktemp("config") / "run.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        self.exits_cleanly(flag, ["--config", str(config)])
+
+    @staticmethod
+    def exits_cleanly(flag, value_args):
         command, *rest = NUMERIC_FLAGS[flag]
-        argv = [command, *rest, f"{flag}={value}", "--format", "json"]
+        argv = [command, *rest, *value_args, "--format", "json"]
         if command == "predict":
             argv += ["--input", "/nonexistent/history.csv"]
         out, err = io.StringIO(), io.StringIO()

@@ -27,6 +27,9 @@ from cdmlotto.ingest import (
 
 SIX_52 = GameSpec(GameKind.SET_DRAW, 52, 6)
 PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
+# More digits than Python's int() converts by default (4,300).
+HUGE = "9" * 5000
+PADDING = "0" * 5000
 
 
 class TestGameSpec:
@@ -100,6 +103,15 @@ class TestParseHistory:
         ("draw_index,date,numbers\n0,,1 2 3\n1,,1 2\n", HistoryValidationError, "line 3: expected 3 numbers"),
         ("0,,1 2 3\n2,,1 2 13\n", HistoryValidationError, "line 2: digit 13 outside 0..9"),
         ("0,,1 2 3\n1,,4 5 \ud800\n", HistoryParseError, "line 2: numbers field '4 5 \\ud800'"),
+        # Past 4,300 digits int() refuses a value, so these are named from their text.
+        pytest.param(f"{HUGE},,1 2 3\n", HistoryValidationError, f"line 1: draw index {HUGE} does not fit in 64 bits",
+                     id="huge-first-index"),
+        pytest.param(f"0,,1 2 3\n{HUGE},,4 5 6\n", HistoryValidationError,
+                     f"line 2: draw index {HUGE} does not follow 0", id="huge-index"),
+        pytest.param(f"0,,1 2 3\n1,,4 {HUGE} 6\n", HistoryValidationError, f"line 2: digit {HUGE} outside 0..9",
+                     id="huge-digit"),
+        pytest.param(f"0,,1 2 3\n{PADDING}2,,4 5 {PADDING}6\n", HistoryValidationError,
+                     "line 2: draw index 2 does not follow 0", id="long-zero-padding"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, text, error, message):
         with pytest.raises(error) as excinfo:
@@ -270,6 +282,15 @@ class TestSyntheticHistory:
         with pytest.raises(ValueError):
             synthetic_history(SIX_52, 0, seed=0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**128), st.integers(1, 6), st.integers(1, 2000))
+    def test_pick_digits_are_the_per_draw_stream(self, seed, picks, draws):
+        # The oracle: one generator call per draw, as the digits were once drawn.
+        rng = np.random.default_rng(seed)
+        expected = [rng.integers(0, 10, size=picks).tolist() for _ in range(draws)]
+        history = synthetic_history(GameSpec(GameKind.POSITIONAL_DIGITS, 10, picks), draws, seed)
+        assert history.numbers.tolist() == expected
+
 
 class TestStrictIngest:
     """Inputs that used to be dropped or reinterpreted without a word."""
@@ -382,6 +403,10 @@ class TestColumnarHistory:
             assert str(excinfo.value) == message
         history = parse_history("9223372036854775806,,1 2 3\n9223372036854775807,,4 5 6\n", PICK3)
         assert history.draw_indices.tolist() == [2**63 - 2, 2**63 - 1]
+
+    def test_zero_padding_of_any_length_reads_as_the_value(self):
+        history = parse_history(f"{PADDING}7,,1 2 {PADDING}3\n{PADDING}8,,4 5 6\n", PICK3)
+        assert history.draw_indices.tolist() == [7, 8] and history.numbers.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 SMALL_SET = GameSpec(GameKind.SET_DRAW, 9, 3)
