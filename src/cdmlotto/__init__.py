@@ -22,6 +22,7 @@ from .backtest import (
     extrapolate_gaps,
     gap_stats,
     match_count,
+    predict_next,
     render_comparison,
     run_backtest,
     select_combination,

@@ -16,7 +16,8 @@ mm and the smoothed MLE read (md adds the trailing diagonal), so a pass
 over a multi-decade history costs O(n K) instead of O(n^2 K).  The
 estimate, the predictive scores, the tie-broken pick and the match count
 then follow for the whole chunk at once.  Chunks bound the size of the
-temporary arrays.  Tests pin the output to the naive slice-and-refit loop.
+temporary arrays.  :func:`predict_next` is the same scoring on the one
+window before the next draw.  Tests pin both to the naive slice-and-refit.
 
 The result stays columnar: one int64 array each for the predicted draws'
 indices, predictions, actual numbers and match counts.  Hits, tier counts
@@ -51,6 +52,7 @@ __all__ = [
     "select_combination",
     "match_count",
     "run_backtest",
+    "predict_next",
     "gap_stats",
     "classify_stretches",
     "extrapolate_gaps",
@@ -319,35 +321,44 @@ class _RollingStats:
     differences too, entry (t, c) being ``prefix[t + 1, c] - prefix[t, c]``.
     """
 
-    def __init__(self, picked: np.ndarray, k: int, estimator: EstimatorConfig):
-        self.estimator = estimator
+    def __init__(self, picked: np.ndarray, k: int):
         n = len(picked)
         self.prefix = np.zeros((n + 1, k), dtype=np.int64)
         self.prefix[np.arange(1, n + 1)[:, None], picked] = 1
         np.cumsum(self.prefix, axis=0, out=self.prefix)
 
     def trailing_diagonal(self, ends: np.ndarray) -> np.ndarray:
-        """Row i: the main diagonal of the K matrix rows before ``ends[i]``."""
+        """Row i: the main diagonal of the K matrix rows before ``ends[i]``.
+        Rows before row 0 read row 0: md rejects such a short window."""
         cols = np.arange(self.prefix.shape[1])
-        rows = ends[:, None] - cols.size + cols
+        rows = np.maximum(ends[:, None] - cols.size + cols, 0)
         return self.prefix[rows + 1, cols] - self.prefix[rows, cols]
 
-    def scores(self, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
+    def scores(self, estimator: EstimatorConfig, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
         """Predictive scores, one row per window ``[starts[i], ends[i])``."""
         col_sums = self.prefix[ends] - self.prefix[starts]
-        md = self.estimator.kind is EstimatorKind.MAIN_DIAGONAL
+        md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
         diagonal = self.trailing_diagonal(ends) if md else None
-        alpha = alpha_from_stats(self.estimator, ends - starts, col_sums, diagonal)
+        alpha = alpha_from_stats(estimator, ends - starts, col_sums, diagonal)
         return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
 
 
-def _trackers(history: DrawHistory, estimator: EstimatorConfig) -> list[_RollingStats]:
+def _trackers(history: DrawHistory) -> list[_RollingStats]:
     """One tracker per count matrix of :func:`~cdmlotto.ingest.build_count_matrices`,
     in its order: the set matrix, or one per digit position."""
     numbers = history.numbers
     if history.spec.kind is GameKind.SET_DRAW:
-        return [_RollingStats(numbers - 1, history.spec.categories, estimator)]
-    return [_RollingStats(digits[:, None], 10, estimator) for digits in numbers.T]
+        return [_RollingStats(numbers - 1, history.spec.categories)]
+    return [_RollingStats(digits[:, None], 10) for digits in numbers.T]
+
+
+def _score_and_pick(spec: GameSpec, trackers: list[_RollingStats], estimator: EstimatorConfig,
+                    starts: np.ndarray, ends: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each count matrix's predictive scores and the picked numbers, one
+    row per window ``[starts[i], ends[i])``."""
+    per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
+    scores = [tracker.scores(estimator, starts, ends, per_matrix_picks) for tracker in trackers]
+    return scores, _select(spec, scores)
 
 
 def _resolve(config: BacktestConfig, spec: GameSpec, n: int) -> tuple[int, int]:
@@ -384,11 +395,10 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     spec = history.spec
     n = len(history)
     warmup, threshold = _resolve(config, spec, n)
-    trackers = _trackers(history, config.estimator)
-    per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
+    trackers = _trackers(history)
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        return _select(spec, [tracker.scores(starts, ends, per_matrix_picks) for tracker in trackers])
+        return _score_and_pick(spec, trackers, config.estimator, starts, ends)[1]
 
     chunks = []
     for first in range(warmup, n, _CHUNK):
@@ -419,6 +429,23 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
         warmup=warmup,
         hit_threshold=threshold,
     )
+
+
+def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
+                 window: int | None = None) -> list[PredictedCombination]:
+    """Each estimator's combination for the draw after the history: the walk's
+    pick for draw ``len(history)``, fitted on the last ``window`` draws (all
+    when None).  Estimator failures propagate as raised, with no draw index."""
+    n = len(history)
+    if not n:
+        raise ValueError("history is empty")
+    if window is not None and not 1 <= window <= n:
+        raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
+                         else f"window must be positive, got {window}")
+    trackers = _trackers(history)
+    starts, ends = np.array([0 if window is None else n - window]), np.array([n])
+    fits = [_score_and_pick(history.spec, trackers, estimator, starts, ends) for estimator in estimators]
+    return [PredictedCombination(tuple(picks[0].tolist()), tuple(s[0] for s in scores)) for scores, picks in fits]
 
 
 def _predict_chunk(predict, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -35,22 +35,19 @@ from .backtest import (
     gap_stats,
     json_list_item,
     json_with_list,
+    predict_next,
     render_comparison,
     run_backtest,
-    select_combination,
 )
-from .distributions import predictive_expectation
-from .estimators import EstimationError, EstimatorConfig, EstimatorKind, estimate_alpha
+from .estimators import EstimationError, EstimatorConfig, EstimatorKind
 from .ingest import (
     SYNTH_GENERATOR,
     DrawHistory,
     GameKind,
     GameSpec,
-    build_count_matrices,
     is_digits,
     parse_history,
     serialize_history,
-    slice_window,
     synthetic_history,
 )
 from .strategy import (
@@ -282,39 +279,13 @@ def cmd_synth(cfg: dict) -> int:
 def cmd_predict(cfg: dict) -> int:
     spec = _game_spec(cfg)
     history = _load_history(cfg, spec)
-    if not len(history):
-        raise CliError("history is empty")
-    matrices = build_count_matrices(history)
-    window = _window_arg(cfg["window"])
-    n = len(history)
-    if window is not None and window > n:
-        raise CliError(f"window {window} exceeds the {n} available draws")
-    windows = [slice_window(m, n, window) for m in matrices]
-    per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
-
-    predictions = []
-    for kind in cfg["estimator"]:
-        est = EstimatorConfig(kind, mle_smoothing=cfg["smoothing"])
-        vectors = [
-            predictive_expectation(estimate_alpha(w, est), w.col_sums, per_matrix_picks)
-            for w in windows
-        ]
-        combo = select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec)
-        predictions.append((kind, combo))
+    estimators = [EstimatorConfig(kind, mle_smoothing=cfg["smoothing"]) for kind in cfg["estimator"]]
+    predictions = list(zip(cfg["estimator"], predict_next(history, estimators, _window_arg(cfg["window"]))))
 
     if cfg["format"] == "json":
-        document = {
-            "config": _config_echo(cfg, spec),
-            "predictions": [
-                {
-                    "estimator": kind.value,
-                    "numbers": list(combo.numbers),
-                    "scores": [[float(x) for x in vec] for vec in combo.scores],
-                }
-                for kind, combo in predictions
-            ],
-        }
-        _emit(_json_dumps(document), cfg)
+        items = [{"estimator": kind.value, "numbers": list(combo.numbers),
+                  "scores": [vec.tolist() for vec in combo.scores]} for kind, combo in predictions]
+        _emit(_json_dumps({"config": _config_echo(cfg, spec), "predictions": items}), cfg)
     else:
         lines = render_comparison([(kind.value, combo.numbers) for kind, combo in predictions])
         _emit("\n".join(lines) + "\n", cfg)
@@ -477,6 +448,8 @@ def _read_int_series(path: Path, field: str, role: str) -> list[int]:
             raise CliError(f"{path}: expected JSON or an integer list; {exc}") from None
     except ValueError:  # a JSON integer with more digits than int() converts
         raise CliError(f"{path}: an integer is too long to read") from None
+    except RecursionError:
+        raise CliError(f"{path}: JSON nests too deeply to read") from None
     if type(data) is int:  # one integer, as the text path reads it; bool is an int subclass
         data = [data]
     if isinstance(data, dict):

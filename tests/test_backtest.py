@@ -18,6 +18,7 @@ from cdmlotto.backtest import (
     extrapolate_gaps,
     gap_stats,
     match_count,
+    predict_next,
     render_comparison,
     run_backtest,
     select_combination,
@@ -35,6 +36,7 @@ from cdmlotto.ingest import (
 )
 
 SIX_52 = GameSpec(GameKind.SET_DRAW, 52, 6)
+FIVE_10 = GameSpec(GameKind.SET_DRAW, 10, 5)
 PICK1 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1)
 PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
 PICK4 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 4)
@@ -156,7 +158,7 @@ class TestRollingStatsFromNumbers:
     def test_prefix_is_the_cumulative_count_matrix(self, spec):
         history = synthetic_history(spec, 300, seed=6)
         matrices = build_count_matrices(history)
-        trackers = _trackers(history, EstimatorConfig(EstimatorKind.MAIN_DIAGONAL))
+        trackers = _trackers(history)
         assert len(trackers) == len(matrices)
         for tracker, matrix in zip(trackers, matrices):
             assert tracker.prefix.dtype == np.int64
@@ -165,6 +167,84 @@ class TestRollingStatsFromNumbers:
             ends = np.arange(matrix.cols, matrix.rows + 1)
             expected = [np.diagonal(matrix.counts[end - matrix.cols:end]) for end in ends]
             np.testing.assert_array_equal(tracker.trailing_diagonal(ends), expected)
+
+
+def naive_predict(history, estimators, window):
+    """Slice-and-refit reference for predict_next: one fit per estimator on
+    the last ``window`` rows of every count matrix."""
+    spec = history.spec
+    n = len(history)
+    windows = [slice_window(m, n, window) for m in build_count_matrices(history)]
+    picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
+    combos = []
+    for estimator in estimators:
+        vectors = [predictive_expectation(estimate_alpha(w, estimator), w.col_sums, picks) for w in windows]
+        combos.append(select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec))
+    return combos
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the class and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestPredictNext:
+    """predict_next scores the window before the next draw through the
+    walk's trackers; the naive refit must agree on scores, numbers and
+    errors alike."""
+
+    @pytest.mark.parametrize("spec", [SIX_52, FIVE_10, PICK1, PICK4], ids=["6of52", "5of10", "pick1", "pick4"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("smoothing", [0.0, 0.3, 1e305, 5e-324])
+    def test_matches_naive_refit(self, spec, kind, smoothing):
+        k = spec.categories
+        estimators = [EstimatorConfig(kind, mle_smoothing=smoothing)]
+        for draws in (5, k, 300):  # 5 draws is shorter than K for every game here
+            history = synthetic_history(spec, draws, seed=draws + k)
+            for window in (None, k // 2, k, k + 7):
+                if window is not None and window > draws:
+                    continue
+                got = outcome(predict_next, history, estimators, window)
+                want = outcome(naive_predict, history, estimators, window)
+                case = f"draws={draws} window={window}"
+                if isinstance(want, tuple):
+                    assert got == want, case
+                    continue
+                assert not isinstance(got, tuple), f"{case}: {got}"
+                ((combo,), (expected,)) = got, want
+                assert combo.numbers == expected.numbers, case
+                assert len(combo.scores) == len(expected.scores), case
+                for vec, ref in zip(combo.scores, expected.scores):
+                    assert np.array_equal(vec, ref, equal_nan=True), case
+
+    def test_one_call_serves_every_estimator_in_order(self):
+        history = synthetic_history(PICK4, 120, seed=3)
+        estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
+        got = predict_next(history, estimators, 60)
+        want = naive_predict(history, estimators, 60)
+        assert [c.numbers for c in got] == [c.numbers for c in want]
+
+    def test_is_the_walks_pick_for_the_draw_after_the_history(self):
+        history = synthetic_history(SIX_52, 140, seed=9)
+        config = BacktestConfig(EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), window=60, warmup=60)
+        last = run_backtest(history, config).records[-1]
+        head = DrawHistory.from_records(SIX_52, history.records[:last.draw_index])
+        (combo,) = predict_next(head, [config.estimator], 60)
+        assert combo.numbers == last.prediction
+
+    @pytest.mark.parametrize("draws,window,message", [
+        (0, None, "history is empty"),
+        (30, 31, "window 31 exceeds the 30 available draws"),
+        (30, 0, "window must be positive, got 0"),
+    ])
+    def test_rejects_an_empty_history_and_a_window_that_does_not_fit(self, draws, window, message):
+        history = DrawHistory.from_records(SIX_52, synthetic_history(SIX_52, 30, seed=1).records[:draws])
+        with pytest.raises(ValueError) as info:
+            predict_next(history, [EstimatorConfig(EstimatorKind.MOM)], window)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
 
 
 class TestRunBacktest:

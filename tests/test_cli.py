@@ -130,6 +130,28 @@ class TestPredict:
                            "--input", str(history_csv), "--estimator", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("draws,flags,code,err", [
+        pytest.param(5, ("--estimator", "md"), 1,
+                     "error: need at least 52 rows for a trailing 52x52 window, got 5\n", id="md-5-draws"),
+        pytest.param(80, ("--estimator", "md", "--window", "20"), 1,
+                     "error: need at least 52 rows for a trailing 52x52 window, got 20\n", id="md-window-20"),
+        pytest.param(80, ("--estimator", "mle"), 1,
+                     "error: window has zero entries after smoothing; the total-mass formula takes logs of every entry\n",
+                     id="mle-unsmoothed"),
+        pytest.param(300, ("--window", "301"), 2, "error: window 301 exceeds the 300 available draws\n",
+                     id="window-above-n"),
+        pytest.param(0, (), 2, "error: history is empty\n", id="empty"),
+    ])
+    def test_error_battery(self, capsys, tmp_path, draws, flags, code, err):
+        path = tmp_path / "history.csv"
+        if draws:
+            run(capsys, "synth", "--game", "set", "--pool", "52", "--picks", "6", "--draws", str(draws),
+                "--seed", "5", "--output", str(path))
+        else:
+            path.write_text("", encoding="utf-8")
+        got = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6", "--input", str(path), *flags)
+        assert got == (code, "", err)
+
 
 class TestBacktest:
     def test_synthetic_runs_are_byte_identical(self, capsys):
@@ -414,6 +436,9 @@ class TestStrictValues:
         pytest.param("hits.txt", f"{HUGE}\n", "an integer is too long", id="hits.txt-huge"),
         pytest.param("gaps.json", f'{{"gaps": [44, {HUGE}]}}', "an integer is too long", id="gaps.json-huge"),
         pytest.param("hits.json", f"[0, {HUGE}]", "an integer is too long", id="hits.json-huge"),
+        # json.loads recurses once per nested list.
+        pytest.param("gaps.json", "[" * 100_000 + "]" * 100_000, "JSON nests too deeply", id="gaps.json-deep"),
+        pytest.param("hits.json", "[" * 100_000, "JSON nests too deeply", id="hits.json-deep"),
     ])
     def test_integer_list_files_follow_the_same_rule(self, capsys, tmp_path, name, text, message):
         path = tmp_path / name
