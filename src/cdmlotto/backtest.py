@@ -28,12 +28,11 @@ and the JSON records block come from array operations on those columns;
 
 from __future__ import annotations
 
-import json
 import math
-import textwrap
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
+from . import jsondoc
 from ._numpy import np
 from .distributions import _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
@@ -57,8 +56,6 @@ __all__ = [
     "classify_stretches",
     "extrapolate_gaps",
     "render_comparison",
-    "json_list_item",
-    "json_with_list",
 ]
 
 # Gaps below the cutoff are short stretches, at or above it long ones.
@@ -204,42 +201,19 @@ class BacktestResult:
         return {"records": [dict(zip(columns, row)) for row in rows], **self._summary()}
 
     def to_json(self, extra: Mapping | None = None) -> str:
-        """``json.dumps({**self.to_dict(), **extra}, sort_keys=True, indent=2)``,
-        with the records block written straight from the columns."""
-        return json_with_list({**self._summary(), **(extra or {})}, "records", self._records_json())
+        """:func:`~cdmlotto.jsondoc.document` of ``{**self.to_dict(), **extra}``,
+        with the records written straight from the columns."""
+        return jsondoc.document({**self._summary(), **(extra or {})}, {"records": self._records_json()})
 
     def _records_json(self) -> str:
-        """The records as :func:`json_with_list` takes them: one record's
-        text with a ``%d`` slot per number, repeated per draw and filled
-        from the columns in sorted-key order."""
+        """The records as :func:`~cdmlotto.jsondoc.document` takes them: one
+        record's text with a ``%d`` slot per number, repeated per draw and
+        filled from the columns in sorted-key order."""
         columns = self._record_columns()
         slots = {name: "%d" if c.ndim == 1 else ["%d"] * c.shape[1] for name, c in columns.items()}
-        record = json_list_item(slots).replace('"%d"', "%d")
+        record = jsondoc.compact(slots).replace('"%d"', "%d")
         values = np.column_stack([columns[name] for name in sorted(columns)]).ravel().tolist()
-        return ",\n".join([record] * len(self.draw_indices)) % tuple(values)
-
-
-def json_list_item(value) -> str:
-    """``value`` as ``json.dumps(sort_keys=True, indent=2)`` writes it as an
-    item of a list that is a top-level field of the document."""
-    return textwrap.indent(json.dumps(value, sort_keys=True, indent=2), "    ")
-
-
-def json_with_list(document: Mapping, key: str, items: str) -> str:
-    """``json.dumps({**document, key: [...]}, sort_keys=True, indent=2)``,
-    given the list's :func:`json_list_item` texts joined by ``",\\n"``
-    (the empty string for an empty list).
-
-    The rest of the document goes through ``json.dumps`` with a
-    placeholder list.  A top-level key is the only line that starts with
-    exactly two spaces and a quote (``json.dumps`` escapes line breaks
-    inside strings), so the placeholder is found unambiguously.  Repeated
-    or templated items are thus written without encoding each one.
-    """
-    text = json.dumps({**document, key: []}, sort_keys=True, indent=2)
-    head, _, tail = text.partition(f'\n  "{key}": []')
-    block = f"[\n{items}\n  ]" if items else "[]"
-    return f'{head}\n  "{key}": {block}{tail}'
+        return jsondoc.ITEM_SEPARATOR.join([record] * len(self.draw_indices)) % tuple(values)
 
 
 def select_combination(scores, spec: GameSpec) -> PredictedCombination:

@@ -33,8 +33,6 @@ from .backtest import (
     classify_stretches,
     extrapolate_gaps,
     gap_stats,
-    json_list_item,
-    json_with_list,
     predict_next,
     render_comparison,
     run_backtest,
@@ -50,6 +48,7 @@ from .ingest import (
     serialize_history,
     synthetic_history,
 )
+from .jsondoc import ITEM_SEPARATOR, compact, document
 from .strategy import (
     AccountingMode,
     CapExceededError,
@@ -217,10 +216,6 @@ def _emit(text: str, cfg: dict) -> None:
         sys.stdout.write(text)
 
 
-def _json_dumps(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
-
-
 def _echo_value(value):
     """A setting in the form the JSON echo prints it."""
     if isinstance(value, ExtensionRule):
@@ -258,12 +253,8 @@ def cmd_synth(cfg: dict) -> int:
         return 0
     Path(cfg["output"]).write_text(csv_text, encoding="utf-8")
     if cfg["format"] == "json":
-        document = {
-            "config": _config_echo(cfg, spec),
-            "generator": SYNTH_GENERATOR,
-            "rows": len(history),
-        }
-        sys.stdout.write(_json_dumps(document))
+        fields = {"config": _config_echo(cfg, spec), "generator": SYNTH_GENERATOR, "rows": len(history)}
+        sys.stdout.write(document(fields))
     else:
         print(
             f"wrote {len(history)} draws to {cfg['output']}"
@@ -285,7 +276,7 @@ def cmd_predict(cfg: dict) -> int:
     if cfg["format"] == "json":
         items = [{"estimator": kind.value, "numbers": list(combo.numbers),
                   "scores": [vec.tolist() for vec in combo.scores]} for kind, combo in predictions]
-        _emit(_json_dumps({"config": _config_echo(cfg, spec), "predictions": items}), cfg)
+        _emit(document({"config": _config_echo(cfg, spec), "predictions": items}), cfg)
     else:
         lines = render_comparison([(kind.value, combo.numbers) for kind, combo in predictions])
         _emit("\n".join(lines) + "\n", cfg)
@@ -392,7 +383,7 @@ def _hits_replay(cfg: dict) -> int:
         indices = _read_int_series(Path(cfg["hits_file"]), "hit_indices", "hits")
     report = _gap_report(indices)
     if cfg["format"] == "json":
-        _emit(_json_dumps({"config": _config_echo(cfg), **report}), cfg)
+        _emit(document({"config": _config_echo(cfg), **report}), cfg)
     else:
         _emit("\n".join(_gap_lines(report) + _stretch_lines(report)) + "\n", cfg)
     return 0
@@ -425,7 +416,7 @@ def cmd_backtest(cfg: dict) -> int:
             "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
             "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
         }
-        _emit(result.to_json(fields) + "\n", cfg)
+        _emit(result.to_json(fields), cfg)
     else:
         _emit(_backtest_text(result, spec, cfg, report), cfg)
     return 0
@@ -495,10 +486,10 @@ def cmd_simulate(cfg: dict) -> int:
 
     if cfg["format"] == "json":
         items = {
-            g: json_list_item({**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)})
+            g: compact({**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)})
             for g, ledger in distinct.items()
         }
-        document = {
+        fields = {
             "config": _config_echo(cfg),
             "aggregate": {
                 "total_spend_cents": summary.total_spend_cents,
@@ -508,7 +499,7 @@ def cmd_simulate(cfg: dict) -> int:
                 "required_budget_cents": budget,
             },
         }
-        _emit(json_with_list(document, "streams", ",\n".join([items[g] for g in keys])) + "\n", cfg)
+        _emit(document(fields, {"streams": ITEM_SEPARATOR.join([items[g] for g in keys])}), cfg)
         return 0
 
     bodies = {g: "\n".join(render_ledger(ledger)) for g, ledger in distinct.items()}

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -41,6 +42,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_line_per_field_and_item(text, list_key):
+    """The JSON layout, read from the text alone: each top-level field on
+    one line, in sorted-key order, and each object of the ``list_key`` list
+    on a line of its own."""
+    lines = iter(text.split("\n"))
+    assert next(lines) == "{"
+    fields, blocks = {}, []
+    for line in itertools.takewhile(lambda row: row != "}", lines):
+        key, _, value = line.removesuffix(",").partition(":")
+        if value.strip() == "[":
+            block = itertools.takewhile(lambda row: row.strip().removesuffix(",") != "]", lines)
+            items = [json.loads(row.removesuffix(",")) for row in block]
+            assert all(isinstance(item, dict) and list(item) == sorted(item) for item in items)
+            blocks.append(json.loads(key))
+            value = json.dumps(items)
+        fields[json.loads(key)] = json.loads(value)
+    assert list(lines) == [""]
+    assert list(fields) == sorted(fields)
+    assert blocks == ([list_key] if fields[list_key] else [])
+    assert fields == json.loads(text)
 
 
 @pytest.fixture
@@ -280,10 +303,31 @@ class TestSimulate:
         assert players[:5] == [1, 2, 5, 12, 29]  # ceil(2.4 * 12)
 
 
+class TestEarlierLayoutDocuments:
+    """A backtest document in the earlier indent-2 layout still feeds
+    simulate and hits replays, which print what the current layout gives."""
+
+    @pytest.mark.parametrize("argv", [("simulate", "--gaps-file"), ("backtest", "--hits-file")])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_same_report_from_either_layout(self, capsys, tmp_path, argv, fmt):
+        report = tmp_path / "bt.json"
+        code, _, err = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "400",
+                           "--seed", "5", "--threshold", "2", "--format", "json", "--output", str(report))
+        assert code == 0, err
+        current = report.read_text()
+        assert len(json.loads(current)["gaps"]) >= 2
+        from_current = run(capsys, *argv, str(report), "--format", fmt)
+        assert from_current[0] == 0
+        earlier = json.dumps(json.loads(current), sort_keys=True, indent=2) + "\n"
+        assert earlier != current
+        report.write_text(earlier)
+        assert run(capsys, *argv, str(report), "--format", fmt) == from_current
+
+
 class TestSimulateMatchesPerStreamOracle:
     """simulate renders each distinct stream once and repeats its text; the
-    report must equal one built stream by stream, with ``ledger_to_dict``
-    and ``json.dumps`` or with ``render_ledger``."""
+    report must equal one built stream by stream: the document of
+    ``ledger_to_dict`` items, one stream per line, or ``render_ledger``."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -320,7 +364,8 @@ class TestSimulateMatchesPerStreamOracle:
                     "required_budget_cents": budget,
                 },
             }
-            assert out.getvalue() == json.dumps(document, sort_keys=True, indent=2) + "\n"
+            assert json.loads(out.getvalue()) == document
+            assert_line_per_field_and_item(out.getvalue(), "streams")
             return
         lines = [line for _, title, ledger in streams for line in (*render_ledger(ledger, title), "")]
         lines.append(
@@ -657,9 +702,9 @@ DIFFERENTIAL_GAMES = {
 
 
 class TestBacktestJsonMatchesDocumentDump:
-    """The backtest JSON equals ``json.dumps`` of the whole document, with
-    the records from ``to_dict()``, on histories of several chunks and on a
-    one-record walk, read from a path that holds ``"records"``."""
+    """The backtest JSON reads back as the whole document, with the records
+    from ``to_dict()``, one per line, on histories of several chunks and on
+    a one-record walk, read from a path that mimics the records key."""
 
     @pytest.mark.parametrize("game", sorted(DIFFERENTIAL_GAMES))
     @pytest.mark.parametrize("window", [None, 60])
@@ -694,83 +739,129 @@ class TestBacktestJsonMatchesDocumentDump:
             "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
             "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
         }
-        assert out == json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert json.loads(out) == document
+        assert_line_per_field_and_item(out, "records")
 
 
-# sha256 of the JSON reports on small seeded histories.  Any change to these
-# bytes is a format or arithmetic change and must be versioned as one.
+# sha256 of the reports on small seeded histories.  Any change to these
+# bytes is a format or arithmetic change and must be versioned as one.  A JSON
+# report's second digest pins its content alone, whatever the layout: the
+# sha256 of json.dumps(json.loads(report), sort_keys=True).
 GOLDEN_GAMES = {
     "set": (("--game", "set", "--pool", "52", "--picks", "6"), "60"),
     "pick": (("--game", "pick", "--picks", "3"), "20"),
 }
 GOLDEN_BACKTEST = {
-    ("set", "md", "all"): "6eb0d3ea2001c9e6d6f4d37c6f546fde0c826388fbc7204169821e9352ed7605",
-    ("set", "md", "N"): "a951b27ff32b8d71ed33fbe9ba74fe313cd66eb35cc0bad42fd3c03fb57def77",
-    ("set", "mm", "all"): "d98ec7d80d61545b09012f60270a00dc6c21c1da9214f758664f84fc010591c2",
-    ("set", "mm", "N"): "7dcec1d650ec8ffff6a6c443cb63169d59e0270a4b71471ae1b92346c2692195",
-    ("set", "mle", "all"): "1d975a1617f78dea2c1b2fa18c4a7e6319f1c8016b072ef6ec7364de9223bb82",
-    ("set", "mle", "N"): "8ab938568d9af445ae9a90d0c7ca5db50b9fac4f738fe6d334811453f3e3b84b",
-    ("pick", "md", "all"): "961ef8950285fc840c3f0a242f2f5cf9f014f787d4d6ea7c2ce3228218f6ee69",
-    ("pick", "md", "N"): "d3bde96360b6d0a792dd4674fca9671f51da29392035cdbc131021bb100a333b",
-    ("pick", "mm", "all"): "b576eee92bbe8cef0d5e9737e45b9c44be2ff0dfb6e1ab2a82c56d9b575fef80",
-    ("pick", "mm", "N"): "14869efa151eea822c03e891082823a6fdd8ef72ef22642f47cacaf83edec209",
-    ("pick", "mle", "all"): "0f43346837fcf2b0672fb28884c5712022e0ef0fdbfbaaf9ef187fb8def641e6",
-    ("pick", "mle", "N"): "8139eaa0ab2ceaa1c9f41facb9c9a1069f087980463299f8df5d6d885af634d1",
+    ("set", "md", "all"): (
+        "2e50c5c0984aba0b8037a9e5aa8180decac696c862d0f73a6afab894a5db2b1e",
+        "78e74cc6a17b7e61412b3f5e0ae3d0ee51af3e73dcda4f763416de1b88c41e9e"),
+    ("set", "md", "N"): (
+        "0a06829b959188a7d9aab60064c6a47c827778b1606f7ed1dcfff78a5d800c2c",
+        "e7a72455c783fdac3d695f55d88e1e6b1d1564cf08ef4cbd2671ececaa7126c3"),
+    ("set", "mm", "all"): (
+        "be4f0b61c289a68186cec032040c0ca3b05ed51c4f58b37c3574cfefd5dd7d0b",
+        "36ab52a30a65a019f2e07942d71712e0f088119da9f042203380b6ae31f54704"),
+    ("set", "mm", "N"): (
+        "bfecc29e33a09d0d1c9bb6fbe9a869b360e9c31572f9f33d356e70abca4ce376",
+        "6d0244460f9afb7f809ff9df19d09347e8f674b29c224902980f84326af48461"),
+    ("set", "mle", "all"): (
+        "adfb9dd6e2a14a29b5092d11f2bdf192ff9a2a3bc7a03aaa9a55c44c56891fed",
+        "8b88ffb561102697f0962e5212997fdc3b22d2dcca769de8df4fa839f5a18874"),
+    ("set", "mle", "N"): (
+        "92fcd5dc9b31b8b8695ea00f780c9f68b70087254cf741f3b67058e0c0ca7f14",
+        "46f5f97d3243287de133bd7f8f74621b671a5fdcb873424647b64d1b5004200e"),
+    ("pick", "md", "all"): (
+        "9da8338f39924768f0ee904f4833416d85b01b5f987c1fa6b710aeec7e01a9ed",
+        "684dbe46c6433b670998b3ab91a85963af71ad777aa8e2b91af73d44cd6d0bd0"),
+    ("pick", "md", "N"): (
+        "cb1ffebdbf43a8c9c79978509015f8668f1c7d55fbdf4e9ee3ad00f0b357fdfb",
+        "76697257608a5f61f307494342fe7c16435f5184e8899e78dc051b10ef0ef2b5"),
+    ("pick", "mm", "all"): (
+        "75d0217c7228cec0202e45ae59f58384c8a6df68d7becfd45e311f030a6ea390",
+        "99419fe9bd0512bc48ff316eb40dbb0891bc0814d433b0dc7f37b4b6824227a7"),
+    ("pick", "mm", "N"): (
+        "87745b2670b31504497ffc1454b7952a66c4f4889bef90279e31f78b75ff2a06",
+        "ba6cb14c3599224524870192a5b92eda92c4ee9118454adb38a7367e83387e4c"),
+    ("pick", "mle", "all"): (
+        "0308fca88aa2b41b21d21752bbc9f31441e890882fb8a72d1081c490325cd62e",
+        "0fd9ae5adfb181ae75e3dfb85b72833165b90065965e7ac56d1a9584cf259645"),
+    ("pick", "mle", "N"): (
+        "fd593a3c770613e5b13bf5b5634f0b4b454d6c6aec3fac781b0d766efc4df493",
+        "8d65f4fa033842c5bbc42cb9ac2acab81e0b153d0ce31f76f3fe66ce8a7e839a"),
 }
 GOLDEN_PREDICT = {
-    "set": "36b21cdd62e77e2eec12a9f09c89e3e17994e43607ef24e03646e8f7795944a4",
-    "pick": "ce358d61e75d46b8759ff1194a8f88ae7c33510a20b96d04ba3be06029df277f",
+    "set": ("18773d7156999ca584a0bb946b076780dc5164f68eff9550a27569e40ef0427a",
+             "2f65ea9b2d2be643c6f6ab796a48ffa2fee7d1cd9c89b8b0e2c69c8a808f9ef7"),
+    "pick": ("ca158901f2398dc61fd6a978ac2b1a96194540d8456f5c3aedec0187bccea281",
+             "db76521c08383321a814c8692be7d2503c5b3b51926b3f15c1176fc7b84576dc"),
 }
 # Reports on histories long enough to span several chunks of the batched
 # walk, recorded before it was batched.
 GOLDEN_MULTI_CHUNK = {
     ("backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "1700", "--seed", "41",
      "--estimator", "mm", "--window", "all", "--threshold", "2", "--format", "json"):
-        "c8ddf6335dec6871e4e8f96348d4a7b99daa37351cf78d74dbf6241a7128d782",
+        ("510ef37bacf2a3aae6c1c5451c931910aeae01ae06996a22b6e306edce710b88",
+         "c3304fac2ddd0ab5ef3256aff2e2754d36617386e33afec5c3b896cb7a931be3"),
     ("backtest", "--game", "pick", "--picks", "4", "--draws", "1700", "--seed", "42", "--estimator", "mle",
      "--smoothing", "1", "--window", "500", "--warmup", "500", "--threshold", "2", "--format", "text"):
-        "120b544f047afeb37a8d0a1169342812a8fd53f0f35bf42904ee0ab4b66873cd",
+        ("120b544f047afeb37a8d0a1169342812a8fd53f0f35bf42904ee0ab4b66873cd", None),
 }
 HITS = "0,44,659,1357,1369,1915,2039,3449,3685,4285"
-# name: (config file text or None, argv, sha256 of report.json if the run
+# name: (config file text or None, argv, digests of report.json if the run
 # writes it, else of stdout).  Each run starts in a directory holding
 # history.csv, 120 draws of the set game at seed 12.
 GOLDEN_RUNS = {
     "simulate-defaults": (
         None, ("simulate", "--gaps", "44,615,1410", "--format", "json"),
-        "f59b94fa7ee6170a9a752e210a0efbbaddf29c032182edf26d96d8b9e5eb59e0"),
+        ("ee5ceda9c11c63c31b18d031faba39507bfb96f98b9ead27115228064bea9125",
+         "8ebffc7b93a8b44268fd8f4a398ce0cb8cf71178633280a555be9940e440d8e0")),
     "simulate-config": (
         "format = json\noutput = report.json\ngaps = 44, 615\nticket-price = 2.5\npayout = 400\n"
         "quarter_days = 30\nschedule = 1,3,7\nextension = ratio:2.4\naccounting = exact\n",
         ("simulate",),
-        "0c390781920c72093cc3c1815dd2caac04ae187da10409944b74116f0892c99b"),
+        ("001b0582f2cf91eafd471c1f0659d772971c76fd8f93fd46e0c7dbd28cbd42bc",
+         "94b74ecabb69189fc3d3f25b272766179a5854248b9bff75bdb754f89b739eab")),
     "hits-replay": (
         None, ("backtest", "--hits", HITS, "--format", "json"),
-        "0af13e0f7edf3e07b59e58c6ebb77b377e1d619a42042ee70a727478e2fd9093"),
+        ("2308b7c404073cd9ff4df0acef5da71f290ad257a9e3f0fde4bd81d459289760",
+         "b938fd895b82c7fcdade88a14fb132c359f348e3a1054c107edcd5f4466bb8e2")),
     "synth": (
         None, ("synth", "--game", "pick", "--picks", "3", "--draws", "50", "--seed", "9",
                "--output", "draws.csv", "--format", "json"),
-        "0866f05ee2dc98c6b0a5c15c9488ff75248110eb1c5342e6291a10c62b2f561b"),
+        ("2bbe49aa9bd5402745a5bff63ef28c17739f66a5e2beaa9acbdcad50acd652bb",
+         "7720624dfb24142e2d13f28fad1a31dfe46ad93d6f52238d93e9355fccea09d3")),
     "backtest-config": (
         "game = set\npool = 52\npicks = 6\ndraws = 150\nseed = 13\nestimator = mm\nsmoothing = 0.5\n"
         "window = 40\nwarmup = 45\nthreshold = 2\nformat = json\n",
         ("backtest",),
-        "dc22a4e3855d356408eba050a21f394c750b42562e8fe37a02fd8c940dc7fdda"),
+        ("ddf694767646c19d2bab24853711a9c41e5630106efc4ab59a49166a38af481f",
+         "e9fba2115ad738c388e5a07f3ef15d51364c9341887ba575f81c8e0e356299d9")),
     "predict-config": (
         "game = set\npool = 52\npicks = 6\ninput = history.csv\nestimator = md,mm,mle\n"
         "smoothing = 1\nwindow = 60\nformat = json\n",
         ("predict",),
-        "f365119786bf770e84136874889997eb11adc14e5f99aca4229adfc11b904cec"),
+        ("b9ace0a791d86867dd625571f4bfe68556948d4ad6ba3a8955b255f87946222b",
+         "373e3c06060fdcbe1972d649c063a2ee32deb1c1699397bb61ebba61ecb110bd")),
     "backtest-text": (
         None, ("backtest", *GOLDEN_GAMES["set"][0], "--draws", "150", "--seed", "11", "--threshold", "2"),
-        "818f5a2e9402321ad06ab1211d7fc3b17df35f784a98012473f9a132a5f05a44"),
+        ("818f5a2e9402321ad06ab1211d7fc3b17df35f784a98012473f9a132a5f05a44", None)),
 }
 
 
-def sha256_of_stdout(capsys, *argv):
+def assert_digests(data: bytes, digests):
+    """The report's bytes match the first digest and, for a JSON report,
+    its content matches the second."""
+    digest, content = digests
+    if content is not None:
+        canonical = json.dumps(json.loads(data), sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == content
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def assert_stdout_digests(capsys, digests, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    return hashlib.sha256(out.encode()).hexdigest()
+    assert_digests(out.encode(), digests)
 
 
 class TestGoldenBytes:
@@ -780,11 +871,11 @@ class TestGoldenBytes:
         argv = ["backtest", *flags, "--draws", "150", "--seed", "11", "--estimator", estimator,
                 "--smoothing", "0.5", "--threshold", "2", "--format", "json"]
         argv += ["--window", "all"] if window == "all" else ["--window", width, "--warmup", width]
-        assert sha256_of_stdout(capsys, *argv) == GOLDEN_BACKTEST[game, estimator, window]
+        assert_stdout_digests(capsys, GOLDEN_BACKTEST[game, estimator, window], *argv)
 
     @pytest.mark.parametrize("argv", sorted(GOLDEN_MULTI_CHUNK))
     def test_multi_chunk_backtest(self, capsys, argv):
-        assert sha256_of_stdout(capsys, *argv) == GOLDEN_MULTI_CHUNK[argv]
+        assert_stdout_digests(capsys, GOLDEN_MULTI_CHUNK[argv], *argv)
 
     @pytest.mark.parametrize("game", sorted(GOLDEN_PREDICT))
     def test_predict_json(self, capsys, tmp_path, monkeypatch, game):
@@ -792,13 +883,12 @@ class TestGoldenBytes:
         monkeypatch.chdir(tmp_path)  # the config echo records the input path as given
         assert main(["synth", *flags, "--draws", "120", "--seed", "12", "--output", "history.csv"]) == 0
         capsys.readouterr()  # drop the confirmation line
-        digest = sha256_of_stdout(capsys, "predict", *flags, "--input", "history.csv",
-                                  "--estimator", "md,mm,mle", "--smoothing", "1", "--format", "json")
-        assert digest == GOLDEN_PREDICT[game]
+        assert_stdout_digests(capsys, GOLDEN_PREDICT[game], "predict", *flags, "--input", "history.csv",
+                              "--estimator", "md,mm,mle", "--smoothing", "1", "--format", "json")
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
     def test_cli_run(self, capsys, tmp_path, monkeypatch, name):
-        config, argv, digest = GOLDEN_RUNS[name]
+        config, argv, digests = GOLDEN_RUNS[name]
         monkeypatch.chdir(tmp_path)  # the config echo records paths as given
         assert main(["synth", *GOLDEN_GAMES["set"][0], "--draws", "120", "--seed", "12",
                      "--output", "history.csv"]) == 0
@@ -810,7 +900,7 @@ class TestGoldenBytes:
         assert code == 0, err
         report = Path("report.json")
         data = report.read_bytes() if report.exists() else out.encode()
-        assert hashlib.sha256(data).hexdigest() == digest
+        assert_digests(data, digests)
 
 
 # Runs each command of argv[2] (a JSON list of argv lists) through main() in
