@@ -52,10 +52,11 @@ def main() -> None:
     for estimator in estimators:
         result = run_backtest(history, BacktestConfig(estimator, hit_threshold=args.threshold))
         trials = len(result.records)
-        rate = result.hit_count / trials
+        hits = len(result.hit_indices)
+        rate = hits / trials
         sigma = math.sqrt(expected * (1 - expected) / trials)
         z = (rate - expected) / sigma
-        print(f"{estimator.kind.value:<12} {result.hit_count:>6} {trials:>7} {rate:>9.5f} {z:>7.2f}")
+        print(f"{estimator.kind.value:<12} {hits:>6} {trials:>7} {rate:>9.5f} {z:>7.2f}")
     print("|z| <= 3 is consistent with chance; the model has no edge on exchangeable data")
 
 

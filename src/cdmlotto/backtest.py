@@ -53,6 +53,7 @@ __all__ = [
     "run_backtest",
     "predict_next",
     "gap_stats",
+    "gap_report",
     "classify_stretches",
     "extrapolate_gaps",
     "render_comparison",
@@ -114,7 +115,6 @@ class GapStats:
     gaps: tuple[int, ...]
     average: float | None
     max_gap: int | None
-    count: int
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,13 @@ class StretchSummary:
 
 @dataclass(frozen=True, eq=False)
 class BacktestResult:
-    """The walk's outcome as whole-history columns plus its hit summary.
+    """The walk's outcome as whole-history columns plus its hits.
 
     Row i of ``draw_indices`` (n,), ``predictions`` (n, picks), ``actuals``
     (n, picks) and ``match_counts`` (n,), all read-only int64 arrays,
     describes the i-th predicted draw.  ``records`` and ``hits`` build
-    :class:`DrawOutcome` rows from them on each access.
+    :class:`DrawOutcome` rows from them on each access; :meth:`summary`
+    builds every other report field.
     """
 
     draw_indices: np.ndarray
@@ -139,10 +140,6 @@ class BacktestResult:
     actuals: np.ndarray
     match_counts: np.ndarray
     hit_indices: tuple[int, ...]
-    gaps: tuple[int, ...]
-    average_gap: float | None
-    max_gap: int | None
-    hit_count: int
     tier_counts: dict[int, int]
     warmup: int
     hit_threshold: int
@@ -181,15 +178,27 @@ class BacktestResult:
             "match_count": self.match_counts,
         }
 
-    def _summary(self) -> dict:
-        """Every document field but the records."""
+    def summary(self) -> dict:
+        """Every document field but the records: :func:`gap_report` of the hits,
+        the match-count histogram, and the average gap per minimum match count
+        reached at least twice, with log-linear projections for the others.
+        Successive gaps telescope, so a count's average gap is
+        ``(last - first) / (hits - 1)`` over the draws that reach it."""
+        tiers = range(1, self.predictions.shape[1] + 1)
+        observed: dict[int, float] = {}
+        for tier in tiers:
+            reached = self.draw_indices[self.match_counts >= tier]
+            if reached.size >= 2:
+                observed[tier] = int(reached[-1] - reached[0]) / (reached.size - 1)
+        missing = [t for t in tiers if t not in observed]
+        projected = extrapolate_gaps(observed, missing) if len(observed) >= 2 and missing else {}
+        # String keys in integer order: a renderer that sorts them puts "10" before "2".
         return {
-            "hit_indices": list(self.hit_indices),
-            "gaps": list(self.gaps),
-            "average_gap": self.average_gap,
-            "max_gap": self.max_gap,
-            "hit_count": self.hit_count,
+            **gap_report(self.hit_indices),
+            "hit_count": len(self.hit_indices),
             "tier_counts": {str(k): v for k, v in sorted(self.tier_counts.items())},
+            "tier_average_gaps": {str(k): v for k, v in observed.items()},
+            "projected_gaps": {str(k): v for k, v in projected.items()},
             "warmup": self.warmup,
             "hit_threshold": self.hit_threshold,
         }
@@ -198,12 +207,12 @@ class BacktestResult:
         """Machine-readable document with fixed field names."""
         columns = self._record_columns()
         rows = zip(*(column.tolist() for column in columns.values()))
-        return {"records": [dict(zip(columns, row)) for row in rows], **self._summary()}
+        return {"records": [dict(zip(columns, row)) for row in rows], **self.summary()}
 
     def to_json(self, extra: Mapping | None = None) -> str:
         """:func:`~cdmlotto.jsondoc.document` of ``{**self.to_dict(), **extra}``,
         with the records written straight from the columns."""
-        return jsondoc.document({**self._summary(), **(extra or {})}, {"records": self._records_json()})
+        return jsondoc.document({**self.summary(), **(extra or {})}, {"records": self._records_json()})
 
     def _records_json(self) -> str:
         """The records as :func:`~cdmlotto.jsondoc.document` takes them: one
@@ -386,19 +395,13 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     for column in (draw_indices, predictions, actuals, match_counts):
         column.flags.writeable = False
 
-    hit_indices = tuple(draw_indices[match_counts >= threshold].tolist())
-    stats = gap_stats(hit_indices)
     tiers = np.bincount(match_counts).tolist()
     return BacktestResult(
         draw_indices=draw_indices,
         predictions=predictions,
         actuals=actuals,
         match_counts=match_counts,
-        hit_indices=hit_indices,
-        gaps=stats.gaps,
-        average_gap=stats.average,
-        max_gap=stats.max_gap,
-        hit_count=len(hit_indices),
+        hit_indices=tuple(draw_indices[match_counts >= threshold].tolist()),
         tier_counts={tier: count for tier, count in enumerate(tiers) if count},
         warmup=warmup,
         hit_threshold=threshold,
@@ -458,8 +461,27 @@ def gap_stats(hit_indices: Sequence[int]) -> GapStats:
         raise ValueError("hit indices must be strictly increasing")
     gaps = tuple(b - a for a, b in zip(indices, indices[1:]))
     if not gaps:
-        return GapStats((), None, None, 0)
-    return GapStats(gaps, sum(gaps) / len(gaps), max(gaps), len(gaps))
+        return GapStats((), None, None)
+    return GapStats(gaps, sum(gaps) / len(gaps), max(gaps))
+
+
+def gap_report(hit_indices: Sequence[int]) -> dict:
+    """Hit indices, gap statistics and stretch labels: the report fields
+    that backtest and hits-replay documents share."""
+    stats = gap_stats(hit_indices)
+    stretch = classify_stretches(stats.gaps)
+    return {
+        "hit_indices": list(hit_indices),
+        "gaps": list(stats.gaps),
+        "average_gap": stats.average,
+        "max_gap": stats.max_gap,
+        "stretch": {
+            "cutoff": stretch.cutoff,
+            "labels": list(stretch.labels),
+            "alternation_fraction": stretch.alternation_fraction,
+            "note": ALTERNATION_NOTE,
+        },
+    }
 
 
 def classify_stretches(gaps: Sequence[int], cutoff: int = SHORT_LONG_CUTOFF) -> StretchSummary:

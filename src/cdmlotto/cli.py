@@ -26,13 +26,10 @@ import sys
 from pathlib import Path
 
 from .backtest import (
-    ALTERNATION_NOTE,
     BacktestConfig,
     BacktestError,
     BacktestResult,
-    classify_stretches,
-    extrapolate_gaps,
-    gap_stats,
+    gap_report,
     predict_next,
     render_comparison,
     run_backtest,
@@ -245,6 +242,8 @@ def _config_echo(cfg: dict, spec: GameSpec | None = None) -> dict:
 def cmd_synth(cfg: dict) -> int:
     if cfg["draws"] is None:
         raise CliError("synth needs --draws")
+    if cfg["format"] == "json" and not cfg["output"]:
+        raise CliError("synth --format json needs --output: the JSON document describes the CSV written there")
     spec = _game_spec(cfg)
     history = synthetic_history(spec, cfg["draws"], cfg["seed"])
     csv_text = serialize_history(history)
@@ -287,25 +286,6 @@ def cmd_predict(cfg: dict) -> int:
 # backtest
 
 
-def _gap_report(hit_indices) -> dict:
-    """Hit indices, gap statistics and stretch labels: the fields that
-    backtest and hits-replay documents share."""
-    stats = gap_stats(hit_indices)
-    stretch = classify_stretches(stats.gaps)
-    return {
-        "hit_indices": list(hit_indices),
-        "gaps": list(stats.gaps),
-        "average_gap": stats.average,
-        "max_gap": stats.max_gap,
-        "stretch": {
-            "cutoff": stretch.cutoff,
-            "labels": list(stretch.labels),
-            "alternation_fraction": stretch.alternation_fraction,
-            "note": ALTERNATION_NOTE,
-        },
-    }
-
-
 def _gap_lines(report: dict) -> list[str]:
     lines = [
         "hit indices: " + (", ".join(str(i) for i in report["hit_indices"]) or "none"),
@@ -329,26 +309,8 @@ def _stretch_lines(report: dict) -> list[str]:
     return lines
 
 
-def _tier_gap_report(result: BacktestResult, picks: int) -> tuple[dict[int, float], dict[int, float]]:
-    """Average gap per minimum match count, plus log-linear projections for
-    the counts with too few hits to measure.
-
-    Successive gaps telescope, so a tier's average gap is
-    ``(last - first) / (hits - 1)`` over the draws that reach it.
-    """
-    observed: dict[int, float] = {}
-    for tier in range(1, picks + 1):
-        reached = result.draw_indices[result.match_counts >= tier]
-        if reached.size >= 2:
-            observed[tier] = int(reached[-1] - reached[0]) / (reached.size - 1)
-    missing = [t for t in range(1, picks + 1) if t not in observed]
-    projections: dict[int, float] = {}
-    if len(observed) >= 2 and missing:
-        projections = extrapolate_gaps(observed, missing)
-    return observed, projections
-
-
-def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict, report: dict) -> str:
+def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
+    summary = result.summary()
     lines = []
     window = _window_arg(cfg["window"])
     lines.append(
@@ -356,32 +318,30 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict, report: di
         f" estimator {cfg['estimator']}; window {'all' if window is None else window};"
         f" warmup {result.warmup}; threshold {result.hit_threshold}"
     )
-    lines.append(f"predicted draws: {len(result.draw_indices)}; hits: {result.hit_count}")
+    lines.append(f"predicted draws: {len(result.draw_indices)}; hits: {summary['hit_count']}")
     for r in result.hits:
         lines.append(f"draw {r.draw_index} (matched {r.match_count}):")
         comparison = render_comparison([(cfg["estimator"], r.prediction)], r.actual)
         lines.extend("  " + line for line in comparison)
-    lines.extend(_gap_lines(report))
-    tiers = ", ".join(f"{k}: {v}" for k, v in sorted(result.tier_counts.items()))
+    lines.extend(_gap_lines(summary))
+    tiers = ", ".join(f"{k}: {v}" for k, v in summary["tier_counts"].items())
     lines.append(f"match-count histogram: {tiers}")
-    lines.extend(_stretch_lines(report))
-    observed, projections = _tier_gap_report(result, spec.picks)
-    if observed:
+    lines.extend(_stretch_lines(summary))
+    if summary["tier_average_gaps"]:
         lines.append("average gap by minimum match count:")
-        for tier, gap in sorted(observed.items()):
+        for tier, gap in summary["tier_average_gaps"].items():
             lines.append(f"  >={tier}: {gap:.1f} draws")
-        for tier, gap in sorted(projections.items()):
+        for tier, gap in summary["projected_gaps"].items():
             lines.append(f"  >={tier}: {gap:.1f} draws [PROJECTION]")
     return "\n".join(lines) + "\n"
 
 
 def _hits_replay(cfg: dict) -> int:
     """Gap statistics for a precomputed hit-index list, no model walk."""
-    if cfg["hits"] is not None:
-        indices = list(cfg["hits"])
-    else:
-        indices = _read_int_series(Path(cfg["hits_file"]), "hit_indices", "hits")
-    report = _gap_report(indices)
+    hits = cfg["hits"]
+    if hits is None:
+        hits = _read_int_series(Path(cfg["hits_file"]), "hit_indices", "hits")
+    report = gap_report(hits)
     if cfg["format"] == "json":
         _emit(document({"config": _config_echo(cfg), **report}), cfg)
     else:
@@ -406,19 +366,10 @@ def cmd_backtest(cfg: dict) -> int:
         hit_threshold=cfg["threshold"],
     )
     result = run_backtest(history, config)
-    report = _gap_report(result.hit_indices)
-
     if cfg["format"] == "json":
-        observed, projections = _tier_gap_report(result, spec.picks)
-        fields = {
-            "config": _config_echo(cfg, spec),
-            **report,
-            "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
-            "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
-        }
-        _emit(result.to_json(fields), cfg)
+        _emit(result.to_json({"config": _config_echo(cfg, spec)}), cfg)
     else:
-        _emit(_backtest_text(result, spec, cfg, report), cfg)
+        _emit(_backtest_text(result, spec, cfg), cfg)
     return 0
 
 

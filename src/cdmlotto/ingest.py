@@ -96,7 +96,6 @@ class GameSpec:
     kind: GameKind
     categories: int
     picks: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind is GameKind.SET_DRAW:

@@ -190,30 +190,6 @@ def next_player_count(
     return int(players)
 
 
-def _quarter_rows(config: StrategyConfig, quarters: int) -> list[tuple[int, int, int, int, int]]:
-    """(quarter, players, full spend, net if win, loss before) per quarter.
-
-    Spends here are always full quarters; day-exact proration happens in
-    :func:`simulate_stream` for the final quarter only, which is the only
-    quarter that can end mid-way.
-    """
-    rows = []
-    loss = 0
-    previous_players = 0
-    previous_net = 0
-    for q in range(1, quarters + 1):
-        if q <= len(config.schedule):
-            players = config.schedule[q - 1]
-        else:
-            players = next_player_count(loss, previous_net, previous_players, config)
-        spend = config.quarter_cost_per_player_cents * players
-        net = config.payout_per_ticket_cents * players - spend - loss
-        rows.append((q, players, spend, net, loss))
-        previous_players, previous_net = players, net
-        loss += spend
-    return rows
-
-
 def quarter_net(quarter_index: int, config: StrategyConfig) -> int:
     """Net profit in cents if the first win lands in the given 1-based quarter.
 
@@ -222,7 +198,9 @@ def quarter_net(quarter_index: int, config: StrategyConfig) -> int:
     """
     if quarter_index < 1:
         raise ValueError(f"quarter_index must be >= 1, got {quarter_index}")
-    return _quarter_rows(config, quarter_index)[-1][3]
+    full_quarter = replace(config, accounting=AccountingMode.FULL_QUARTER)
+    first_draw = (quarter_index - 1) * config.quarter_days * config.draws_per_day
+    return simulate_stream(first_draw, full_quarter).quarters[-1].net_cents
 
 
 def simulate_stream(
@@ -253,22 +231,23 @@ def simulate_stream(
         win_quarter = None
         quarters = -(-horizon_days // config.quarter_days)
 
+    # Only the last quarter can end mid-way: ``loss`` serves ledger and extension rule alike.
     daily_cost = config.ticket_price_cents * config.draws_per_day
     records = []
-    total_spend = 0
-    for q, players, full_spend, _, loss in _quarter_rows(config, quarters):
-        spend = full_spend
-        if config.accounting is AccountingMode.EXACT_DAY:
-            if win_quarter is not None and q == win_quarter:
-                elapsed = win_day - (q - 1) * config.quarter_days + 1
-                spend = daily_cost * elapsed * players
-            elif win_quarter is None and q == quarters:
-                elapsed = horizon_days - (q - 1) * config.quarter_days
-                spend = daily_cost * elapsed * players
+    loss = players = net = 0
+    for q in range(1, quarters + 1):
+        if q <= len(config.schedule):
+            players = config.schedule[q - 1]
+        else:
+            players = next_player_count(loss, net, players, config)
+        days = config.quarter_days
+        if q == quarters and config.accounting is AccountingMode.EXACT_DAY:
+            days = (horizon_days if win_day is None else win_day + 1) - (q - 1) * config.quarter_days
+        spend = daily_cost * days * players
         payout = config.payout_per_ticket_cents * players if q == win_quarter else 0
         net = config.payout_per_ticket_cents * players - spend - loss
         records.append(QuarterRecord(q, players, spend, payout, net, loss))
-        total_spend += spend
+        loss += spend
 
     total_payout = records[-1].payout_cents if win_quarter is not None else 0
     return StreamLedger(
@@ -276,9 +255,9 @@ def simulate_stream(
         outcome="win" if win_quarter is not None else "open",
         win_quarter=win_quarter,
         win_day=win_day,
-        total_spend_cents=total_spend,
+        total_spend_cents=loss,
         total_payout_cents=total_payout,
-        profit_cents=total_payout - total_spend,
+        profit_cents=total_payout - loss,
     )
 
 

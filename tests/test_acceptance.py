@@ -167,7 +167,7 @@ def test_criterion_7_null_model_oracle():
     for estimator in estimators:
         result = run_backtest(history, BacktestConfig(estimator, hit_threshold=2))
         trials = len(result.records)
-        empirical = result.hit_count / trials
+        empirical = len(result.hit_indices) / trials
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(empirical - p) <= 3.0 * sigma, (
             f"{estimator.kind.value}: empirical {empirical:.5f} vs {p:.5f} (3 sigma {3 * sigma:.5f})"

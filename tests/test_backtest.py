@@ -437,7 +437,7 @@ class TestGapStats:
         assert round(stats.average) == 476
         assert stats.average == pytest.approx(4285 / 9)
         assert stats.max_gap == 1410
-        assert stats.count == 9
+        assert len(stats.gaps) == 9
 
     def test_single_hit_has_no_gaps(self):
         stats = gap_stats([5])

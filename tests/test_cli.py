@@ -17,7 +17,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cdmlotto.backtest import ALTERNATION_NOTE, BacktestConfig, classify_stretches, extrapolate_gaps, run_backtest
+from cdmlotto.backtest import (
+    ALTERNATION_NOTE,
+    BacktestConfig,
+    classify_stretches,
+    extrapolate_gaps,
+    gap_report,
+    gap_stats,
+    run_backtest,
+)
 from cdmlotto.cli import build_parser, main, parse_args
 from cdmlotto.estimators import EstimatorConfig, EstimatorKind
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history, synthetic_history
@@ -110,6 +118,13 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--game", "set", "--pool", "6", "--picks", "6", "--draws", "5")
         assert code == 2
         assert "picks" in err
+
+    def test_json_without_output_path_is_a_usage_error(self, capsys):
+        # The JSON document describes a written CSV file, so there must be one.
+        code, out, err = run(capsys, "synth", "--game", "pick", "--picks", "3", "--draws", "2", "--seed", "1",
+                             "--format", "json")
+        assert (code, out) == (2, "")
+        assert "--output" in err
 
 
 class TestPredict:
@@ -238,6 +253,24 @@ class TestBacktest:
         replay = json.loads(out)
         for field in ("hit_indices", "gaps", "average_gap", "max_gap", "stretch"):
             assert replay[field] == document[field]
+
+    def test_documents_are_the_library_reports(self, capsys, tmp_path):
+        spec = GameSpec(GameKind.SET_DRAW, 52, 6)
+        history = synthetic_history(spec, 400, seed=5)
+        path = tmp_path / "history.csv"
+        path.write_text(serialize_history(history), encoding="utf-8")
+        code, out, err = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",
+                             "--input", str(path), "--threshold", "2", "--format", "json")
+        assert code == 0, err
+        document = json.loads(out)
+        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        del document["config"], document["records"]
+        assert result.summary() == document
+        code, out, err = run(capsys, "backtest", "--hits", ",".join(map(str, result.hit_indices)), "--format", "json")
+        assert code == 0, err
+        replay = json.loads(out)
+        del replay["config"]
+        assert gap_report(result.hit_indices) == replay
 
     def test_text_report_sections(self, capsys):
         code, out, _ = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",
@@ -726,7 +759,7 @@ class TestBacktestJsonMatchesDocumentDump:
         result = run_backtest(history, BacktestConfig(estimator, window=window, warmup=60, hit_threshold=threshold))
         assert len(result.records) == draws - 60
         observed, projections = tier_gap_report_from_records(result.records, spec.picks)
-        stretch = classify_stretches(result.gaps)
+        stretch = classify_stretches(gap_stats(result.hit_indices).gaps)
         document = {
             "config": config,
             **result.to_dict(),
@@ -845,6 +878,11 @@ GOLDEN_RUNS = {
     "backtest-text": (
         None, ("backtest", *GOLDEN_GAMES["set"][0], "--draws", "150", "--seed", "11", "--threshold", "2"),
         ("818f5a2e9402321ad06ab1211d7fc3b17df35f784a98012473f9a132a5f05a44", None)),
+    # Tiers 10 and up: the text lists them after tier 9, in integer order.
+    "backtest-text-12-of-24": (
+        None, ("backtest", "--game", "set", "--pool", "24", "--picks", "12", "--draws", "3000", "--seed", "1",
+               "--estimator", "md", "--threshold", "8"),
+        ("ab4078bf5cb69b02a03a53abcefb8f79d248ed2abf2d27992ba5d6ad3e71164e", None)),
 }
 
 

@@ -1,6 +1,8 @@
 """Staking simulator tests: the quarterly escalation arithmetic in exact
 cents, extension rules, accounting modes, and the ledger identities."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from cdmlotto.strategy import (
     AccountingMode,
     CapExceededError,
     ExtensionRule,
+    QuarterRecord,
     StrategyConfig,
+    StreamLedger,
     ledger_to_dict,
     next_player_count,
     quarter_net,
@@ -195,6 +199,89 @@ class TestSimulateStreams:
         assert offsets == [43, 614, 697]
         assert summary.streams[0] is summary.streams[2] is summary.streams[5]
         assert summary == summarize_streams([simulate_stream(g - 1, DEFAULTS) for g in gaps])
+
+
+def two_pass_quarter_rows(config, quarters):
+    """(quarter, players, full spend, net if win, loss before) per quarter,
+    every quarter charged in full: the first pass of the two-pass ledger."""
+    rows = []
+    loss = previous_players = previous_net = 0
+    for q in range(1, quarters + 1):
+        if q <= len(config.schedule):
+            players = config.schedule[q - 1]
+        else:
+            players = next_player_count(loss, previous_net, previous_players, config)
+        spend = config.quarter_cost_per_player_cents * players
+        net = config.payout_per_ticket_cents * players - spend - loss
+        rows.append((q, players, spend, net, loss))
+        previous_players, previous_net = players, net
+        loss += spend
+    return rows
+
+
+def two_pass_stream(win_draw_offset, config, horizon_days=None):
+    """The ledger as two passes build it: full-quarter rows, then the
+    winning or final quarter prorated under day-exact accounting."""
+    if win_draw_offset is not None:
+        if win_draw_offset < 0:
+            raise ValueError(f"win_draw_offset must be >= 0, got {win_draw_offset}")
+        win_day = win_draw_offset // config.draws_per_day
+        win_quarter = quarters = win_day // config.quarter_days + 1
+    else:
+        if horizon_days is None:
+            horizon_days = len(config.schedule) * config.quarter_days
+        if horizon_days < 1:
+            raise ValueError(f"horizon_days must be positive, got {horizon_days}")
+        win_day = win_quarter = None
+        quarters = -(-horizon_days // config.quarter_days)
+    daily_cost = config.ticket_price_cents * config.draws_per_day
+    records = []
+    for q, players, spend, _, loss in two_pass_quarter_rows(config, quarters):
+        if config.accounting is AccountingMode.EXACT_DAY:
+            if win_quarter is not None and q == win_quarter:
+                spend = daily_cost * (win_day - (q - 1) * config.quarter_days + 1) * players
+            elif win_quarter is None and q == quarters:
+                spend = daily_cost * (horizon_days - (q - 1) * config.quarter_days) * players
+        payout = config.payout_per_ticket_cents * players if q == win_quarter else 0
+        net = config.payout_per_ticket_cents * players - spend - loss
+        records.append(QuarterRecord(q, players, spend, payout, net, loss))
+    total_spend = sum(r.spend_cents for r in records)
+    total_payout = records[-1].payout_cents if win_quarter is not None else 0
+    return StreamLedger(tuple(records), "win" if win_quarter is not None else "open", win_quarter, win_day,
+                        total_spend, total_payout, total_payout - total_spend)
+
+
+def outcome(fn, *args, **kwargs):
+    """The call's value, or its error's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStreamMatchesTwoPassOracle:
+    """The one-loop ledger against the two-pass one it replaced, across
+    extension rules, quarter lengths, schedules, payouts, prices and caps,
+    for wins, open horizons and ``quarter_net``."""
+
+    @pytest.mark.parametrize("accounting", list(AccountingMode))
+    @pytest.mark.parametrize("extension", ["min-recover", "1", "2.4", "0.5"])
+    def test_ledgers_errors_and_quarter_nets(self, accounting, extension):
+        rule = ExtensionRule.min_recover() if extension == "min-recover" else ExtensionRule.fixed_ratio(extension)
+        grid = itertools.product([1, 7, 60], [(1, 2, 5, 12), (3,), (1, 1, 2)], [50_000, 12_000, 1_000],
+                                 [100, 250], [10, 1_000_000])
+        for quarter_days, schedule, payout, price, cap in grid:
+            config = StrategyConfig(ticket_price_cents=price, payout_per_ticket_cents=payout,
+                                    quarter_days=quarter_days, schedule=schedule, extension=rule,
+                                    accounting=accounting, player_cap=cap)
+            for offset in (0, 1, 13, 119, 120, 239, 480):
+                assert outcome(simulate_stream, offset, config) == outcome(two_pass_stream, offset, config)
+            for horizon in (1, 6, 59, 60, 61, 241):
+                assert (outcome(simulate_stream, None, config, horizon_days=horizon)
+                        == outcome(two_pass_stream, None, config, horizon_days=horizon))
+            for quarter in range(1, 9):
+                expected = outcome(lambda: two_pass_quarter_rows(config, quarter)[-1][3])
+                assert outcome(quarter_net, quarter, config) == expected
 
 
 class TestRequiredBudget:
