@@ -51,7 +51,7 @@ def main() -> None:
     print(f"{'estimator':<12} {'hits':>6} {'trials':>7} {'rate':>9} {'z':>7}")
     for estimator in estimators:
         result = run_backtest(history, BacktestConfig(estimator, hit_threshold=args.threshold))
-        trials = len(result.records)
+        trials = len(result.draw_indices)
         hits = len(result.hit_indices)
         rate = hits / trials
         sigma = math.sqrt(expected * (1 - expected) / trials)

@@ -17,13 +17,14 @@ over a multi-decade history costs O(n K) instead of O(n^2 K).  The
 estimate, the predictive scores, the tie-broken pick and the match count
 then follow for the whole chunk at once.  Chunks bound the size of the
 temporary arrays.  :func:`predict_next` is the same scoring on the one
-window before the next draw.  Tests pin both to the naive slice-and-refit.
+window before the next draw.  Tests pin both to an independent
+slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
+``tests/test_backtest.py``), which rebuilds each window's 0/1 matrix,
+fit, scores, pick and match count from the paper's rules.
 
-The result stays columnar: one int64 array each for the predicted draws'
+The result is its columns: one int64 array each for the predicted draws'
 indices, predictions, actual numbers and match counts.  Hits, tier counts
-and the JSON records block come from array operations on those columns;
-:class:`DrawOutcome` objects are built only when a caller asks for
-``records`` or ``hits``.
+and the JSON records block come from array operations on those columns.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "BacktestError",
     "BacktestConfig",
     "PredictedCombination",
-    "DrawOutcome",
     "BacktestResult",
     "GapStats",
     "StretchSummary",
@@ -102,14 +102,6 @@ class PredictedCombination:
     scores: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class DrawOutcome:
-    draw_index: int
-    prediction: tuple[int, ...]
-    actual: tuple[int, ...]
-    match_count: int
-
-
 @dataclass(frozen=True)
 class GapStats:
     gaps: tuple[int, ...]
@@ -130,9 +122,9 @@ class BacktestResult:
 
     Row i of ``draw_indices`` (n,), ``predictions`` (n, picks), ``actuals``
     (n, picks) and ``match_counts`` (n,), all read-only int64 arrays,
-    describes the i-th predicted draw.  ``records`` and ``hits`` build
-    :class:`DrawOutcome` rows from them on each access; :meth:`summary`
-    builds every other report field.
+    describes the i-th predicted draw; the hits are the rows whose match
+    count reaches ``hit_threshold``.  :meth:`summary` builds every other
+    report field.
     """
 
     draw_indices: np.ndarray
@@ -149,25 +141,6 @@ class BacktestResult:
             return NotImplemented
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
-
-    @property
-    def records(self) -> tuple[DrawOutcome, ...]:
-        """One outcome per predicted draw."""
-        return self._outcomes(slice(None))
-
-    @property
-    def hits(self) -> tuple[DrawOutcome, ...]:
-        """The outcomes whose match count reaches the hit threshold."""
-        return self._outcomes(self.match_counts >= self.hit_threshold)
-
-    def _outcomes(self, rows) -> tuple[DrawOutcome, ...]:
-        return tuple(map(
-            DrawOutcome,
-            self.draw_indices[rows].tolist(),
-            map(tuple, self.predictions[rows].tolist()),
-            map(tuple, self.actuals[rows].tolist()),
-            self.match_counts[rows].tolist(),
-        ))
 
     def _record_columns(self) -> dict[str, np.ndarray]:
         """Each field of a document record, with the column that holds it."""
@@ -521,7 +494,7 @@ def _format_numbers(numbers: Sequence[int]) -> str:
 
 def render_comparison(
     predictions: Sequence[tuple[str, Sequence[int]]],
-    actual: DrawRecord | Sequence[int] | None = None,
+    actual: Sequence[int] | None = None,
 ) -> list[str]:
     """Labelled combination lines, one per estimator, then the actual draw.
 
@@ -531,6 +504,5 @@ def render_comparison(
     """
     lines = [f"{_format_numbers(numbers)} [{label.upper()}]" for label, numbers in predictions]
     if actual is not None:
-        numbers = actual.numbers if isinstance(actual, DrawRecord) else actual
-        lines.append(f"{_format_numbers(numbers)} [AC]")
+        lines.append(f"{_format_numbers(actual)} [AC]")
     return lines

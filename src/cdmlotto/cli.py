@@ -81,11 +81,13 @@ def _parse_count(text: str) -> int:
 
 
 def _parse_window(text: str):
+    """'all', or a positive integer under :func:`_parse_count`'s rule."""
     if text.lower() == "all":
         return "all"
-    if not is_digits(text.strip()) or int(text) < 1:
+    window = _parse_count(text) if is_digits(text.strip()) else 0
+    if window < 1:
         raise argparse.ArgumentTypeError("window must be a positive integer or 'all'")
-    return int(text)
+    return window
 
 
 def _parse_game(text: str) -> str:
@@ -319,10 +321,11 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
         f" warmup {result.warmup}; threshold {result.hit_threshold}"
     )
     lines.append(f"predicted draws: {len(result.draw_indices)}; hits: {summary['hit_count']}")
-    for r in result.hits:
-        lines.append(f"draw {r.draw_index} (matched {r.match_count}):")
-        comparison = render_comparison([(cfg["estimator"], r.prediction)], r.actual)
-        lines.extend("  " + line for line in comparison)
+    hit = result.match_counts >= result.hit_threshold
+    columns = (result.draw_indices, result.match_counts, result.predictions, result.actuals)
+    for t, matches, prediction, actual in zip(*(column[hit].tolist() for column in columns)):
+        lines.append(f"draw {t} (matched {matches}):")
+        lines.extend("  " + line for line in render_comparison([(cfg["estimator"], prediction)], actual))
     lines.extend(_gap_lines(summary))
     tiers = ", ".join(f"{k}: {v}" for k, v in summary["tier_counts"].items())
     lines.append(f"match-count histogram: {tiers}")

@@ -166,7 +166,7 @@ def test_criterion_7_null_model_oracle():
     rates = {}
     for estimator in estimators:
         result = run_backtest(history, BacktestConfig(estimator, hit_threshold=2))
-        trials = len(result.records)
+        trials = len(result.draw_indices)
         empirical = len(result.hit_indices) / trials
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(empirical - p) <= 3.0 * sigma, (

@@ -1,7 +1,9 @@
 """Backtest tests: selection and scoring examples, gap statistics against
-the reference sequence, and the rolling loop pinned to a naive refit loop."""
+the reference sequence, and the rolling loop pinned to a naive refit loop
+written from the paper's rules, independent of the library's code."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -24,14 +26,22 @@ from cdmlotto.backtest import (
     select_combination,
 )
 from cdmlotto.distributions import predictive_expectation
-from cdmlotto.estimators import EstimationError, EstimatorConfig, EstimatorKind, estimate_alpha
+from cdmlotto.estimators import (
+    DegenerateDataError,
+    EstimationError,
+    EstimatorConfig,
+    EstimatorKind,
+    InsufficientRowsError,
+    NonPositiveAlphaError,
+    ZeroEntryError,
+    estimate_alpha,
+)
 from cdmlotto.ingest import (
     DrawHistory,
     DrawRecord,
     GameKind,
     GameSpec,
     build_count_matrices,
-    slice_window,
     synthetic_history,
 )
 
@@ -117,29 +127,135 @@ class TestMatchCount:
             match_count(combo, DrawRecord(0, None, (1, 2, 3, 4, 5, 6)), PICK3)
 
 
+# The oracle below rebuilds the walk from the paper's rules, one window at a
+# time.  It takes only types and exceptions from cdmlotto and calls none of
+# its functions, so a fault in the estimators, the scores, the tie rule or
+# the match rule shows as a disagreement with the walk.  It raises the
+# walk's error classes and messages, in the walk's order of checks.
+
+# The Euler-Mascheroni constant at the paper's printed precision.
+EULER_MASCHERONI = 0.57721566490
+
+
+def indicator_matrices(history):
+    """The 0/1 count matrices: one row per draw, a one in each drawn
+    number's column; one matrix for a set game, one per digit position."""
+    spec, numbers = history.spec, history.numbers
+    if spec.kind is GameKind.SET_DRAW:
+        return [np.eye(spec.categories, dtype=np.int64)[numbers - 1].sum(axis=1)]
+    return [np.eye(10, dtype=np.int64)[digits] for digits in numbers.T]
+
+
+def log1p_ratio(q, s):
+    """``log1p(q / s)``, or ``log(s + q) - log(s)`` where ``1 / s`` overflows."""
+    return np.log1p(q / s) if math.isfinite(1 / s) else np.log(s + q) - np.log(s)
+
+
+def mle_denominator(col_sums, rows, s):
+    """The mle total-mass denominator sum_ij f_j log(f_j / x_ij) of a 0/1
+    window smoothed by s > 0, from its column shares p = col_sums / rows:
+    a column holds ``rows * p`` entries s + 1 and the rest s, and f = s + p."""
+    p = col_sums / rows
+    return rows * ((s + p) * (log1p_ratio(p, s) - p * log1p_ratio(1, s))).sum()
+
+
+def oracle_alpha(window, estimator):
+    """The estimator's concentration vector for one 0/1 window."""
+    rows, k = window.shape
+    col_sums = window.sum(axis=0)
+    if estimator.kind is EstimatorKind.MOM:
+        alpha = col_sums / rows
+    elif estimator.kind is EstimatorKind.MAIN_DIAGONAL:
+        if rows < k:
+            raise InsufficientRowsError(f"need at least {k} rows for a trailing {k}x{k} window, got {rows}")
+        alpha = np.array([window[rows - k + j, j] for j in range(k)], dtype=np.float64)
+    else:
+        s = estimator.mle_smoothing
+        if s == 0 and (col_sums < rows).any():
+            raise ZeroEntryError(
+                "window has zero entries after smoothing; the total-mass formula takes logs of every entry"
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            denominator = mle_denominator(col_sums, rows, s) if s else 0.0
+            if denominator == 0:
+                raise DegenerateDataError("total-mass denominator is zero (all columns constant)")
+            alpha0 = rows * (k - 1) * EULER_MASCHERONI / denominator
+            if alpha0 <= 0:
+                raise NonPositiveAlphaError(f"estimated total mass {alpha0:.6g} is not positive")
+            alpha = alpha0 * ((col_sums + rows * s) / rows)
+    if estimator.positivity_floor > 0:
+        alpha = np.where(alpha == 0, estimator.positivity_floor, alpha)
+    if not np.isfinite(alpha).all():
+        raise NonPositiveAlphaError("estimated concentration is not finite")
+    return alpha
+
+
+def oracle_scores(window, estimator, picks):
+    """Posterior-predictive expected counts ``m (alpha + c) / sum(alpha + c)``."""
+    posterior = oracle_alpha(window, estimator) + window.sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return picks * posterior / posterior.sum()
+
+
+def oracle_pick(spec, scores):
+    """Set games: the top ``picks`` finite scores, ties to the smaller number,
+    ascending.  Pick games: per position, the first digit of maximal score."""
+    if spec.kind is GameKind.SET_DRAW:
+        (vec,) = (v.tolist() for v in scores)
+        finite = [j for j, score in enumerate(vec) if math.isfinite(score)]
+        if len(finite) < spec.picks:
+            raise ValueError(f"need at least {spec.picks} finite scores, got {len(finite)}")
+        return tuple(sorted(j + 1 for j in sorted(finite, key=lambda j: (-vec[j], j))[:spec.picks]))
+    digits = []
+    for vec in (v.tolist() for v in scores):
+        finite = [d for d, score in enumerate(vec) if math.isfinite(score)]
+        if not finite:
+            raise ValueError("need at least one finite score per position")
+        digits.append(max(finite, key=vec.__getitem__))
+    return tuple(digits)
+
+
+def oracle_predict(spec, windows, estimator):
+    """The pick and the score vectors for one window of each count matrix."""
+    picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
+    scores = [oracle_scores(window, estimator, picks) for window in windows]
+    return oracle_pick(spec, scores), scores
+
+
+def oracle_matches(spec, prediction, actual):
+    """Set games count the shared numbers, pick games the equal positions."""
+    if spec.kind is GameKind.SET_DRAW:
+        return len(set(prediction) & set(actual))
+    return sum(p == a for p, a in zip(prediction, actual))
+
+
 def naive_backtest(history, config):
-    """Slice-and-refit reference loop; the rolling loop must agree with it."""
+    """Slice-and-refit oracle of run_backtest: for every draw t past the
+    warmup, fit rows ``[start, t)`` of each indicator matrix and score the
+    pick against draw t.  Rows are (t, prediction, match count, is hit)."""
     spec = history.spec
-    matrices = build_count_matrices(history)
-    records = history.records
-    n = len(records)
+    matrices = indicator_matrices(history)
+    actuals = history.numbers.tolist()
     warmup = config.warmup if config.warmup is not None else max(spec.categories, 10)
     threshold = config.hit_threshold if config.hit_threshold is not None else spec.picks
-    picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
     outcomes = []
-    for t in range(warmup, n):
-        windows = [slice_window(m, t, config.window) for m in matrices]
+    for t in range(warmup, len(actuals)):
+        start = 0 if config.window is None else t - config.window
         try:
-            vectors = [
-                predictive_expectation(estimate_alpha(w, config.estimator), w.col_sums, picks)
-                for w in windows
-            ]
+            prediction, _ = oracle_predict(spec, [m[start:t] for m in matrices], config.estimator)
         except EstimationError as exc:
             raise BacktestError(t, str(exc)) from exc
-        combo = select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec)
-        matches = match_count(combo, records[t], spec)
-        outcomes.append((t, combo.numbers, matches, matches >= threshold))
+        matches = oracle_matches(spec, prediction, actuals[t])
+        outcomes.append((t, prediction, matches, matches >= threshold))
     return outcomes
+
+
+def walked(history, config):
+    """run_backtest's columns as naive_backtest's rows."""
+    result = run_backtest(history, config)
+    hits = set(result.hit_indices)
+    columns = (result.draw_indices.tolist(), result.predictions.tolist(), result.match_counts.tolist())
+    return [(t, tuple(prediction), matches, t in hits) for t, prediction, matches in zip(*columns)]
 
 
 # A pick-1 history that stays on digit 3 for 800 draws, past the walk's first chunk.
@@ -170,24 +286,18 @@ class TestRollingStatsFromNumbers:
 
 
 def naive_predict(history, estimators, window):
-    """Slice-and-refit reference for predict_next: one fit per estimator on
-    the last ``window`` rows of every count matrix."""
-    spec = history.spec
-    n = len(history)
-    windows = [slice_window(m, n, window) for m in build_count_matrices(history)]
-    picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
-    combos = []
-    for estimator in estimators:
-        vectors = [predictive_expectation(estimate_alpha(w, estimator), w.col_sums, picks) for w in windows]
-        combos.append(select_combination(vectors[0] if spec.kind is GameKind.SET_DRAW else vectors, spec))
-    return combos
+    """Slice-and-refit oracle of predict_next: one (numbers, scores) pair per
+    estimator, fitted on the last ``window`` rows of every indicator matrix."""
+    start = 0 if window is None else len(history) - window
+    windows = [m[start:] for m in indicator_matrices(history)]
+    return [oracle_predict(history.spec, windows, estimator) for estimator in estimators]
 
 
 def outcome(fn, *args):
-    """``fn(*args)``, or the class and message of the ValueError it raises."""
+    """``fn(*args)``, or the class and message of the error it raises."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, BacktestError) as exc:
         return type(exc), str(exc)
 
 
@@ -214,10 +324,10 @@ class TestPredictNext:
                     assert got == want, case
                     continue
                 assert not isinstance(got, tuple), f"{case}: {got}"
-                ((combo,), (expected,)) = got, want
-                assert combo.numbers == expected.numbers, case
-                assert len(combo.scores) == len(expected.scores), case
-                for vec, ref in zip(combo.scores, expected.scores):
+                ((combo,), ((numbers, scores),)) = got, want
+                assert combo.numbers == numbers, case
+                assert len(combo.scores) == len(scores), case
+                for vec, ref in zip(combo.scores, scores):
                     assert np.array_equal(vec, ref, equal_nan=True), case
 
     def test_one_call_serves_every_estimator_in_order(self):
@@ -225,15 +335,15 @@ class TestPredictNext:
         estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
         got = predict_next(history, estimators, 60)
         want = naive_predict(history, estimators, 60)
-        assert [c.numbers for c in got] == [c.numbers for c in want]
+        assert [c.numbers for c in got] == [numbers for numbers, _ in want]
 
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
         history = synthetic_history(SIX_52, 140, seed=9)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), window=60, warmup=60)
-        last = run_backtest(history, config).records[-1]
-        head = DrawHistory.from_records(SIX_52, history.records[:last.draw_index])
+        result = run_backtest(history, config)
+        head = DrawHistory.from_records(SIX_52, history.records[:result.draw_indices[-1]])
         (combo,) = predict_next(head, [config.estimator], 60)
-        assert combo.numbers == last.prediction
+        assert combo.numbers == tuple(result.predictions[-1].tolist())
 
     @pytest.mark.parametrize("draws,window,message", [
         (0, None, "history is empty"),
@@ -257,7 +367,7 @@ class TestRunBacktest:
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=3, hit_threshold=6)
         result = run_backtest(history, config)
         assert result.hit_indices == tuple(range(3, 10))
-        assert all(r.prediction == numbers for r in result.records)
+        assert result.predictions.tolist() == [list(numbers)] * 7
 
     def test_history_shorter_than_warmup_rejected(self):
         history = synthetic_history(SIX_52, 30, seed=1)
@@ -306,7 +416,7 @@ class TestRunBacktest:
         assert result.draw_indices.tolist() == list(range(10, 200))
         assert result.predictions.shape == result.actuals.shape == (190, 4)
         assert result.actuals.tolist() == [list(r.numbers) for r in history.records[10:]]
-        assert tuple(r.draw_index for r in result.hits) == result.hit_indices
+        assert tuple(result.draw_indices[result.match_counts >= 2].tolist()) == result.hit_indices
         with pytest.raises(ValueError):
             result.match_counts[0] = 4  # the columns are read-only
 
@@ -322,14 +432,7 @@ class TestRunBacktest:
         history = synthetic_history(spec, 1600, seed=seed)
         for config in (BacktestConfig(estimator, hit_threshold=2),
                        BacktestConfig(estimator, window=60, warmup=60, hit_threshold=2)):
-            result = run_backtest(history, config)
-            reference = naive_backtest(history, config)
-            assert len(result.records) == len(reference)
-            for record, (t, numbers, matches, is_hit) in zip(result.records, reference):
-                assert record.draw_index == t
-                assert record.prediction == numbers
-                assert record.match_count == matches
-                assert (record.draw_index in result.hit_indices) == is_hit
+            assert walked(history, config) == naive_backtest(history, config)
 
     @pytest.mark.parametrize("spec,smoothing,window", [
         (SIX_52, 1e100, None),  # the chunk's first-raised check fails later than draw 52 does
@@ -370,22 +473,13 @@ class TestRunBacktest:
     def test_constant_run_matches_naive_refit(self, smoothing, window):
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
                                 window=window, warmup=window)
-        try:
-            walked = [(r.draw_index, r.prediction) for r in run_backtest(CONSTANT_RUN, config).records]
-        except BacktestError as exc:
-            walked = (exc.draw_index, str(exc))
-        try:
-            naive = [(t, numbers) for t, numbers, _, _ in naive_backtest(CONSTANT_RUN, config)]
-        except BacktestError as exc:
-            naive = (exc.draw_index, str(exc))
-        assert walked == naive
+        assert outcome(walked, CONSTANT_RUN, config) == outcome(naive_backtest, CONSTANT_RUN, config)
 
     def test_subnormal_smoothing_matches_naive_refit(self):
         # 1/s overflows at this smoothing, so the mle fit takes its log-difference form.
         history = synthetic_history(SIX_52, 700, seed=8)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1e-320), hit_threshold=2)
-        walked = [(r.draw_index, r.prediction, r.match_count) for r in run_backtest(history, config).records]
-        assert walked == [(t, numbers, matches) for t, numbers, matches, _ in naive_backtest(history, config)]
+        assert walked(history, config) == naive_backtest(history, config)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -409,17 +503,16 @@ class TestRunBacktest:
     def test_windowed_run_matches_naive_refit(self):
         history = synthetic_history(SIX_52, 120, seed=31)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), window=60, warmup=60, hit_threshold=2)
-        result = run_backtest(history, config)
-        for record, (t, numbers, matches, _) in zip(result.records, naive_backtest(history, config)):
-            assert (record.draw_index, record.prediction, record.match_count) == (t, numbers, matches)
+        assert walked(history, config) == naive_backtest(history, config)
 
     def test_hit_bookkeeping_is_exhaustive(self):
         history = synthetic_history(SIX_52, 200, seed=6)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         result = run_backtest(history, config)
-        rescanned = {r.draw_index for r in result.records if r.match_count >= 2}
+        rescanned = {t for t, matches in zip(result.draw_indices.tolist(), result.match_counts.tolist())
+                     if matches >= 2}
         assert set(result.hit_indices) == rescanned
-        assert sum(result.tier_counts.values()) == len(result.records)
+        assert sum(result.tier_counts.values()) == len(result.draw_indices)
 
     def test_result_document_field_names(self):
         history = synthetic_history(SIX_52, 80, seed=6)
@@ -428,6 +521,67 @@ class TestRunBacktest:
         for field in ("records", "hit_indices", "gaps", "average_gap", "max_gap"):
             assert field in document
         assert set(document["records"][0]) == {"draw_index", "prediction", "actual", "match_count"}
+
+
+@st.composite
+def walk_cases(draw):
+    """A game of any valid shape, a history of 30-700 draws (some past the
+    walk's 512-draw chunk), any estimator with smoothing 0 or 1, and all
+    prior draws or a window the estimator accepts."""
+    if draw(st.booleans()):
+        pool = draw(st.integers(3, 15))
+        spec = GameSpec(GameKind.SET_DRAW, pool, draw(st.integers(2, pool - 1)))
+    else:
+        spec = GameSpec(GameKind.POSITIONAL_DIGITS, 10, draw(st.integers(1, 6)))
+    kind = draw(st.sampled_from(list(EstimatorKind)))
+    draws = draw(st.integers(30, 700) | st.integers(528, 700))  # the second often spans two chunks
+    shortest = spec.categories if kind is EstimatorKind.MAIN_DIAGONAL else 1
+    window = draw(st.none() | st.integers(shortest, draws - 1))
+    config = BacktestConfig(EstimatorConfig(kind, mle_smoothing=draw(st.sampled_from([0.0, 1.0]))),
+                            window=window, warmup=window, hit_threshold=draw(st.integers(1, spec.picks)))
+    return synthetic_history(spec, draws, seed=draw(st.integers(0, 2**16))), config
+
+
+class TestWalkMatchesOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(case=walk_cases())
+    def test_any_game_shape(self, case):
+        history, config = case
+        assert outcome(walked, history, config) == outcome(naive_backtest, history, config)
+
+    @settings(max_examples=200)
+    @given(
+        window=st.tuples(st.integers(1, 8), st.integers(2, 6)).flatmap(
+            lambda shape: st.lists(st.integers(0, 1), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+            .map(lambda bits: np.array(bits, dtype=np.int64).reshape(shape))),
+        s=st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    def test_mle_closed_form_is_the_per_entry_sum(self, window, s):
+        """The oracle's closed form equals the paper's sum_ij f_j log(f_j / x_ij)
+        over the smoothed entries x = window + s, with f_j = s + c_j / rows
+        their column means (a constant column's terms are then exactly 0)."""
+        rows, k = window.shape
+        col_sums = window.sum(axis=0)
+        f = [s + c / rows for c in col_sums.tolist()]
+        direct = math.fsum(f[j] * math.log(f[j] / (window[i, j] + s)) for i in range(rows) for j in range(k))
+        assert mle_denominator(col_sums, rows, s) == pytest.approx(direct, rel=1e-12, abs=0)
+
+    def test_oracle_calls_no_library_function(self):
+        """Every global name the oracle reads from cdmlotto is a type."""
+        oracle = [naive_backtest, naive_predict, indicator_matrices, log1p_ratio, mle_denominator,
+                  oracle_alpha, oracle_scores, oracle_pick, oracle_predict, oracle_matches]
+
+        def names(code):
+            yield from code.co_names
+            for const in code.co_consts:
+                if hasattr(const, "co_names"):
+                    yield from names(const)
+
+        for fn in oracle:
+            for name in names(fn.__code__):
+                value = fn.__globals__.get(name)
+                if getattr(value, "__module__", "").startswith("cdmlotto"):
+                    assert isinstance(value, type), f"{fn.__name__} reads cdmlotto's {name}"
 
 
 class TestGapStats:
@@ -525,7 +679,3 @@ class TestRenderComparison:
 
     def test_pick_combination(self):
         assert render_comparison([("md", (5, 0, 9))]) == ["5 0 9 [MD]"]
-
-    def test_accepts_draw_records(self):
-        record = DrawRecord(3, None, (7, 13, 22, 31, 45, 46))
-        assert render_comparison([], record) == ["7 13 22 31 45 46 [AC]"]

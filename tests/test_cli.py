@@ -527,6 +527,31 @@ class TestStrictValues:
         assert err.startswith(f"error: {path}: ")
         assert message in err
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--draws", "an integer of 5000 digits is too long to read"),
+        ("--window", "an integer of 5000 digits is too long to read"),
+        ("--window", "window must be a positive integer or 'all'"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_integer_flags_too_long_to_read(self, capsys, tmp_path, flag, message, route):
+        """A huge integer is named as such on both routes, never by the
+        converter's name or int()'s own limit message; a window of 0 keeps
+        its own message."""
+        value = "0" if message.startswith("window") else HUGE
+        argv = ["backtest", "--game", "set", "--pool", "52", "--picks", "6"]
+        if flag != "--draws":
+            argv += ["--draws", "60"]
+        if route == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "_parse" not in err and "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("argv,text,field", [
         (("simulate", "--gaps-file"), "44 615 698\n", "streams"),
         (("simulate", "--gaps-file"), '{"gaps": [44, 615, 698]}', "streams"),
@@ -705,14 +730,14 @@ class TestInputFiles:
         assert err == f"error: {path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
 
 
-def tier_gap_report_from_records(records, picks):
+def tier_gap_report_from_records(rows, picks):
     """Average gap per minimum match count, and projections for the rest,
-    as a one-pass loop over per-draw records."""
+    as a one-pass loop over per-draw (draw index, match count) pairs."""
     first, last, hits = {}, {}, [0] * (picks + 1)
-    for r in records:
-        for tier in range(1, r.match_count + 1):
-            first.setdefault(tier, r.draw_index)
-            last[tier] = r.draw_index
+    for draw_index, match_count in rows:
+        for tier in range(1, match_count + 1):
+            first.setdefault(tier, draw_index)
+            last[tier] = draw_index
             hits[tier] += 1
     tiers = range(1, picks + 1)
     observed = {t: (last[t] - first[t]) / (hits[t] - 1) for t in tiers if hits[t] >= 2}
@@ -757,8 +782,9 @@ class TestBacktestJsonMatchesDocumentDump:
         assert config["input"] == str(path)
 
         result = run_backtest(history, BacktestConfig(estimator, window=window, warmup=60, hit_threshold=threshold))
-        assert len(result.records) == draws - 60
-        observed, projections = tier_gap_report_from_records(result.records, spec.picks)
+        assert len(result.draw_indices) == draws - 60
+        pairs = zip(result.draw_indices.tolist(), result.match_counts.tolist())
+        observed, projections = tier_gap_report_from_records(pairs, spec.picks)
         stretch = classify_stretches(gap_stats(result.hit_indices).gaps)
         document = {
             "config": config,
