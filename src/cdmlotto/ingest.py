@@ -51,9 +51,10 @@ __all__ = [
     "SYNTH_GENERATOR",
 ]
 
-# The seeded generator behind synthetic histories; recorded in CLI output
-# metadata so runs are comparable.
-SYNTH_GENERATOR = "pcg64"
+# The seeded generator behind synthetic histories, and the sampler that
+# draws set games from it; recorded in CLI output metadata so runs are
+# comparable.
+SYNTH_GENERATOR = "pcg64+floyd"
 
 # Draw indices are stored as int64; numpy's text conversion saturates here.
 _INDEX_MAX = 2**63 - 1
@@ -385,23 +386,48 @@ def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> Cou
     return CountMatrix(matrix.counts[start:end])
 
 
+def _floyd_rows(steps: np.ndarray, pool: int) -> np.ndarray:
+    """The (n, m) subsets that Floyd's sampler builds from ``steps``.
+
+    ``steps`` holds m columns of n integers, column c in 0..j with
+    j = pool - m + c.  In each row, column c keeps its integer unless an
+    earlier column of the row holds it, and then takes j, which none can
+    hold.  Each row becomes an m-subset of 0..pool-1, in pick order, and
+    uniform integers give a uniform subset (Bentley & Floyd, "A sample of
+    brilliance", CACM 30(9), 1987).  A table of the numbers each row holds
+    makes the test one lookup per pick; it is built for a block of rows at
+    a time, so it stays near 4 MB whatever the pool.
+    """
+    rows = np.stack(steps, axis=1)
+    m = rows.shape[1]
+    block = max(1, 2**22 // pool)
+    for start in range(0, len(rows), block):
+        chunk = rows[start:start + block]
+        held = np.zeros((len(chunk), pool), dtype=bool)
+        at = np.arange(len(chunk))
+        for c in range(m):
+            column = chunk[:, c]
+            column[held[at, column]] = pool - m + c
+            held[at, column] = True
+    return rows
+
+
 def synthetic_history(spec: GameSpec, draws: int, seed: int) -> DrawHistory:
     """Uniform-random history from a seeded PCG64 generator.
 
-    Set games draw uniform ``picks``-subsets (stored ascending), digit
-    games draw independent uniform digits per position.  Identical seeds
-    reproduce identical histories.
+    Set games draw uniform ``picks``-subsets (stored ascending) with
+    Floyd's sampler: ``picks`` generator calls in all, the one for
+    j = pool - picks .. pool - 1 giving each draw an integer in 0..j
+    (:func:`_floyd_rows`).  Digit games draw independent uniform digits per
+    position in one call.  Identical seeds reproduce identical histories.
     """
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
     rng = np.random.default_rng(seed)
     if spec.kind is GameKind.SET_DRAW:
-        # One call per draw, which the stream pins: one call for all draws
-        # would need a copy of numpy's private Floyd-plus-shuffle sampler,
-        # and pools above 10,000 would still need the loop.
-        numbers = np.empty((draws, spec.picks), dtype=np.int64)
-        for row in numbers:
-            row[:] = rng.choice(spec.categories, size=spec.picks, replace=False)
+        pool = spec.categories
+        steps = [rng.integers(0, j + 1, size=draws) for j in range(pool - spec.picks, pool)]
+        numbers = _floyd_rows(steps, pool)
         numbers.sort(axis=1)
         numbers += 1
     else:

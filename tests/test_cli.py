@@ -111,7 +111,7 @@ class TestSynth:
                            "--seed", "1", "--output", str(path), "--format", "json")
         assert code == 0
         document = json.loads(out)
-        assert document["generator"] == "pcg64"
+        assert document["generator"] == "pcg64+floyd"
         assert document["config"]["seed"] == 1
 
     def test_invalid_spec_is_a_usage_error(self, capsys):
@@ -812,23 +812,23 @@ GOLDEN_GAMES = {
 }
 GOLDEN_BACKTEST = {
     ("set", "md", "all"): (
-        "2e50c5c0984aba0b8037a9e5aa8180decac696c862d0f73a6afab894a5db2b1e",
-        "78e74cc6a17b7e61412b3f5e0ae3d0ee51af3e73dcda4f763416de1b88c41e9e"),
+        "074d56452f93a7656a9f87b46b630a24076b17391b1f4cbd3bd7276c8be25bc0",
+        "366603a54f6a019153b144c884647c9be171128b40caff2f9774c06c0fed82ac"),
     ("set", "md", "N"): (
-        "0a06829b959188a7d9aab60064c6a47c827778b1606f7ed1dcfff78a5d800c2c",
-        "e7a72455c783fdac3d695f55d88e1e6b1d1564cf08ef4cbd2671ececaa7126c3"),
+        "766abaf3e3a9fbc2ec7f4051ed77752362fea695ebee0ef91db71dbd0d8c6906",
+        "563aca675e82a10139c1dbfd6c423a49d84b9078a1c68ee6a1f4985da5240643"),
     ("set", "mm", "all"): (
-        "be4f0b61c289a68186cec032040c0ca3b05ed51c4f58b37c3574cfefd5dd7d0b",
-        "36ab52a30a65a019f2e07942d71712e0f088119da9f042203380b6ae31f54704"),
+        "ad872a8cf68221e27aa4fbda96cc1f5039810cef388f26702d745ba8ef81c486",
+        "ac28c471f9be4513041d412e41bf9323b452a5a6ec287756b3c133c7f01bddd3"),
     ("set", "mm", "N"): (
-        "bfecc29e33a09d0d1c9bb6fbe9a869b360e9c31572f9f33d356e70abca4ce376",
-        "6d0244460f9afb7f809ff9df19d09347e8f674b29c224902980f84326af48461"),
+        "e7c9f640cd2c78a12e28cda2a4c5f336ff19cd17382d35999240534fd942f3b5",
+        "26f7c4fcfa54de616150f1be48157cfbc2ef1fc040e2ee0f9330a97b80ca9338"),
     ("set", "mle", "all"): (
-        "adfb9dd6e2a14a29b5092d11f2bdf192ff9a2a3bc7a03aaa9a55c44c56891fed",
-        "8b88ffb561102697f0962e5212997fdc3b22d2dcca769de8df4fa839f5a18874"),
+        "4c53147a90b55a2550a11bd28bf5270be8e95c2f484234540e17888eb3c3dd10",
+        "1ee029533ba7aee337008886d48da4bbb721b8d0ee247cbc150e0d5833942043"),
     ("set", "mle", "N"): (
-        "92fcd5dc9b31b8b8695ea00f780c9f68b70087254cf741f3b67058e0c0ca7f14",
-        "46f5f97d3243287de133bd7f8f74621b671a5fdcb873424647b64d1b5004200e"),
+        "cb06f77c65a0e6269ac22a4a26ab7bdf9a7369ec42716c4762d38270b9e9e04b",
+        "7d3dafdfb78380cdb5e494adc3ad1aeb4c2c3c40a8ec1fc721f0bf739568e4dd"),
     ("pick", "md", "all"): (
         "9da8338f39924768f0ee904f4833416d85b01b5f987c1fa6b710aeec7e01a9ed",
         "684dbe46c6433b670998b3ab91a85963af71ad777aa8e2b91af73d44cd6d0bd0"),
@@ -849,8 +849,8 @@ GOLDEN_BACKTEST = {
         "8d65f4fa033842c5bbc42cb9ac2acab81e0b153d0ce31f76f3fe66ce8a7e839a"),
 }
 GOLDEN_PREDICT = {
-    "set": ("18773d7156999ca584a0bb946b076780dc5164f68eff9550a27569e40ef0427a",
-             "2f65ea9b2d2be643c6f6ab796a48ffa2fee7d1cd9c89b8b0e2c69c8a808f9ef7"),
+    "set": ("b84eb8e3fc2474b06f44c7e1919ef0be1166d96215337a98c1cf109182dbdf3c",
+             "473b0a2e36836ac6d09dcc3b63895ddb4ff9769942767180fafee88e04475718"),
     "pick": ("ca158901f2398dc61fd6a978ac2b1a96194540d8456f5c3aedec0187bccea281",
              "db76521c08383321a814c8692be7d2503c5b3b51926b3f15c1176fc7b84576dc"),
 }
@@ -859,8 +859,8 @@ GOLDEN_PREDICT = {
 GOLDEN_MULTI_CHUNK = {
     ("backtest", "--game", "set", "--pool", "52", "--picks", "6", "--draws", "1700", "--seed", "41",
      "--estimator", "mm", "--window", "all", "--threshold", "2", "--format", "json"):
-        ("510ef37bacf2a3aae6c1c5451c931910aeae01ae06996a22b6e306edce710b88",
-         "c3304fac2ddd0ab5ef3256aff2e2754d36617386e33afec5c3b896cb7a931be3"),
+        ("f0dda217ba634e530bfedbbef2d06cfe76dcb757a286bda7d539b2cba792ac9e",
+         "283263c6d72d8b4f11a4616b44166598b568f098c3e05dcd45736ffe7717ab38"),
     ("backtest", "--game", "pick", "--picks", "4", "--draws", "1700", "--seed", "42", "--estimator", "mle",
      "--smoothing", "1", "--window", "500", "--warmup", "500", "--threshold", "2", "--format", "text"):
         ("120b544f047afeb37a8d0a1169342812a8fd53f0f35bf42904ee0ab4b66873cd", None),
@@ -887,28 +887,28 @@ GOLDEN_RUNS = {
     "synth": (
         None, ("synth", "--game", "pick", "--picks", "3", "--draws", "50", "--seed", "9",
                "--output", "draws.csv", "--format", "json"),
-        ("2bbe49aa9bd5402745a5bff63ef28c17739f66a5e2beaa9acbdcad50acd652bb",
-         "7720624dfb24142e2d13f28fad1a31dfe46ad93d6f52238d93e9355fccea09d3")),
+        ("8c7be4c8e386f889fee20a67359bc7fc84390e7613f65aefa5a3487970969a20",
+         "a8edec7a6c313969df705e909cd42da6a46fe63038861b6c48b35e6e6970647c")),
     "backtest-config": (
         "game = set\npool = 52\npicks = 6\ndraws = 150\nseed = 13\nestimator = mm\nsmoothing = 0.5\n"
         "window = 40\nwarmup = 45\nthreshold = 2\nformat = json\n",
         ("backtest",),
-        ("ddf694767646c19d2bab24853711a9c41e5630106efc4ab59a49166a38af481f",
-         "e9fba2115ad738c388e5a07f3ef15d51364c9341887ba575f81c8e0e356299d9")),
+        ("d4290bbc7fd14e467ff72d46850b775710c23c26d53985961827a987f840eac1",
+         "65cd134dae04dc73cf193fd6aa4346d437e7534d39a81a79f13f866932b04afe")),
     "predict-config": (
         "game = set\npool = 52\npicks = 6\ninput = history.csv\nestimator = md,mm,mle\n"
         "smoothing = 1\nwindow = 60\nformat = json\n",
         ("predict",),
-        ("b9ace0a791d86867dd625571f4bfe68556948d4ad6ba3a8955b255f87946222b",
-         "373e3c06060fdcbe1972d649c063a2ee32deb1c1699397bb61ebba61ecb110bd")),
+        ("e586cdf7ebec64cf879f46c776a6244ad6f24493deb6c2e5b207a199ccdf4847",
+         "bcea6540643cf648489554a6a8b3ce5d6ec92ff32907044845facd0e52deee65")),
     "backtest-text": (
         None, ("backtest", *GOLDEN_GAMES["set"][0], "--draws", "150", "--seed", "11", "--threshold", "2"),
-        ("818f5a2e9402321ad06ab1211d7fc3b17df35f784a98012473f9a132a5f05a44", None)),
+        ("38f81cacdd81f5fb893deacbd68b60fc3f2b90a6e4894850c5cb3fe7108287c9", None)),
     # Tiers 10 and up: the text lists them after tier 9, in integer order.
     "backtest-text-12-of-24": (
         None, ("backtest", "--game", "set", "--pool", "24", "--picks", "12", "--draws", "3000", "--seed", "1",
                "--estimator", "md", "--threshold", "8"),
-        ("ab4078bf5cb69b02a03a53abcefb8f79d248ed2abf2d27992ba5d6ad3e71164e", None)),
+        ("9e32c286c0758a57f8013eaababfdefd5441500fdf6d35629a543e912fa916cd", None)),
 }
 
 

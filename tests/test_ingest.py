@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -281,6 +282,50 @@ class TestSyntheticHistory:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             synthetic_history(SIX_52, 0, seed=0)
+
+    @pytest.mark.parametrize("pool,picks", [(5, 2), (6, 3), (7, 4), (8, 5), (9, 2), (10, 9)])
+    def test_floyd_rows_are_exactly_uniform(self, pool, picks):
+        # Every integer sequence the sampler can read, one row each: t_j in 0..j.
+        bounds = [j + 1 for j in range(pool - picks, pool)]
+        steps = np.indices(bounds, dtype=np.int8).reshape(picks, -1)
+        rows = ingest._floyd_rows(steps, pool)
+        assert rows.shape == steps.T.shape
+        assert ((rows >= 0) & (rows < pool)).all()
+        masks = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:
+            masks |= 1 << column.astype(np.int64)
+        subsets, counts = np.unique(masks, return_counts=True)
+        # A row holds picks distinct numbers exactly when its mask has picks bits.
+        assert all(bin(mask).count("1") == picks for mask in subsets.tolist())
+        assert len(subsets) == math.comb(pool, picks)
+        assert (counts == math.prod(bounds) // math.comb(pool, picks)).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_set_rows_are_floyd_subsets_of_the_stream(self, data):
+        pool = data.draw(st.integers(3, 20_000), label="pool")
+        picks = data.draw(st.integers(2, pool - 1), label="picks")
+        # At most 200,000 numbers per history, so the largest picks stay small in memory.
+        draws = data.draw(st.integers(1, max(1, min(2000, 200_000 // picks))), label="draws")
+        seed = data.draw(st.integers(0, 2**128), label="seed")
+        spec = GameSpec(GameKind.SET_DRAW, pool, picks)
+        history = synthetic_history(spec, draws, seed)
+        numbers = history.numbers
+        assert numbers.shape == (draws, picks)
+        assert (numbers[:, 1:] > numbers[:, :-1]).all()
+        assert numbers[:, 0].min() >= 1 and numbers[:, -1].max() <= pool
+        assert synthetic_history(spec, draws, seed) == history
+        # The oracle: Floyd's loop over each draw's integers from the same generator calls.
+        rng = np.random.default_rng(seed)
+        ranges = range(pool - picks, pool)
+        steps = [rng.integers(0, j + 1, size=draws).tolist() for j in ranges]
+        expected = []
+        for row in zip(*steps):
+            chosen = set()
+            for j, t in zip(ranges, row):
+                chosen.add(j if t in chosen else t)
+            expected.append(sorted(n + 1 for n in chosen))
+        assert numbers.tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**128), st.integers(1, 6), st.integers(1, 2000))
