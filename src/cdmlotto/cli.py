@@ -22,6 +22,7 @@ import argparse
 import codecs
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -341,6 +342,8 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
 
 def _hits_replay(cfg: dict) -> int:
     """Gap statistics for a precomputed hit-index list, no model walk."""
+    if cfg["hits"] is not None and cfg["hits_file"] is not None:
+        raise CliError("provide exactly one of --hits, --hits-file")
     hits = cfg["hits"]
     if hits is None:
         hits = _read_int_series(Path(cfg["hits_file"]), "hit_indices", "hits")
@@ -584,6 +587,11 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS reads this when numpy loads, which is after this line (numpy
+    # is deferred).  At 4, its floor, an idle pool worker sleeps at once
+    # instead of spinning for BLAS work the commands never send.  The thread
+    # count and a timeout the user set are left as they are.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     try:
         args = parse_args(argv)
         return args.func({k: v for k, v in vars(args).items() if k not in _INTERNAL_KEYS})

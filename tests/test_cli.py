@@ -327,6 +327,21 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--gaps", "44", "--no-win-horizon", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_hits_replay_requires_exactly_one_hits_source(self, capsys, tmp_path, from_config):
+        hits_file = tmp_path / "hits.txt"
+        hits_file.write_text("3 40\n")
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"hits_file = {hits_file}\n")
+            sources = ("--config", str(config))
+        else:
+            sources = ("--hits-file", str(hits_file))
+        code, out, err = run(capsys, "backtest", "--hits", "1,5", *sources)
+        assert code == 2
+        assert out == ""
+        assert err == "error: provide exactly one of --hits, --hits-file\n"
+
     def test_ratio_extension_flag(self, capsys):
         code, out, _ = run(capsys, "simulate", "--gaps", "1410", "--extension", "ratio:2.4",
                            "--format", "json")
@@ -969,32 +984,61 @@ class TestGoldenBytes:
 
 # Runs each command of argv[2] (a JSON list of argv lists) through main() in
 # one interpreter and prints, as JSON, the traced layers that importing the
-# CLI left unloaded and, per command, its exit code and whether numpy ran.
+# CLI left unloaded, whether that import changed the environment, whether
+# numpy ran at each moment OPENBLAS_THREAD_TIMEOUT was set, and, per command,
+# its exit code, whether numpy ran and the variable's value after it.
 NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from tracer import TRACED
-import cdmlotto.cli
 
 def numpy_ran():
     # Names only: reading an attribute of the deferred numpy module loads it.
     return any(name.startswith("numpy.") for name in sys.modules)
 
+timeout_set = []
+def audit(event, args):
+    # os.environ writes go through os.putenv, which raises this event.
+    if event == "os.putenv" and os.fsdecode(args[0]) == "OPENBLAS_THREAD_TIMEOUT":
+        timeout_set.append(numpy_ran())
+sys.addaudithook(audit)
+
+def state(label, code):
+    return [label, code, numpy_ran(), os.environ.get("OPENBLAS_THREAD_TIMEOUT")]
+
+environ = dict(os.environ)
+import cdmlotto.cli
 report = {
     "unloaded_layers": [layer for layer in TRACED if "cdmlotto." + layer not in sys.modules],
-    "runs": [["import cdmlotto.cli", 0, numpy_ran()]],
+    "import_changed_environ": dict(os.environ) != environ,
+    "runs": [state("import cdmlotto.cli", 0)],
 }
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cdmlotto.cli.main(argv)
-    report["runs"].append([" ".join(argv), code, numpy_ran()])
+    report["runs"].append(state(" ".join(argv), code))
+report["timeout_set_with_numpy_loaded"] = timeout_set
 print(json.dumps(report))
 """
 
 
+def run_probe(script, *args, **env):
+    """A probe script's JSON report from a fresh interpreter, whose
+    environment holds OPENBLAS_THREAD_TIMEOUT only when ``env`` sets it:
+    in-process tests call main(), which leaves the variable set in this one."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    base["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**base, **env}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestNumpyFreePaths:
     """Staking replays, hits replays, help and usage errors use no arrays, so
-    they never execute numpy; predict, the positive control, does."""
+    they never execute numpy; predict, the positive control, does.  Only
+    main() touches the environment: it defaults OPENBLAS_THREAD_TIMEOUT
+    before numpy loads and keeps a value already set."""
 
     def test_only_array_commands_load_numpy(self, capsys, tmp_path):
         flags = list(GOLDEN_GAMES["set"][0])
@@ -1013,15 +1057,62 @@ class TestNumpyFreePaths:
             ["simulate", "--gaps", "44", "--no-win-horizon", "10"],
         ]
         control = ["predict", *flags, "--input", str(history), "--estimator", "mle", "--smoothing", "1"]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", NUMPY_PROBE, str(ROOT / "perfbench"), json.dumps([*numpy_free, control])],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        probe = json.loads(proc.stdout)
+        probe = run_probe(NUMPY_PROBE, str(ROOT / "perfbench"), json.dumps([*numpy_free, control]))
         assert probe["unloaded_layers"] == []
-        expected = [["import cdmlotto.cli", 0, False]]
-        expected += [[" ".join(argv), 2 if argv[-1] == "10" else 0, False] for argv in numpy_free]
-        expected += [[" ".join(control), 0, True]]
+        assert probe["import_changed_environ"] is False
+        # Set once, by the first main(), while numpy was still unloaded.
+        assert probe["timeout_set_with_numpy_loaded"] == [False]
+        expected = [["import cdmlotto.cli", 0, False, None]]
+        expected += [[" ".join(argv), 2 if argv[-1] == "10" else 0, False, "4"] for argv in numpy_free]
+        expected += [[" ".join(control), 0, True, "4"]]
         assert probe["runs"] == expected
+
+    def test_a_preset_thread_timeout_survives_main(self):
+        command = ["backtest", *GOLDEN_GAMES["set"][0], "--draws", "100", "--seed", "1"]
+        probe = run_probe(NUMPY_PROBE, str(ROOT / "perfbench"), json.dumps([command]), OPENBLAS_THREAD_TIMEOUT="10")
+        assert probe["import_changed_environ"] is False
+        assert probe["timeout_set_with_numpy_loaded"] == []
+        assert probe["runs"] == [["import cdmlotto.cli", 0, False, "10"], [" ".join(command), 0, True, "10"]]
+
+
+# Runs one set-game backtest through main() and prints, as JSON, the
+# process's thread count and the CPU clock ticks (utime + stime, fields 14
+# and 15 of /proc/self/task/*/stat) of every thread but the main one.
+IDLE_BLAS_PROBE = """
+import contextlib, io, json, os
+import cdmlotto.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cdmlotto.cli.main(["backtest", "--game", "set", "--pool", "52", "--picks", "6",
+                              "--draws", "300", "--seed", "1", "--threshold", "2"])
+threads, ticks = 0, 0
+for tid in os.listdir("/proc/self/task"):
+    threads += 1
+    if int(tid) != os.getpid():
+        with open(f"/proc/self/task/{tid}/stat") as handle:
+            fields = handle.read().rpartition(")")[2].split()  # fields 3 onward
+        ticks += int(fields[11]) + int(fields[12])
+print(json.dumps({"code": code, "threads": threads, "worker_ticks": ticks}))
+"""
+
+
+def numpy_uses_openblas():
+    import numpy
+
+    # numpy 1.24 and 1.25 have no CONFIG.
+    config = getattr(numpy.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs per-thread CPU times from /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no worker on one core")
+@pytest.mark.skipif(not numpy_uses_openblas(), reason="numpy does not report OpenBLAS")
+def test_idle_blas_workers_stay_idle():
+    """The CLI sends OpenBLAS no work, so its pool workers must sleep, not
+    spin: at the OpenBLAS default a 300-draw backtest's worker burns 6-12
+    ticks at 100 Hz.  The user's thread count still starts the pool."""
+    probe = run_probe(IDLE_BLAS_PROBE, OPENBLAS_NUM_THREADS="2")
+    assert probe["code"] == 0
+    assert probe["threads"] >= 2
+    assert probe["worker_ticks"] <= 3
