@@ -55,7 +55,6 @@ from .estimators import (
 )
 from .ingest import (
     DrawHistory,
-    DrawRecord,
     GameKind,
     GameSpec,
     HistoryParseError,

@@ -37,7 +37,7 @@ from . import jsondoc
 from ._numpy import np
 from .distributions import _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
-from .ingest import DrawHistory, DrawRecord, GameKind, GameSpec
+from .ingest import DrawHistory, GameKind, GameSpec
 
 __all__ = [
     "SHORT_LONG_CUTOFF",
@@ -242,14 +242,13 @@ def _select(spec: GameSpec, scores: list[np.ndarray]) -> np.ndarray:
     return np.stack(digits, axis=1)
 
 
-def match_count(prediction: PredictedCombination, actual: DrawRecord, spec: GameSpec) -> int:
-    """Matches between a prediction and an actual draw.
+def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: GameSpec) -> int:
+    """Matches between a prediction and the drawn numbers.
 
     Set games count the set intersection; digit games count positions
     whose digits agree exactly.
     """
     predicted = prediction.numbers
-    drawn = actual.numbers
     if len(predicted) != spec.picks or len(drawn) != spec.picks:
         raise ValueError(
             f"combination arity mismatch: game plays {spec.picks}, got {len(predicted)} vs {len(drawn)}"
@@ -299,10 +298,11 @@ class _RollingStats:
         return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
 
 
-def _trackers(history: DrawHistory) -> list[_RollingStats]:
+def _trackers(history: DrawHistory, start: int) -> list[_RollingStats]:
     """One tracker per count matrix of :func:`~cdmlotto.ingest.build_count_matrices`,
-    in its order: the set matrix, or one per digit position."""
-    numbers = history.numbers
+    in its order (the set matrix, or one per digit position), over the
+    history's rows from ``start`` on: tracker row r is history row start + r."""
+    numbers = history.numbers[start:]
     if history.spec.kind is GameKind.SET_DRAW:
         return [_RollingStats(numbers - 1, history.spec.categories)]
     return [_RollingStats(digits[:, None], 10) for digits in numbers.T]
@@ -351,7 +351,7 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     spec = history.spec
     n = len(history)
     warmup, threshold = _resolve(config, spec, n)
-    trackers = _trackers(history)
+    trackers = _trackers(history, 0)
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         return _score_and_pick(spec, trackers, config.estimator, starts, ends)[1]
@@ -385,15 +385,17 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
                  window: int | None = None) -> list[PredictedCombination]:
     """Each estimator's combination for the draw after the history: the walk's
     pick for draw ``len(history)``, fitted on the last ``window`` draws (all
-    when None).  Estimator failures propagate as raised, with no draw index."""
+    when None); the trackers cover those draws alone.  Estimator failures
+    propagate as raised, with no draw index."""
     n = len(history)
     if not n:
         raise ValueError("history is empty")
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
-    trackers = _trackers(history)
-    starts, ends = np.array([0 if window is None else n - window]), np.array([n])
+    start = 0 if window is None else n - window
+    trackers = _trackers(history, start)
+    starts, ends = np.array([0]), np.array([n - start])
     fits = [_score_and_pick(history.spec, trackers, estimator, starts, ends) for estimator in estimators]
     return [PredictedCombination(tuple(picks[0].tolist()), tuple(s[0] for s in scores)) for scores, picks in fits]
 

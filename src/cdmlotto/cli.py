@@ -206,7 +206,8 @@ def _load_history(cfg: dict, spec: GameSpec) -> DrawHistory:
         return parse_history(_read_text(Path(cfg["input"]), "input"), spec)
     if cfg.get("draws") is not None:
         return synthetic_history(spec, cfg["draws"], cfg["seed"])
-    raise CliError("provide --input PATH, or --draws N with --seed for a synthetic history")
+    synthetic = ", or --draws N with --seed for a synthetic history" if "draws" in cfg else ""
+    raise CliError(f"provide --input PATH{synthetic}")
 
 
 def _emit(text: str, cfg: dict) -> None:

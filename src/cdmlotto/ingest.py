@@ -38,7 +38,6 @@ from .distributions import CountMatrix
 __all__ = [
     "GameKind",
     "GameSpec",
-    "DrawRecord",
     "DrawHistory",
     "HistoryParseError",
     "HistoryValidationError",
@@ -111,15 +110,11 @@ class GameSpec:
                 raise ValueError(f"positional-digit games support 1 to 6 positions, got {self.picks}")
 
 
-@dataclass(frozen=True)
-class DrawRecord:
-    draw_index: int
-    date: str | None
-    numbers: tuple[int, ...]
-
-
-def _rule_break(numbers: tuple[int, ...], spec: GameSpec) -> str | None:
-    """Why a draw's numbers break the game rules, or None if they do not."""
+def _rule_break(index, numbers: tuple[int, ...], previous: int | None, spec: GameSpec) -> str | None:
+    """Why a row breaks the game rules, the index order or the int64 column,
+    checked in that order, or None if it does not.  The row holds draw
+    ``index`` and ``numbers`` and follows one indexed ``previous``, or none
+    when that is None."""
     if len(numbers) != spec.picks:
         return f"expected {spec.picks} numbers, got {len(numbers)}"
     if spec.kind is GameKind.SET_DRAW:
@@ -132,11 +127,15 @@ def _rule_break(numbers: tuple[int, ...], spec: GameSpec) -> str | None:
         for n in numbers:
             if not 0 <= n <= 9:
                 return f"digit {n} outside 0..9"
+    if previous is not None and index != previous + 1:
+        return f"draw index {index} does not follow {previous}"
+    if index > _INDEX_MAX:
+        return f"draw index {index} does not fit in 64 bits"
     return None
 
 
 def _rule_breaks(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Per row of an (n, picks) array, whether :func:`_rule_break` objects."""
+    """Per row of an (n, picks) array, whether :func:`_rule_break` finds a game-rule break."""
     if spec.kind is GameKind.SET_DRAW:
         ordered = np.sort(numbers, axis=1)
         duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
@@ -153,8 +152,6 @@ class DrawHistory:
     the i-th draw.  The constructor copies the arrays and checks the game
     rules and the index order as array operations, raising
     :class:`HistoryValidationError` for the first row that breaks one.
-    ``records`` builds :class:`DrawRecord` rows on each access, and
-    :meth:`from_records` builds a history from them.
     """
 
     spec: GameSpec
@@ -179,38 +176,9 @@ class DrawHistory:
         bad[1:] |= indices[1:] != indices[:-1] + 1
         if bad.any():
             position = int(bad.argmax())
-            problem = _rule_break(tuple(numbers[position].tolist()), self.spec)
-            if problem is None:
-                problem = f"draw index {indices[position]} does not follow {indices[position - 1]}"
+            previous = int(indices[position - 1]) if position else None
+            problem = _rule_break(int(indices[position]), tuple(numbers[position].tolist()), previous, self.spec)
             raise HistoryValidationError(problem, position)
-
-    @classmethod
-    def from_records(cls, spec: GameSpec, records: Iterable[DrawRecord]) -> DrawHistory:
-        """The history of these records, checked one record at a time in
-        order: a record of the wrong arity, or with an index beyond the
-        int64 columns, is reported in its place like any other rule break."""
-        records = tuple(records)
-        previous = None
-        for position, record in enumerate(records):
-            problem = _rule_break(record.numbers, spec)
-            if problem is None and previous is not None and record.draw_index != previous + 1:
-                problem = f"draw index {record.draw_index} does not follow {previous}"
-            if problem is None and not -_INDEX_MAX - 1 <= record.draw_index <= _INDEX_MAX:
-                problem = f"draw index {record.draw_index} does not fit in 64 bits"
-            if problem is not None:
-                raise HistoryValidationError(problem, position)
-            previous = record.draw_index
-        return cls(
-            spec,
-            np.array([record.draw_index for record in records], dtype=np.int64),
-            np.array([record.numbers for record in records], dtype=np.int64).reshape(len(records), spec.picks),
-            tuple(record.date for record in records),
-        )
-
-    @property
-    def records(self) -> tuple[DrawRecord, ...]:
-        """One record per draw."""
-        return tuple(map(DrawRecord, self.draw_indices.tolist(), self.dates, map(tuple, self.numbers.tolist())))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -286,8 +254,8 @@ def _kept(bad: np.ndarray) -> int:
 
 def _row_error(line: str, lineno: int, previous_index: int | None, spec: GameSpec) -> ValueError:
     """The error of a bad row, rebuilt from its text: the parse rules, then
-    the checks of :meth:`DrawHistory.from_records` in its order.  The row
-    follows one indexed ``previous_index``, or none when that is None."""
+    :func:`_rule_break`.  The row follows one indexed ``previous_index``,
+    or none when that is None."""
     parts = line.split(",", 2)
     if len(parts) != 3:
         return HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
@@ -296,12 +264,7 @@ def _row_error(line: str, lineno: int, previous_index: int | None, spec: GameSpe
     tokens = parts[2].split()
     if tokens and not is_digits("".join(tokens)):
         return HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
-    index = _integer(parts[0])
-    problem = _rule_break(tuple(map(_integer, tokens)), spec)
-    if problem is None and previous_index is not None and index != previous_index + 1:
-        problem = f"draw index {index} does not follow {previous_index}"
-    if problem is None and index > _INDEX_MAX:
-        problem = f"draw index {index} does not fit in 64 bits"
+    problem = _rule_break(_integer(parts[0]), tuple(map(_integer, tokens)), previous_index, spec)
     return HistoryValidationError(f"line {lineno}: {problem}")
 
 

@@ -5,6 +5,7 @@ written from the paper's rules, independent of the library's code."""
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from cdmlotto.estimators import (
 )
 from cdmlotto.ingest import (
     DrawHistory,
-    DrawRecord,
     GameKind,
     GameSpec,
     build_count_matrices,
@@ -106,25 +106,22 @@ class TestSelectCombination:
 class TestMatchCount:
     def test_two_shared_numbers(self):
         prediction = select_combination(np.arange(52.0), SIX_52)
-        # Force the exact combinations of interest through the record type.
+        # Force the exact combination of interest through the prediction type.
         prediction = prediction.__class__((7, 13, 24, 34, 45, 47), prediction.scores)
-        actual = DrawRecord(0, None, (7, 18, 30, 36, 44, 47))
-        assert match_count(prediction, actual, SIX_52) == 2
+        assert match_count(prediction, (7, 18, 30, 36, 44, 47), SIX_52) == 2
 
     def test_identical_combination_matches_all(self):
         combo = select_combination(np.arange(52.0), SIX_52)
-        actual = DrawRecord(0, None, combo.numbers)
-        assert match_count(combo, actual, SIX_52) == 6
+        assert match_count(combo, list(combo.numbers), SIX_52) == 6
 
     def test_positional_only_counts_aligned_digits(self):
         combo = select_combination([np.eye(10)[1], np.eye(10)[2], np.eye(10)[3]], PICK3)
-        actual = DrawRecord(0, None, (3, 2, 1))
-        assert match_count(combo, actual, PICK3) == 1
+        assert match_count(combo, np.array([3, 2, 1]), PICK3) == 1
 
     def test_arity_mismatch_rejected(self):
         combo = select_combination([np.eye(10)[1], np.eye(10)[2], np.eye(10)[3]], PICK3)
         with pytest.raises(ValueError):
-            match_count(combo, DrawRecord(0, None, (1, 2, 3, 4, 5, 6)), PICK3)
+            match_count(combo, (1, 2, 3, 4, 5, 6), PICK3)
 
 
 # The oracle below rebuilds the walk from the paper's rules, one window at a
@@ -260,10 +257,13 @@ def walked(history, config):
 
 # A pick-1 history that stays on digit 3 for 800 draws, past the walk's first chunk.
 _rng = random.Random(5)
-CONSTANT_RUN = DrawHistory.from_records(PICK1, tuple(
-    DrawRecord(i, None, (d,)) for i, d in enumerate(
-        [_rng.randrange(10) for _ in range(1200)] + [3] * 800 + [_rng.randrange(10) for _ in range(300)])
-))
+_digits = [_rng.randrange(10) for _ in range(1200)] + [3] * 800 + [_rng.randrange(10) for _ in range(300)]
+CONSTANT_RUN = DrawHistory(PICK1, np.arange(len(_digits)), np.array(_digits)[:, None], (None,) * len(_digits))
+
+
+def head(history, draws):
+    """The history's first ``draws`` draws, built from its sliced columns."""
+    return DrawHistory(history.spec, history.draw_indices[:draws], history.numbers[:draws], history.dates[:draws])
 
 
 class TestRollingStatsFromNumbers:
@@ -274,7 +274,7 @@ class TestRollingStatsFromNumbers:
     def test_prefix_is_the_cumulative_count_matrix(self, spec):
         history = synthetic_history(spec, 300, seed=6)
         matrices = build_count_matrices(history)
-        trackers = _trackers(history)
+        trackers = _trackers(history, 0)
         assert len(trackers) == len(matrices)
         for tracker, matrix in zip(trackers, matrices):
             assert tracker.prefix.dtype == np.int64
@@ -283,6 +283,9 @@ class TestRollingStatsFromNumbers:
             ends = np.arange(matrix.cols, matrix.rows + 1)
             expected = [np.diagonal(matrix.counts[end - matrix.cols:end]) for end in ends]
             np.testing.assert_array_equal(tracker.trailing_diagonal(ends), expected)
+        # Trackers from a later start row cover the rows from it on.
+        for tracker, matrix in zip(_trackers(history, 100), matrices):
+            np.testing.assert_array_equal(tracker.prefix[1:], np.cumsum(matrix.counts[100:], axis=0))
 
 
 def naive_predict(history, estimators, window):
@@ -337,12 +340,23 @@ class TestPredictNext:
         want = naive_predict(history, estimators, 60)
         assert [c.numbers for c in got] == [numbers for numbers, _ in want]
 
+    def test_a_window_tracks_its_own_draws_alone(self):
+        # Prefix sums over all 20,000 draws would hold 20,001 x 52 int64s, 8.3 MB.
+        history = synthetic_history(SIX_52, 20_000, seed=414)
+        estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
+        tracemalloc.start()
+        try:
+            predict_next(history, estimators, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
         history = synthetic_history(SIX_52, 140, seed=9)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), window=60, warmup=60)
         result = run_backtest(history, config)
-        head = DrawHistory.from_records(SIX_52, history.records[:result.draw_indices[-1]])
-        (combo,) = predict_next(head, [config.estimator], 60)
+        (combo,) = predict_next(head(history, result.draw_indices[-1]), [config.estimator], 60)
         assert combo.numbers == tuple(result.predictions[-1].tolist())
 
     @pytest.mark.parametrize("draws,window,message", [
@@ -351,7 +365,7 @@ class TestPredictNext:
         (30, 0, "window must be positive, got 0"),
     ])
     def test_rejects_an_empty_history_and_a_window_that_does_not_fit(self, draws, window, message):
-        history = DrawHistory.from_records(SIX_52, synthetic_history(SIX_52, 30, seed=1).records[:draws])
+        history = head(synthetic_history(SIX_52, 30, seed=1), draws)
         with pytest.raises(ValueError) as info:
             predict_next(history, [EstimatorConfig(EstimatorKind.MOM)], window)
         assert (type(info.value), str(info.value)) == (ValueError, message)
@@ -362,8 +376,7 @@ class TestRunBacktest:
         """Every draw repeats the previous one, so the column profile is the
         drawn set itself and the prediction must match it in full."""
         numbers = (2, 9, 17, 25, 33, 41)
-        records = tuple(DrawRecord(i, None, numbers) for i in range(10))
-        history = DrawHistory.from_records(SIX_52, records)
+        history = DrawHistory(SIX_52, np.arange(10), [numbers] * 10, (None,) * 10)
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=3, hit_threshold=6)
         result = run_backtest(history, config)
         assert result.hit_indices == tuple(range(3, 10))
@@ -415,7 +428,7 @@ class TestRunBacktest:
         result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
         assert result.draw_indices.tolist() == list(range(10, 200))
         assert result.predictions.shape == result.actuals.shape == (190, 4)
-        assert result.actuals.tolist() == [list(r.numbers) for r in history.records[10:]]
+        assert result.actuals.tolist() == history.numbers[10:].tolist()
         assert tuple(result.draw_indices[result.match_counts >= 2].tolist()) == result.hit_indices
         with pytest.raises(ValueError):
             result.match_counts[0] = 4  # the columns are read-only

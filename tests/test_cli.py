@@ -92,7 +92,7 @@ class TestSynth:
         assert code == 0
         spec = GameSpec(GameKind.SET_DRAW, 52, 6)
         history = parse_history(path.read_text(), spec)
-        assert len(history.records) == 100
+        assert len(history) == 100
 
     def test_reproducible_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -179,6 +179,8 @@ class TestPredict:
         pytest.param(300, ("--window", "301"), 2, "error: window 301 exceeds the 300 available draws\n",
                      id="window-above-n"),
         pytest.param(0, (), 2, "error: history is empty\n", id="empty"),
+        # predict has no --draws route, so the message names only --input.
+        pytest.param(None, (), 2, "error: provide --input PATH\n", id="no-input"),
     ])
     def test_error_battery(self, capsys, tmp_path, draws, flags, code, err):
         path = tmp_path / "history.csv"
@@ -187,7 +189,8 @@ class TestPredict:
                 "--seed", "5", "--output", str(path))
         else:
             path.write_text("", encoding="utf-8")
-        got = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6", "--input", str(path), *flags)
+        source = () if draws is None else ("--input", str(path))
+        got = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6", *source, *flags)
         assert got == (code, "", err)
 
 
@@ -208,6 +211,10 @@ class TestBacktest:
             assert field in document
         assert document["config"]["estimator"] == "mm"
         assert document["config"]["seed"] == 5
+
+    def test_no_history_names_both_routes(self, capsys):
+        got = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6")
+        assert got == (2, "", "error: provide --input PATH, or --draws N with --seed for a synthetic history\n")
 
     def test_threshold_above_picks_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from cdmlotto import ingest
 from cdmlotto.ingest import (
     DrawHistory,
-    DrawRecord,
     GameKind,
     GameSpec,
     HistoryParseError,
@@ -31,6 +30,11 @@ PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
 # More digits than Python's int() converts by default (4,300).
 HUGE = "9" * 5000
 PADDING = "0" * 5000
+
+
+def history_rows(history):
+    """The history as plain (draw index, date, numbers) tuples, one per draw."""
+    return tuple(zip(history.draw_indices.tolist(), history.dates, map(tuple, history.numbers.tolist())))
 
 
 class TestGameSpec:
@@ -51,11 +55,11 @@ class TestGameSpec:
 class TestParseHistory:
     def test_set_draw_row(self):
         history = parse_history("1,,3 7 22 31 45 46", SIX_52)
-        assert history.records == (DrawRecord(1, None, (3, 7, 22, 31, 45, 46)),)
+        assert history_rows(history) == ((1, None, (3, 7, 22, 31, 45, 46)),)
 
     def test_pick_row_allows_repeats(self):
         history = parse_history("0,,5 5 9", PICK3)
-        assert history.records == (DrawRecord(0, None, (5, 5, 9)),)
+        assert history_rows(history) == ((0, None, (5, 5, 9)),)
 
     def test_wrong_arity_is_a_validation_error(self):
         with pytest.raises(HistoryValidationError, match="line 1"):
@@ -83,7 +87,7 @@ class TestParseHistory:
 
     def test_header_detected_and_skipped(self):
         history = parse_history("draw_index,date,numbers\n0,,1 2 3", PICK3)
-        assert len(history.records) == 1
+        assert len(history) == 1
 
     def test_non_integer_index_after_data_is_an_error(self):
         with pytest.raises(HistoryParseError, match="line 2"):
@@ -91,7 +95,7 @@ class TestParseHistory:
 
     def test_crlf_and_blank_lines(self):
         history = parse_history("0,,1 2 3\r\n\r\n1,,4 5 6\r\n", PICK3)
-        assert [r.numbers for r in history.records] == [(1, 2, 3), (4, 5, 6)]
+        assert history.numbers.tolist() == [[1, 2, 3], [4, 5, 6]]
 
     def test_indices_must_be_contiguous(self):
         with pytest.raises(HistoryValidationError, match="does not follow"):
@@ -121,11 +125,11 @@ class TestParseHistory:
 
     def test_dates_are_passed_through(self):
         history = parse_history("0,2022-07-09,1 2 3", PICK3)
-        assert history.records[0].date == "2022-07-09"
+        assert history.dates == ("2022-07-09",)
 
     def test_accepts_line_iterables(self):
         with_lines = parse_history(["0,,1 2 3\n", "1,,4 5 6\n"], PICK3)
-        assert len(with_lines.records) == 2
+        assert len(with_lines) == 2
 
     def test_round_trip(self):
         text = "0,2022-01-01,3 7 22 31 45 46\n1,,1 2 3 4 5 6\n2,2022-01-02,47 48 49 50 51 52\n"
@@ -140,7 +144,7 @@ class TestParseHistory:
 
     @pytest.mark.parametrize("date", ["Jan 1, 2022", "2022\n01", "2022\r", ""])
     def test_dates_that_cannot_be_written_back_are_refused(self, date):
-        history = DrawHistory.from_records(PICK3, (DrawRecord(6, "ok", (1, 2, 3)), DrawRecord(7, date, (4, 5, 6))))
+        history = DrawHistory(PICK3, np.array([6, 7]), np.array([[1, 2, 3], [4, 5, 6]]), ("ok", date))
         with pytest.raises(ValueError, match="draw 7: date"):
             serialize_history(history)
 
@@ -154,14 +158,13 @@ dates = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(["\x0b", "\x0c
 def histories(draw):
     spec = draw(st.sampled_from([SIX_52, PICK3]))
     first = draw(st.integers(0, 10**6))
-    records = []
-    for index in range(first, first + draw(st.integers(1, 5))):
-        if spec.kind is GameKind.SET_DRAW:
-            numbers = draw(st.lists(st.integers(1, 52), min_size=6, max_size=6, unique=True))
-        else:
-            numbers = draw(st.lists(st.integers(0, 9), min_size=3, max_size=3))
-        records.append(DrawRecord(index, draw(dates), tuple(numbers)))
-    return DrawHistory.from_records(spec, tuple(records))
+    n = draw(st.integers(1, 5))
+    if spec.kind is GameKind.SET_DRAW:
+        row = st.lists(st.integers(1, 52), min_size=6, max_size=6, unique=True)
+    else:
+        row = st.lists(st.integers(0, 9), min_size=3, max_size=3)
+    numbers = draw(st.lists(row, min_size=n, max_size=n))
+    return DrawHistory(spec, np.arange(first, first + n), np.array(numbers), tuple(draw(dates) for _ in range(n)))
 
 
 class TestRoundTripProperty:
@@ -171,7 +174,7 @@ class TestRoundTripProperty:
         try:
             text = serialize_history(history)
         except ValueError:
-            assert any(r.date == "" or (r.date and any(c in r.date for c in ",\r\n")) for r in history.records)
+            assert any(d == "" or (d and any(c in d for c in ",\r\n")) for d in history.dates)
             return
         assert parse_history(text, history.spec) == history
         # The same text read as a UTF-8 file.
@@ -181,13 +184,14 @@ class TestRoundTripProperty:
 
 class TestDrawHistoryInvariants:
     def test_records_must_satisfy_spec(self):
-        with pytest.raises(HistoryValidationError):
-            DrawHistory.from_records(SIX_52, (DrawRecord(0, None, (1, 2, 3)),))
+        with pytest.raises(HistoryValidationError, match="duplicate number in set draw") as excinfo:
+            DrawHistory(SIX_52, np.array([0, 1]), np.array([[1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 5]]), (None, None))
+        assert excinfo.value.position == 1
 
     def test_indices_must_step_by_one(self):
-        records = (DrawRecord(0, None, (1, 2, 3)), DrawRecord(5, None, (4, 5, 6)))
-        with pytest.raises(HistoryValidationError):
-            DrawHistory.from_records(PICK3, records)
+        with pytest.raises(HistoryValidationError, match="^draw index 5 does not follow 0$") as excinfo:
+            DrawHistory(PICK3, np.array([0, 5]), np.array([[1, 2, 3], [4, 5, 6]]), (None, None))
+        assert excinfo.value.position == 1
 
 
 class TestBuildCountMatrices:
@@ -208,7 +212,7 @@ class TestBuildCountMatrices:
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            build_count_matrices(DrawHistory.from_records(SIX_52, ()))
+            build_count_matrices(DrawHistory(SIX_52, np.zeros(0), np.zeros((0, 6)), ()))
 
     def test_column_sums_match_direct_tally(self):
         history = synthetic_history(SIX_52, 200, seed=2)
@@ -216,8 +220,8 @@ class TestBuildCountMatrices:
         assert np.isin(matrix.counts, (0, 1)).all()
         assert (matrix.counts.sum(axis=1) == 6).all()
         tally = np.zeros(52, dtype=int)
-        for record in history.records:
-            for n in record.numbers:
+        for row in history.numbers.tolist():
+            for n in row:
                 tally[n - 1] += 1
         np.testing.assert_array_equal(matrix.col_sums, tally)
 
@@ -226,8 +230,8 @@ class TestBuildCountMatrices:
         matrices = build_count_matrices(history)
         for position, matrix in enumerate(matrices):
             tally = np.zeros(10, dtype=int)
-            for record in history.records:
-                tally[record.numbers[position]] += 1
+            for row in history.numbers.tolist():
+                tally[row[position]] += 1
             np.testing.assert_array_equal(matrix.col_sums, tally)
 
 
@@ -268,16 +272,16 @@ class TestSyntheticHistory:
 
     def test_rows_are_valid_draws(self):
         history = synthetic_history(SIX_52, 100, seed=0)
-        for record in history.records:
-            assert len(set(record.numbers)) == 6
-            assert all(1 <= n <= 52 for n in record.numbers)
-            assert record.numbers == tuple(sorted(record.numbers))
+        for row in history.numbers.tolist():
+            assert len(set(row)) == 6
+            assert all(1 <= n <= 52 for n in row)
+            assert row == sorted(row)
 
     def test_pick_rows_are_digits(self):
         history = synthetic_history(PICK3, 100, seed=0)
-        for record in history.records:
-            assert len(record.numbers) == 3
-            assert all(0 <= d <= 9 for d in record.numbers)
+        for row in history.numbers.tolist():
+            assert len(row) == 3
+            assert all(0 <= d <= 9 for d in row)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -394,7 +398,7 @@ class TestStrictIngest:
 
 
 class TestColumnarHistory:
-    RECORDS = (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "d", (4, 5, 6)), DrawRecord(6, None, (7, 7, 0)))
+    COLUMNS = ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "d", None))
 
     def test_columns_are_read_only_int64_copies(self):
         indices, numbers = np.array([4, 5]), np.array([[1, 2, 3], [4, 5, 6]])
@@ -406,28 +410,28 @@ class TestColumnarHistory:
             with pytest.raises(ValueError):
                 column[0] = 0
 
-    def test_records_rebuild_the_same_records(self):
-        history = DrawHistory.from_records(PICK3, self.RECORDS)
-        assert history.records == self.RECORDS
+    def test_columns_rebuild_the_same_history(self):
+        history = DrawHistory(PICK3, *self.COLUMNS)
         assert len(history) == 3
+        assert history.draw_indices.tolist() == [4, 5, 6]
         np.testing.assert_array_equal(history.numbers, [[1, 2, 3], [4, 5, 6], [7, 7, 0]])
         assert history.dates == (None, "d", None)
-        assert DrawHistory.from_records(PICK3, history.records) == history
+        assert DrawHistory(PICK3, history.draw_indices, history.numbers, history.dates) == history
 
     @pytest.mark.parametrize("changed", [
-        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "d", (4, 5, 6)), DrawRecord(6, None, (7, 7, 1))),
-        tuple(DrawRecord(r.draw_index + 1, r.date, r.numbers) for r in RECORDS),
-        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, "e", (4, 5, 6)), DrawRecord(6, None, (7, 7, 0))),
-        (DrawRecord(4, None, (1, 2, 3)), DrawRecord(5, None, (4, 5, 6)), DrawRecord(6, None, (7, 7, 0))),
+        ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 1]], (None, "d", None)),
+        ([5, 6, 7], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "d", None)),
+        ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "e", None)),
+        ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, None, None)),
     ], ids=["number", "index", "date", "no-date"])
     def test_one_changed_field_makes_histories_unequal(self, changed):
-        history = DrawHistory.from_records(PICK3, self.RECORDS)
-        assert history != DrawHistory.from_records(PICK3, changed)
-        assert history == DrawHistory.from_records(PICK3, self.RECORDS)
+        history = DrawHistory(PICK3, *self.COLUMNS)
+        assert history != DrawHistory(PICK3, *changed)
+        assert history == DrawHistory(PICK3, *self.COLUMNS)
 
     def test_equality_needs_the_same_game(self):
-        pick = DrawHistory.from_records(PICK3, [DrawRecord(0, None, (1, 2, 3))])
-        set_game = DrawHistory.from_records(GameSpec(GameKind.SET_DRAW, 9, 3), [DrawRecord(0, None, (1, 2, 3))])
+        pick = DrawHistory(PICK3, [0], [[1, 2, 3]], (None,))
+        set_game = DrawHistory(GameSpec(GameKind.SET_DRAW, 9, 3), [0], [[1, 2, 3]], (None,))
         assert pick != set_game
 
     def test_shape_mismatch_is_rejected(self):
@@ -483,15 +487,17 @@ class TestArrayChecks:
     @given(draw_columns())
     def test_array_checks_report_what_the_record_checks_report(self, columns):
         spec, indices, numbers = columns
-        records = [DrawRecord(i, None, tuple(row)) for i, row in zip(indices, numbers)]
+        rows = [(i, None, tuple(row)) for i, row in zip(indices, numbers)]
         direct = raised(lambda: DrawHistory(spec, np.array(indices, dtype=np.int64),
                                             np.array(numbers, dtype=np.int64).reshape(-1, 3), (None,) * len(indices)))
-        assert direct == raised(lambda: DrawHistory.from_records(spec, records))
+        assert direct == raised(lambda: oracle_check(spec, rows))
 
 
 # The per-line parser as it stood before the columnar fast path, kept as the
-# reference: parse_history must return an equal history, or raise the same
-# exception class with the same message.
+# reference on plain (draw index, date, numbers) tuples: parse_history must
+# return a history of the same rows, or raise the same exception class with
+# the same message.  Its row checks are the reference for DrawHistory's
+# array checks too.
 def oracle_rule_break(numbers, spec):
     if len(numbers) != spec.picks:
         return f"expected {spec.picks} numbers, got {len(numbers)}"
@@ -508,18 +514,25 @@ def oracle_rule_break(numbers, spec):
     return None
 
 
-def oracle_check(spec, records, linenos):
+def oracle_check(spec, rows):
     previous = None
-    for position, record in enumerate(records):
-        problem = oracle_rule_break(record.numbers, spec)
-        if problem is None and previous is not None and record.draw_index != previous + 1:
-            problem = f"draw index {record.draw_index} does not follow {previous}"
+    for position, (index, _, numbers) in enumerate(rows):
+        problem = oracle_rule_break(numbers, spec)
+        if problem is None and previous is not None and index != previous + 1:
+            problem = f"draw index {index} does not follow {previous}"
         if problem is not None:
-            raise HistoryValidationError(f"line {linenos[position]}: {problem}")
-        previous = record.draw_index
+            raise HistoryValidationError(problem, position)
+        previous = index
 
 
-def oracle_rows(lines, records, linenos):
+def oracle_check_lines(spec, rows, linenos):
+    try:
+        oracle_check(spec, rows)
+    except HistoryValidationError as exc:
+        raise HistoryValidationError(f"line {linenos[exc.position]}: {exc}") from None
+
+
+def oracle_rows(lines, rows, linenos):
     first_line = True
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -538,20 +551,20 @@ def oracle_rows(lines, records, linenos):
         tokens = parts[2].split()
         if tokens and not is_digits("".join(tokens)):
             raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
-        records.append(DrawRecord(int(index_text), parts[1] or None, tuple(map(int, tokens))))
+        rows.append((int(index_text), parts[1] or None, tuple(map(int, tokens))))
         linenos.append(lineno)
 
 
 def oracle_parse(source, spec):
     lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
-    records, linenos = [], []
+    rows, linenos = [], []
     try:
-        oracle_rows(lines, records, linenos)
+        oracle_rows(lines, rows, linenos)
     except HistoryParseError:
-        oracle_check(spec, records, linenos)
+        oracle_check_lines(spec, rows, linenos)
         raise
-    oracle_check(spec, records, linenos)
-    return tuple(records)
+    oracle_check_lines(spec, rows, linenos)
+    return tuple(rows)
 
 
 def numbers_flaws(tokens, high):
@@ -656,7 +669,7 @@ def outcome(parse, source, spec):
         result = parse(source, spec)
     except (HistoryParseError, HistoryValidationError) as exc:
         return type(exc), str(exc)
-    return result if isinstance(result, tuple) else result.records
+    return result if isinstance(result, tuple) else history_rows(result)
 
 
 class TestParserDifferential:
@@ -694,7 +707,7 @@ class TestAnyWhitespace:
     @pytest.mark.parametrize("space", ["\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
     def test_any_whitespace_pads_rows_and_separates_numbers(self, space):
         text = f"{space}0,{space},1{space}2 3{space}\n1{space},,4{space * 2}5\t6\n"
-        assert parse_history(text, PICK3).records == oracle_parse(text, PICK3)
-        assert [r.numbers for r in parse_history(text, PICK3).records] == [(1, 2, 3), (4, 5, 6)]
+        assert history_rows(parse_history(text, PICK3)) == oracle_parse(text, PICK3)
+        assert parse_history(text, PICK3).numbers.tolist() == [[1, 2, 3], [4, 5, 6]]
         bad = text + f"2,,7{space}x 9\n"
         assert outcome(parse_history, bad, PICK3) == outcome(oracle_parse, bad, PICK3)
