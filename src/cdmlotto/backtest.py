@@ -17,7 +17,9 @@ over a multi-decade history costs O(n K) instead of O(n^2 K).  The
 estimate, the predictive scores, the tie-broken pick and the match count
 then follow for the whole chunk at once.  Chunks bound the size of the
 temporary arrays.  :func:`predict_next` is the same scoring on the one
-window before the next draw.  Tests pin both to an independent
+window before the next draw, whose column sums are counted from its rows
+in place and whose md diagonal comes from its last K rows, so it needs
+O(K) memory and no prefix array.  Tests pin both to an independent
 slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
 ``tests/test_backtest.py``), which rebuilds each window's 0/1 matrix,
 fit, scores, pick and match count from the paper's rules.
@@ -123,18 +125,27 @@ class BacktestResult:
     Row i of ``draw_indices`` (n,), ``predictions`` (n, picks), ``actuals``
     (n, picks) and ``match_counts`` (n,), all read-only int64 arrays,
     describes the i-th predicted draw; the hits are the rows whose match
-    count reaches ``hit_threshold``.  :meth:`summary` builds every other
-    report field.
+    count reaches ``hit_threshold``.  :attr:`hit_indices` and
+    :attr:`tier_counts` are read from these columns, and :meth:`summary`
+    builds every other report field.
     """
 
     draw_indices: np.ndarray
     predictions: np.ndarray
     actuals: np.ndarray
     match_counts: np.ndarray
-    hit_indices: tuple[int, ...]
-    tier_counts: dict[int, int]
     warmup: int
     hit_threshold: int
+
+    @property
+    def hit_indices(self) -> tuple[int, ...]:
+        """The draw indices whose match count reaches the threshold."""
+        return tuple(self.draw_indices[self.match_counts >= self.hit_threshold].tolist())
+
+    @property
+    def tier_counts(self) -> dict[int, int]:
+        """Predicted draws per match count, for the counts that occur."""
+        return {tier: count for tier, count in enumerate(np.bincount(self.match_counts).tolist()) if count}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BacktestResult):
@@ -165,10 +176,11 @@ class BacktestResult:
                 observed[tier] = int(reached[-1] - reached[0]) / (reached.size - 1)
         missing = [t for t in tiers if t not in observed]
         projected = extrapolate_gaps(observed, missing) if len(observed) >= 2 and missing else {}
+        hits = self.hit_indices
         # String keys in integer order: a renderer that sorts them puts "10" before "2".
         return {
-            **gap_report(self.hit_indices),
-            "hit_count": len(self.hit_indices),
+            **gap_report(hits),
+            "hit_count": len(hits),
             "tier_counts": {str(k): v for k, v in sorted(self.tier_counts.items())},
             "tier_average_gaps": {str(k): v for k, v in observed.items()},
             "projected_gaps": {str(k): v for k, v in projected.items()},
@@ -289,31 +301,49 @@ class _RollingStats:
         rows = np.maximum(ends[:, None] - cols.size + cols, 0)
         return self.prefix[rows + 1, cols] - self.prefix[rows, cols]
 
-    def scores(self, estimator: EstimatorConfig, starts: np.ndarray, ends: np.ndarray, m: int) -> np.ndarray:
-        """Predictive scores, one row per window ``[starts[i], ends[i])``."""
-        col_sums = self.prefix[ends] - self.prefix[starts]
-        md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
-        diagonal = self.trailing_diagonal(ends) if md else None
-        alpha = alpha_from_stats(estimator, ends - starts, col_sums, diagonal)
-        return _predictive_scores(_check_alpha(alpha, positive=False), col_sums, m)
+    def stats(self, starts: np.ndarray, ends: np.ndarray, md: bool) -> tuple:
+        """Row counts, column sums and, for md, trailing diagonals of the
+        windows ``[starts[i], ends[i])``."""
+        return ends - starts, self.prefix[ends] - self.prefix[starts], self.trailing_diagonal(ends) if md else None
 
 
-def _trackers(history: DrawHistory, start: int) -> list[_RollingStats]:
-    """One tracker per count matrix of :func:`~cdmlotto.ingest.build_count_matrices`,
-    in its order (the set matrix, or one per digit position), over the
-    history's rows from ``start`` on: tracker row r is history row start + r."""
-    numbers = history.numbers[start:]
-    if history.spec.kind is GameKind.SET_DRAW:
-        return [_RollingStats(numbers - 1, history.spec.categories)]
-    return [_RollingStats(digits[:, None], 10) for digits in numbers.T]
+def _layout(spec: GameSpec, numbers: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
+    """The count matrices of :func:`~cdmlotto.ingest.build_count_matrices`, in
+    its order (the set matrix, or one per digit position), over the rows of
+    ``numbers``: per matrix, the numbers that place its ones, the number that
+    marks column 0, and K.  Row t's ones lie in columns ``picked[t] - base``."""
+    if spec.kind is GameKind.SET_DRAW:
+        return [(numbers, 1, spec.categories)]
+    return [(numbers[:, p : p + 1], 0, 10) for p in range(spec.picks)]
 
 
-def _score_and_pick(spec: GameSpec, trackers: list[_RollingStats], estimator: EstimatorConfig,
-                    starts: np.ndarray, ends: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each count matrix's predictive scores and the picked numbers, one
-    row per window ``[starts[i], ends[i])``."""
+def _trackers(history: DrawHistory) -> list[_RollingStats]:
+    """One tracker per count matrix, over the whole history."""
+    return [_RollingStats(picked - base, k) for picked, base, k in _layout(history.spec, history.numbers)]
+
+
+def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
+    """What :meth:`_RollingStats.stats` gives for one window, read from the
+    window's rows ``picked`` alone, in O(K) memory.  The diagonal is None
+    when the window is shorter than K, which md rejects before reading it."""
+    rows = len(picked)
+    # Not bincount: it copies a read-only input such as the history's numbers.
+    counts = np.zeros(k + base, dtype=np.int64)
+    np.add.at(counts, picked, 1)
+    col_sums = counts[base:]
+    diagonal = (picked[rows - k :] == np.arange(base, k + base)[:, None]).any(axis=1)[None] if rows >= k else None
+    return np.array([rows]), col_sums[None], diagonal
+
+
+def _score_and_pick(spec: GameSpec, estimator: EstimatorConfig,
+                    stats: list[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each count matrix's predictive scores and the picked numbers, one row
+    per window, from each matrix's row counts, column sums and diagonals."""
     per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
-    scores = [tracker.scores(estimator, starts, ends, per_matrix_picks) for tracker in trackers]
+    scores = []
+    for rows, col_sums, diagonal in stats:
+        alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
+        scores.append(_predictive_scores(_check_alpha(alpha, positive=False), col_sums, per_matrix_picks))
     return scores, _select(spec, scores)
 
 
@@ -351,10 +381,11 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     spec = history.spec
     n = len(history)
     warmup, threshold = _resolve(config, spec, n)
-    trackers = _trackers(history, 0)
+    trackers = _trackers(history)
+    md = config.estimator.kind is EstimatorKind.MAIN_DIAGONAL
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        return _score_and_pick(spec, trackers, config.estimator, starts, ends)[1]
+        return _score_and_pick(spec, config.estimator, [t.stats(starts, ends, md) for t in trackers])[1]
 
     chunks = []
     for first in range(warmup, n, _CHUNK):
@@ -367,36 +398,24 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     match_counts = _match_counts(spec, predictions, actuals).astype(np.int64, copy=False)
     for column in (draw_indices, predictions, actuals, match_counts):
         column.flags.writeable = False
-
-    tiers = np.bincount(match_counts).tolist()
-    return BacktestResult(
-        draw_indices=draw_indices,
-        predictions=predictions,
-        actuals=actuals,
-        match_counts=match_counts,
-        hit_indices=tuple(draw_indices[match_counts >= threshold].tolist()),
-        tier_counts={tier: count for tier, count in enumerate(tiers) if count},
-        warmup=warmup,
-        hit_threshold=threshold,
-    )
+    return BacktestResult(draw_indices, predictions, actuals, match_counts, warmup, threshold)
 
 
 def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
                  window: int | None = None) -> list[PredictedCombination]:
     """Each estimator's combination for the draw after the history: the walk's
     pick for draw ``len(history)``, fitted on the last ``window`` draws (all
-    when None); the trackers cover those draws alone.  Estimator failures
-    propagate as raised, with no draw index."""
+    when None), whose statistics are read from those rows alone.  Estimator
+    failures propagate as raised, with no draw index."""
     n = len(history)
     if not n:
         raise ValueError("history is empty")
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
-    start = 0 if window is None else n - window
-    trackers = _trackers(history, start)
-    starts, ends = np.array([0]), np.array([n - start])
-    fits = [_score_and_pick(history.spec, trackers, estimator, starts, ends) for estimator in estimators]
+    rows = history.numbers[0 if window is None else n - window :]
+    stats = [_window_stats(picked, base, k) for picked, base, k in _layout(history.spec, rows)]
+    fits = [_score_and_pick(history.spec, estimator, stats) for estimator in estimators]
     return [PredictedCombination(tuple(picks[0].tolist()), tuple(s[0] for s in scores)) for scores, picks in fits]
 
 

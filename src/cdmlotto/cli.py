@@ -220,7 +220,7 @@ def _emit(text: str, cfg: dict) -> None:
 def _echo_value(value):
     """A setting in the form the JSON echo prints it."""
     if isinstance(value, ExtensionRule):
-        return value.kind.value if value.ratio is None else f"ratio:{value.ratio}"
+        return "min-recover" if value.ratio is None else f"ratio:{value.ratio}"
     if isinstance(value, AccountingMode):
         return value.value
     if isinstance(value, tuple):

@@ -5,8 +5,7 @@ paying players quarter by quarter until the combination hits.  The first
 quarters follow a fixed schedule (default 1, 2, 5, 12 players); beyond it
 an explicit extension rule takes over, either the smallest player count
 that recovers all losses while at least matching the previous quarter's
-would-be profit (MIN_RECOVER) or a fixed multiplicative step
-(FIXED_RATIO).
+would-be profit (min-recover) or a fixed multiplicative step (a ratio).
 
 Two accounting modes are first class.  FULL_QUARTER charges every started
 quarter in full, which reproduces round-number hand arithmetic exactly;
@@ -28,7 +27,6 @@ from typing import Sequence
 
 __all__ = [
     "AccountingMode",
-    "ExtensionKind",
     "ExtensionRule",
     "StrategyConfig",
     "CapExceededError",
@@ -52,32 +50,24 @@ class AccountingMode(Enum):
     EXACT_DAY = "exact"
 
 
-class ExtensionKind(Enum):
-    MIN_RECOVER = "min-recover"
-    FIXED_RATIO = "ratio"
-
-
 class CapExceededError(RuntimeError):
     """No admissible player count exists below the configured cap."""
 
 
 @dataclass(frozen=True)
 class ExtensionRule:
-    """How player counts continue past the fixed schedule."""
+    """How player counts continue past the fixed schedule: a fixed
+    multiplicative step ``ratio``, or min-recover when it is None."""
 
-    kind: ExtensionKind = ExtensionKind.MIN_RECOVER
     ratio: Fraction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is ExtensionKind.FIXED_RATIO:
-            if self.ratio is None or self.ratio <= 0:
-                raise ValueError("fixed-ratio extension needs a positive ratio")
-        elif self.ratio is not None:
-            raise ValueError("min-recover extension takes no ratio")
+        if self.ratio is not None and self.ratio <= 0:
+            raise ValueError("fixed-ratio extension needs a positive ratio")
 
     @staticmethod
     def min_recover() -> "ExtensionRule":
-        return ExtensionRule(ExtensionKind.MIN_RECOVER)
+        return ExtensionRule()
 
     @staticmethod
     def fixed_ratio(ratio) -> "ExtensionRule":
@@ -85,7 +75,7 @@ class ExtensionRule:
         # them exact (Fraction(2.4) would carry float noise and 2.4 * 5
         # would ceil to 13 instead of 12).
         frac = ratio if isinstance(ratio, Fraction) else Fraction(str(ratio))
-        return ExtensionRule(ExtensionKind.FIXED_RATIO, frac)
+        return ExtensionRule(frac)
 
 
 @dataclass(frozen=True)
@@ -138,30 +128,64 @@ class QuarterRecord:
 
 @dataclass(frozen=True)
 class StreamLedger:
+    """A stream's quarters and the day it won (None for an open stream);
+    the outcome and the totals are read from them."""
+
     quarters: tuple[QuarterRecord, ...]
-    outcome: str  # "win" or "open"
-    win_quarter: int | None
     win_day: int | None
-    total_spend_cents: int
-    total_payout_cents: int
-    profit_cents: int
+
+    @property
+    def win_quarter(self) -> int | None:
+        return None if self.win_day is None else len(self.quarters)
+
+    @property
+    def outcome(self) -> str:
+        return "open" if self.win_day is None else "win"
+
+    @property
+    def total_spend_cents(self) -> int:
+        last = self.quarters[-1]
+        return last.cumulative_loss_cents + last.spend_cents
+
+    @property
+    def total_payout_cents(self) -> int:
+        return self.quarters[-1].payout_cents
+
+    @property
+    def profit_cents(self) -> int:
+        return self.total_payout_cents - self.total_spend_cents
 
     @property
     def drawdown_cents(self) -> int:
         """Deepest out-of-pocket point: everything spent before the winning
         quarter, or all spend for a stream still open."""
-        if self.win_quarter is None:
+        if self.win_day is None:
             return self.total_spend_cents
-        return self.quarters[self.win_quarter - 1].cumulative_loss_cents
+        return self.quarters[-1].cumulative_loss_cents
 
 
 @dataclass(frozen=True)
 class StreamsSummary:
+    """Totals over streams, read from their ledgers; the drawdown is the
+    deepest single stream's."""
+
     streams: tuple[StreamLedger, ...]
-    total_spend_cents: int
-    total_payout_cents: int
-    profit_cents: int
-    max_drawdown_cents: int
+
+    @property
+    def total_spend_cents(self) -> int:
+        return sum(ledger.total_spend_cents for ledger in self.streams)
+
+    @property
+    def total_payout_cents(self) -> int:
+        return sum(ledger.total_payout_cents for ledger in self.streams)
+
+    @property
+    def profit_cents(self) -> int:
+        return self.total_payout_cents - self.total_spend_cents
+
+    @property
+    def max_drawdown_cents(self) -> int:
+        return max((ledger.drawdown_cents for ledger in self.streams), default=0)
 
 
 def next_player_count(
@@ -172,13 +196,14 @@ def next_player_count(
 ) -> int:
     """Player count for the next quarter under the configured extension rule.
 
-    MIN_RECOVER returns the smallest count whose win recovers the losses
+    Min-recover returns the smallest count whose win recovers the losses
     so far and still nets at least the previous quarter's would-be profit;
-    FIXED_RATIO scales the previous count and rounds up.  Counts above the
-    cap raise :class:`CapExceededError`.
+    a ratio scales the previous count and rounds up.  Counts above the cap
+    raise :class:`CapExceededError`.
     """
-    if config.extension.kind is ExtensionKind.FIXED_RATIO:
-        players = max(1, math.ceil(config.extension.ratio * previous_players))
+    ratio = config.extension.ratio
+    if ratio is not None:
+        players = max(1, math.ceil(ratio * previous_players))
     else:
         margin = config.payout_per_ticket_cents - config.quarter_cost_per_player_cents
         if margin <= 0:
@@ -213,23 +238,21 @@ def simulate_stream(
     ``win_draw_offset`` is the 0-based index of the winning draw counted
     from the stream's first draw, or None for a stream that never hits;
     open streams run for ``horizon_days`` (default: the scheduled
-    quarters).  FULL_QUARTER accounting charges the winning quarter in
-    full; EXACT_DAY charges it only through the winning day.
+    quarters).  Both play every day through a last day, the winning one or
+    the horizon's.  FULL_QUARTER accounting charges the last quarter in
+    full; EXACT_DAY charges it only through the last day.
     """
     if win_draw_offset is not None:
         if win_draw_offset < 0:
             raise ValueError(f"win_draw_offset must be >= 0, got {win_draw_offset}")
-        win_day = win_draw_offset // config.draws_per_day
-        win_quarter = win_day // config.quarter_days + 1
-        quarters = win_quarter
+        win_day = last_day = win_draw_offset // config.draws_per_day
     else:
         if horizon_days is None:
             horizon_days = len(config.schedule) * config.quarter_days
         if horizon_days < 1:
             raise ValueError(f"horizon_days must be positive, got {horizon_days}")
-        win_day = None
-        win_quarter = None
-        quarters = -(-horizon_days // config.quarter_days)
+        win_day, last_day = None, horizon_days - 1
+    quarters = last_day // config.quarter_days + 1
 
     # Only the last quarter can end mid-way: ``loss`` serves ledger and extension rule alike.
     daily_cost = config.ticket_price_cents * config.draws_per_day
@@ -242,23 +265,14 @@ def simulate_stream(
             players = next_player_count(loss, net, players, config)
         days = config.quarter_days
         if q == quarters and config.accounting is AccountingMode.EXACT_DAY:
-            days = (horizon_days if win_day is None else win_day + 1) - (q - 1) * config.quarter_days
+            days = last_day + 1 - (q - 1) * config.quarter_days
         spend = daily_cost * days * players
-        payout = config.payout_per_ticket_cents * players if q == win_quarter else 0
-        net = config.payout_per_ticket_cents * players - spend - loss
+        prize = config.payout_per_ticket_cents * players
+        payout = prize if q == quarters and win_day is not None else 0
+        net = prize - spend - loss
         records.append(QuarterRecord(q, players, spend, payout, net, loss))
         loss += spend
-
-    total_payout = records[-1].payout_cents if win_quarter is not None else 0
-    return StreamLedger(
-        quarters=tuple(records),
-        outcome="win" if win_quarter is not None else "open",
-        win_quarter=win_quarter,
-        win_day=win_day,
-        total_spend_cents=loss,
-        total_payout_cents=total_payout,
-        profit_cents=total_payout - loss,
-    )
+    return StreamLedger(tuple(records), win_day)
 
 
 def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSummary:
@@ -266,14 +280,15 @@ def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSumm
 
     A ledger is a pure function of its gap, so each distinct gap is
     simulated once, at its first stream, and its frozen ledger is shared
-    by every later stream with that gap.
+    by every later stream with that gap.  Errors number the streams from
+    1, as the simulate report does.
     """
     by_gap: dict[int, StreamLedger] = {}
     ledgers = []
-    for i, gap in enumerate(gaps):
+    for i, gap in enumerate(gaps, start=1):
         g = int(gap)
         if g < 1:
-            raise ValueError(f"gap {i} must be a positive draw count, got {gap}")
+            raise ValueError(f"stream {i}: gap must be a positive draw count, got {gap}")
         if g not in by_gap:
             try:
                 by_gap[g] = simulate_stream(g - 1, config)
@@ -284,16 +299,7 @@ def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSumm
 
 
 def summarize_streams(ledgers: Sequence[StreamLedger]) -> StreamsSummary:
-    """Totals over streams; the drawdown is the deepest single stream's."""
-    total_spend = sum(ledger.total_spend_cents for ledger in ledgers)
-    total_payout = sum(ledger.total_payout_cents for ledger in ledgers)
-    return StreamsSummary(
-        streams=tuple(ledgers),
-        total_spend_cents=total_spend,
-        total_payout_cents=total_payout,
-        profit_cents=total_payout - total_spend,
-        max_drawdown_cents=max((ledger.drawdown_cents for ledger in ledgers), default=0),
-    )
+    return StreamsSummary(tuple(ledgers))
 
 
 def required_budget(max_gap_draws: int, config: StrategyConfig) -> int:

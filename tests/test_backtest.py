@@ -16,7 +16,9 @@ from cdmlotto.backtest import (
     ALTERNATION_NOTE,
     BacktestConfig,
     BacktestError,
+    _layout,
     _trackers,
+    _window_stats,
     classify_stretches,
     extrapolate_gaps,
     gap_stats,
@@ -274,7 +276,7 @@ class TestRollingStatsFromNumbers:
     def test_prefix_is_the_cumulative_count_matrix(self, spec):
         history = synthetic_history(spec, 300, seed=6)
         matrices = build_count_matrices(history)
-        trackers = _trackers(history, 0)
+        trackers = _trackers(history)
         assert len(trackers) == len(matrices)
         for tracker, matrix in zip(trackers, matrices):
             assert tracker.prefix.dtype == np.int64
@@ -283,9 +285,18 @@ class TestRollingStatsFromNumbers:
             ends = np.arange(matrix.cols, matrix.rows + 1)
             expected = [np.diagonal(matrix.counts[end - matrix.cols:end]) for end in ends]
             np.testing.assert_array_equal(tracker.trailing_diagonal(ends), expected)
-        # Trackers from a later start row cover the rows from it on.
-        for tracker, matrix in zip(_trackers(history, 100), matrices):
-            np.testing.assert_array_equal(tracker.prefix[1:], np.cumsum(matrix.counts[100:], axis=0))
+        # One window's statistics read from its rows alone are the trackers' for it.
+        for start in (0, 100, 290):
+            layout = _layout(spec, history.numbers[start:])
+            for tracker, (picked, base, k) in zip(trackers, layout):
+                rows, col_sums, diagonal = _window_stats(picked, base, k)
+                want = tracker.stats(np.array([start]), np.array([300]), md=True)
+                np.testing.assert_array_equal(rows, want[0])
+                np.testing.assert_array_equal(col_sums, want[1])
+                if rows[0] >= k:
+                    np.testing.assert_array_equal(diagonal, want[2])
+                else:
+                    assert diagonal is None
 
 
 def naive_predict(history, estimators, window):
@@ -351,6 +362,19 @@ class TestPredictNext:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_the_whole_history_needs_no_prefix_array(self):
+        # An unwindowed fit counts the rows in place and reads the last K, with no 20,001 x 52 prefix.
+        history = synthetic_history(SIX_52, 20_000, seed=414)
+        estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
+        tracemalloc.start()
+        try:
+            predict_next(history, estimators)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copy of the (20,000, 6) numbers column alone would be 960 kB.
+        assert peak < 100_000
 
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
         history = synthetic_history(SIX_52, 140, seed=9)

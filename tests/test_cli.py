@@ -330,6 +330,13 @@ class TestSimulate:
         assert code == 1
         assert "stream" in err
 
+    @pytest.mark.parametrize("gaps,code,message", [
+        ("44,100000", 1, "stream 2 (gap 100000 draws): required player count 1034254 exceeds the cap 1000000"),
+        ("44,0", 2, "stream 2: gap must be a positive draw count, got 0"),
+    ])
+    def test_staking_errors_number_streams_as_the_report_does(self, capsys, gaps, code, message):
+        assert run(capsys, "simulate", "--gaps", gaps)[::2] == (code, f"error: {message}\n")
+
     def test_requires_exactly_one_gap_source(self, capsys):
         code, _, err = run(capsys, "simulate", "--gaps", "44", "--no-win-horizon", "10")
         assert code == 2

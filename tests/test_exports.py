@@ -1,10 +1,11 @@
 """The export lists agree with the modules: each module's ``__all__`` names
-only what the module defines, and the package imports only listed names."""
+only what the module defines, the lists are disjoint, and the package
+exports exactly their union."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
+import types
+from collections import Counter
 
 import pytest
 
@@ -14,10 +15,11 @@ LISTING = sorted(
     name for _, name, _ in pkgutil.iter_modules(cdmlotto.__path__)
     if hasattr(importlib.import_module(f"cdmlotto.{name}"), "__all__")
 )
+LAYERS = ("backtest", "distributions", "estimators", "ingest", "strategy")
 
 
 def test_the_modules_with_export_lists_are_found():
-    assert {"backtest", "distributions", "estimators", "ingest", "strategy"} <= set(LISTING)
+    assert set(LAYERS) <= set(LISTING)
 
 
 @pytest.mark.parametrize("name", LISTING)
@@ -26,10 +28,17 @@ def test_every_listed_name_is_defined(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_the_package_imports_only_listed_names():
-    tree = ast.parse(Path(cdmlotto.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"cdmlotto.{node.module}")
-        assert [alias.name for alias in node.names if alias.name not in module.__all__] == [], node.module
+def test_the_layer_lists_are_disjoint():
+    """A name in two lists would be exported from whichever layer the
+    package star-imports last, silently shadowing the other."""
+    counts = Counter(n for layer in LAYERS for n in importlib.import_module(f"cdmlotto.{layer}").__all__)
+    assert [n for n, count in counts.items() if count > 1] == []
+
+
+def test_the_package_exports_the_union_of_the_lists():
+    exported = {
+        name for name, value in vars(cdmlotto).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    listed = {n for layer in LAYERS for n in importlib.import_module(f"cdmlotto.{layer}").__all__}
+    assert exported == listed

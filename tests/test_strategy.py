@@ -1,7 +1,9 @@
 """Staking simulator tests: the quarterly escalation arithmetic in exact
 cents, extension rules, accounting modes, and the ledger identities."""
 
+import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,7 +16,6 @@ from cdmlotto.strategy import (
     ExtensionRule,
     QuarterRecord,
     StrategyConfig,
-    StreamLedger,
     ledger_to_dict,
     next_player_count,
     quarter_net,
@@ -175,15 +176,16 @@ class TestSimulateStreams:
         assert summary.total_spend_cents == 0 and summary.max_drawdown_cents == 0
 
     def test_nonpositive_gap_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stream 2: gap must be a positive draw count, got 0$"):
             simulate_streams([44, 0], DEFAULTS)
 
     def test_cap_error_names_the_stream(self):
+        # Streams count from 1, as the simulate report numbers them.
         config = StrategyConfig(player_cap=10)
-        with pytest.raises(CapExceededError, match="stream 1"):
+        with pytest.raises(CapExceededError, match=r"^stream 2 \(gap 100000 draws\)"):
             simulate_streams([44, 100_000], config)
         # A repeated gap is simulated once, at the first stream that has it.
-        with pytest.raises(CapExceededError, match=r"^stream 2 \(gap 100000 draws\)"):
+        with pytest.raises(CapExceededError, match=r"^stream 3 \(gap 100000 draws\)"):
             simulate_streams([44, 44, 100_000, 100_000], config)
 
     def test_each_distinct_gap_is_simulated_once(self, monkeypatch):
@@ -220,8 +222,9 @@ def two_pass_quarter_rows(config, quarters):
 
 
 def two_pass_stream(win_draw_offset, config, horizon_days=None):
-    """The ledger as two passes build it: full-quarter rows, then the
-    winning or final quarter prorated under day-exact accounting."""
+    """The ledger document as two passes build it: full-quarter rows, then
+    the winning or final quarter prorated under day-exact accounting.  Every
+    total is summed here from the rows."""
     if win_draw_offset is not None:
         if win_draw_offset < 0:
             raise ValueError(f"win_draw_offset must be >= 0, got {win_draw_offset}")
@@ -246,9 +249,21 @@ def two_pass_stream(win_draw_offset, config, horizon_days=None):
         net = config.payout_per_ticket_cents * players - spend - loss
         records.append(QuarterRecord(q, players, spend, payout, net, loss))
     total_spend = sum(r.spend_cents for r in records)
-    total_payout = records[-1].payout_cents if win_quarter is not None else 0
-    return StreamLedger(tuple(records), "win" if win_quarter is not None else "open", win_quarter, win_day,
-                        total_spend, total_payout, total_payout - total_spend)
+    total_payout = sum(r.payout_cents for r in records)
+    return {
+        "quarters": [dataclasses.asdict(r) for r in records],
+        "outcome": "win" if win_quarter is not None else "open",
+        "win_quarter": win_quarter,
+        "win_day": win_day,
+        "total_spend_cents": total_spend,
+        "total_payout_cents": total_payout,
+        "profit_cents": total_payout - total_spend,
+        "drawdown_cents": total_spend - (records[-1].spend_cents if win_quarter is not None else 0),
+    }
+
+
+def stream_document(win_draw_offset, config, horizon_days=None):
+    return ledger_to_dict(simulate_stream(win_draw_offset, config, horizon_days))
 
 
 def outcome(fn, *args, **kwargs):
@@ -275,9 +290,9 @@ class TestStreamMatchesTwoPassOracle:
                                     quarter_days=quarter_days, schedule=schedule, extension=rule,
                                     accounting=accounting, player_cap=cap)
             for offset in (0, 1, 13, 119, 120, 239, 480):
-                assert outcome(simulate_stream, offset, config) == outcome(two_pass_stream, offset, config)
+                assert outcome(stream_document, offset, config) == outcome(two_pass_stream, offset, config)
             for horizon in (1, 6, 59, 60, 61, 241):
-                assert (outcome(simulate_stream, None, config, horizon_days=horizon)
+                assert (outcome(stream_document, None, config, horizon_days=horizon)
                         == outcome(two_pass_stream, None, config, horizon_days=horizon))
             for quarter in range(1, 9):
                 expected = outcome(lambda: two_pass_quarter_rows(config, quarter)[-1][3])
@@ -321,8 +336,12 @@ class TestConfigValidation:
             StrategyConfig(quarter_days=-1)
 
     def test_ratio_rule_needs_a_ratio(self):
-        with pytest.raises(ValueError):
-            ExtensionRule(kind=ExtensionRule.fixed_ratio(2).kind)
+        # The rule is its ratio: None is min-recover, and a ratio must be positive.
+        assert ExtensionRule.min_recover() == ExtensionRule() and ExtensionRule().ratio is None
+        assert ExtensionRule.fixed_ratio("2.4").ratio == Fraction(12, 5)
+        for ratio in (0, "-2.4", Fraction(-1)):
+            with pytest.raises(ValueError, match="positive ratio"):
+                ExtensionRule.fixed_ratio(ratio)
 
 
 class TestLedgerRendering:
