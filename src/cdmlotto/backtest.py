@@ -8,18 +8,19 @@ whose match count reaches the hit threshold are hits; the gaps between
 hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
-one Python iteration per draw.  Prefix sums over the count matrices give
-every window's column sums as one subtraction.  They are built straight
-from the history's numbers column, without materialising the 0/1
-indicator matrices, and the row count and those column sums are all that
-mm and the smoothed MLE read (md adds the trailing diagonal), so a pass
-over a multi-decade history costs O(n K) instead of O(n^2 K).  The
-estimate, the predictive scores, the tie-broken pick and the match count
-then follow for the whole chunk at once.  Chunks bound the size of the
-temporary arrays.  :func:`predict_next` is the same scoring on the one
-window before the next draw, whose column sums are counted from its rows
-in place and whose md diagonal comes from its last K rows, so it needs
-O(K) memory and no prefix array.  Tests pin both to an independent
+one Python iteration per draw.  Every rule is written once over the count
+matrices that :attr:`~cdmlotto.ingest.GameSpec.matrices` lists.  Prefix
+sums over them give every window's column sums as one subtraction.  They
+are built straight from the history's numbers column, without
+materialising the 0/1 indicator matrices, and the row count and those
+column sums are all that mm and the smoothed MLE read (md adds the
+trailing diagonal, read from the rows), so a pass over a multi-decade
+history costs O(n K) instead of O(n^2 K).  The estimate, the predictive
+scores, the tie-broken pick and the match count then follow for the whole
+chunk at once.  Chunks bound the size of the temporary arrays.
+:func:`predict_next` is the same scoring on the one window before the
+next draw, whose column sums are counted from its rows in place, so it
+needs O(K) memory and no prefix array.  Tests pin both to an independent
 slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
 ``tests/test_backtest.py``), which rebuilds each window's 0/1 matrix,
 fit, scores, pick and match count from the paper's rules.
@@ -39,7 +40,7 @@ from . import jsondoc
 from ._numpy import np
 from .distributions import _check_alpha, _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
-from .ingest import DrawHistory, GameKind, GameSpec
+from .ingest import DrawHistory, GameSpec
 
 __all__ = [
     "SHORT_LONG_CUTOFF",
@@ -213,45 +214,42 @@ class BacktestResult:
 def select_combination(scores, spec: GameSpec) -> PredictedCombination:
     """Turn per-category expectation scores into a playable combination.
 
-    Set games take the ``picks`` highest-scoring numbers, ties broken
-    toward the smaller number, output ascending.  Digit games take the
-    per-position argmax with the same tie rule.  The choice is invariant
-    under any positive rescaling of the scores.
+    ``scores`` holds one vector per count matrix, bare for a game of one.
+    Each matrix takes its ``m`` highest finite scores, ``m`` being the numbers
+    it places (a set game's picks, or one digit), ties broken toward the smaller
+    number, output ascending.  Any positive rescaling of the scores keeps the choice.
     """
-    if spec.kind is GameKind.SET_DRAW:
-        vec = np.asarray(scores, dtype=np.float64)
-        if vec.ndim != 1 or vec.size != spec.categories:
-            raise ValueError(f"set games need one score vector of length {spec.categories}")
-        vectors = (vec,)
-    else:
-        vectors = tuple(np.asarray(v, dtype=np.float64) for v in scores)
-        if len(vectors) != spec.picks:
-            raise ValueError(f"digit games need {spec.picks} score vectors, got {len(vectors)}")
-        if any(vec.ndim != 1 or vec.size != 10 for vec in vectors):
-            raise ValueError("each position needs a score vector of length 10")
+    lengths = [k for _, _, k in spec.matrices]
+    if len(lengths) == 1 and np.ndim(scores) == 1:
+        scores = (scores,)
+    vectors = tuple(np.asarray(v, dtype=np.float64) for v in scores)
+    if [vec.shape for vec in vectors] != [(k,) for k in lengths]:
+        raise ValueError(f"need one score vector per count matrix, of lengths {lengths}")
     numbers = _select(spec, [vec[None] for vec in vectors])[0]
     return PredictedCombination(tuple(numbers.tolist()), vectors)
 
 
 def _select(spec: GameSpec, scores: list[np.ndarray]) -> np.ndarray:
-    """The tie rule for a stacked batch: one row of picked numbers per row
-    of scores (the one score matrix of a set game, one per digit position)."""
-    if spec.kind is GameKind.SET_DRAW:
-        (vec,) = scores
-        finite = np.isfinite(vec)
-        finite_count = finite.sum(axis=1)
-        short = finite_count < spec.picks
+    """The tie rule for a stacked batch, one score matrix per count matrix:
+    each row's ``m`` highest finite scores, taken by ``m`` argmax passes that
+    return the first maximum, the smaller number; a row holding fewer finds
+    none on its last pass.  Output ascending within each count matrix."""
+    picked = np.empty((len(scores[0]), spec.picks), dtype=np.int64)
+    rows = np.arange(len(picked))
+    for score, (columns, base, _) in zip(scores, spec.matrices):
+        top = picked[:, columns]
+        vec = np.where(np.isfinite(score), score, -np.inf)
+        top[:, 0] = vec.argmax(axis=1)
+        for c in range(1, top.shape[1]):
+            vec[rows, top[:, c - 1]] = -np.inf
+            top[:, c] = vec.argmax(axis=1)
+        short = vec[rows, top[:, -1]] == -np.inf
         if short.any():
-            raise ValueError(f"need at least {spec.picks} finite scores, got {finite_count[short.argmax()]}")
-        order = np.argsort(np.where(finite, -vec, np.inf), axis=1, kind="stable")
-        return np.sort(order[:, : spec.picks], axis=1) + 1
-    digits = []
-    for vec in scores:
-        finite = np.isfinite(vec)
-        if not finite.any(axis=1).all():
-            raise ValueError("need at least one finite score per position")
-        digits.append(np.argmax(np.where(finite, vec, -np.inf), axis=1))
-    return np.stack(digits, axis=1)
+            got = np.isfinite(score[short.argmax()]).sum()
+            raise ValueError(f"need at least {top.shape[1]} finite scores, got {got}")
+        top.sort(axis=1)
+        top += base
+    return picked
 
 
 def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: GameSpec) -> int:
@@ -269,81 +267,73 @@ def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: Ga
 
 
 def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> np.ndarray:
-    """The match rule for stacked (draws, picks) predictions and draws."""
-    if spec.kind is GameKind.SET_DRAW:
-        # Drawn numbers are distinct, so counting those the prediction
-        # holds counts the intersection.
-        return (drawn[:, :, None] == predicted[:, None, :]).any(axis=2).sum(axis=1)
-    return (predicted == drawn).sum(axis=1)
+    """The match rule for stacked (draws, picks) predictions and draws.  A count
+    matrix's drawn numbers are distinct: counting those predicted counts the intersection."""
+    counts = np.zeros(len(drawn), dtype=np.int64)
+    for columns, _, _ in spec.matrices:
+        counts += (drawn[:, columns, None] == predicted[:, None, columns]).any(axis=2).sum(axis=1)
+    return counts
+
+
+def _diagonals(picked: np.ndarray, base: int, k: int, ends: np.ndarray) -> np.ndarray:
+    """Row i: the main diagonal of the K count-matrix rows before ``ends[i]``, for
+    consecutive ``ends``; entry j is whether row ``ends[i] - K + j`` of ``picked``
+    holds ``base + j``.  Each number read is placed on the one diagonal it lies on.
+    Rows before row 0 hold nothing: md rejects such a short window."""
+    first = max(int(ends[0]) - k, 0)
+    cols = picked[first : ends[-1]] - base
+    at = np.arange(first + k - ends[0], ends[-1] + k - ends[0])[:, None] - cols
+    inside = (at >= 0) & (at < len(ends))
+    diagonals = np.zeros((len(ends), k), dtype=bool)
+    diagonals[at[inside], cols[inside]] = True
+    return diagonals
 
 
 class _RollingStats:
-    """Sufficient statistics of any batch of windows of one indicator matrix.
+    """Sufficient statistics of any batch of windows of one count matrix.
 
-    Row t of the matrix has a one in each column of ``picked[t]`` and zeros
-    elsewhere; the matrix itself is never built.  The ones are scattered
-    into an (n+1, K) array that is then summed in place, so window
-    ``[start, end)`` has column sums ``prefix[end] - prefix[start]``.  mm
-    and mle need nothing more; md reads its trailing diagonal as prefix
-    differences too, entry (t, c) being ``prefix[t + 1, c] - prefix[t, c]``.
+    Row t of the matrix has a one in each column of ``picked[t] - base``; the
+    matrix itself is never built.  The ones are scattered into an (n+1, K)
+    array that is then summed in place, so window ``[start, end)`` has column
+    sums ``prefix[end] - prefix[start]``.  md reads its diagonal from the rows.
     """
 
-    def __init__(self, picked: np.ndarray, k: int):
-        n = len(picked)
-        self.prefix = np.zeros((n + 1, k), dtype=np.int64)
-        self.prefix[np.arange(1, n + 1)[:, None], picked] = 1
+    def __init__(self, picked: np.ndarray, base: int, k: int):
+        self.picked, self.base = picked, base
+        self.prefix = np.zeros((len(picked) + 1, k), dtype=np.int64)
+        self.prefix[np.arange(1, len(picked) + 1)[:, None], picked - base] = 1
         np.cumsum(self.prefix, axis=0, out=self.prefix)
-
-    def trailing_diagonal(self, ends: np.ndarray) -> np.ndarray:
-        """Row i: the main diagonal of the K matrix rows before ``ends[i]``.
-        Rows before row 0 read row 0: md rejects such a short window."""
-        cols = np.arange(self.prefix.shape[1])
-        rows = np.maximum(ends[:, None] - cols.size + cols, 0)
-        return self.prefix[rows + 1, cols] - self.prefix[rows, cols]
 
     def stats(self, starts: np.ndarray, ends: np.ndarray, md: bool) -> tuple:
         """Row counts, column sums and, for md, trailing diagonals of the
-        windows ``[starts[i], ends[i])``."""
-        return ends - starts, self.prefix[ends] - self.prefix[starts], self.trailing_diagonal(ends) if md else None
-
-
-def _layout(spec: GameSpec, numbers: np.ndarray) -> list[tuple[np.ndarray, int, int]]:
-    """The count matrices of :func:`~cdmlotto.ingest.build_count_matrices`, in
-    its order (the set matrix, or one per digit position), over the rows of
-    ``numbers``: per matrix, the numbers that place its ones, the number that
-    marks column 0, and K.  Row t's ones lie in columns ``picked[t] - base``."""
-    if spec.kind is GameKind.SET_DRAW:
-        return [(numbers, 1, spec.categories)]
-    return [(numbers[:, p : p + 1], 0, 10) for p in range(spec.picks)]
+        windows ``[starts[i], ends[i])``, for consecutive ``ends``."""
+        diagonal = _diagonals(self.picked, self.base, self.prefix.shape[1], ends) if md else None
+        return ends - starts, self.prefix[ends] - self.prefix[starts], diagonal
 
 
 def _trackers(history: DrawHistory) -> list[_RollingStats]:
     """One tracker per count matrix, over the whole history."""
-    return [_RollingStats(picked - base, k) for picked, base, k in _layout(history.spec, history.numbers)]
+    return [_RollingStats(history.numbers[:, columns], base, k) for columns, base, k in history.spec.matrices]
 
 
 def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
     """What :meth:`_RollingStats.stats` gives for one window, read from the
-    window's rows ``picked`` alone, in O(K) memory.  The diagonal is None
-    when the window is shorter than K, which md rejects before reading it."""
+    window's rows ``picked`` alone, in O(K) memory."""
     rows = len(picked)
     # Not bincount: it copies a read-only input such as the history's numbers.
     counts = np.zeros(k + base, dtype=np.int64)
     np.add.at(counts, picked, 1)
-    col_sums = counts[base:]
-    diagonal = (picked[rows - k :] == np.arange(base, k + base)[:, None]).any(axis=1)[None] if rows >= k else None
-    return np.array([rows]), col_sums[None], diagonal
+    return np.array([rows]), counts[None, base:], _diagonals(picked, base, k, np.array([rows]))
 
 
 def _score_and_pick(spec: GameSpec, estimator: EstimatorConfig,
                     stats: list[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
     """Each count matrix's predictive scores and the picked numbers, one row
     per window, from each matrix's row counts, column sums and diagonals."""
-    per_matrix_picks = spec.picks if spec.kind is GameKind.SET_DRAW else 1
     scores = []
-    for rows, col_sums, diagonal in stats:
+    for (rows, col_sums, diagonal), (columns, _, _) in zip(stats, spec.matrices):
         alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
-        scores.append(_predictive_scores(_check_alpha(alpha, positive=False), col_sums, per_matrix_picks))
+        scores.append(_predictive_scores(_check_alpha(alpha, positive=False), col_sums, columns.stop - columns.start))
     return scores, _select(spec, scores)
 
 
@@ -414,7 +404,7 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
     rows = history.numbers[0 if window is None else n - window :]
-    stats = [_window_stats(picked, base, k) for picked, base, k in _layout(history.spec, rows)]
+    stats = [_window_stats(rows[:, columns], base, k) for columns, base, k in history.spec.matrices]
     fits = [_score_and_pick(history.spec, estimator, stats) for estimator in estimators]
     return [PredictedCombination(tuple(picks[0].tolist()), tuple(s[0] for s in scores)) for scores, picks in fits]
 

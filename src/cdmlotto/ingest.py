@@ -22,7 +22,8 @@ numbers from 1..pool without regard to order.  Positional-digit games
 pick one digit 0-9 per position, order significant and repeats allowed,
 so they are encoded as one one-hot matrix per position rather than a
 single matrix (a single count matrix cannot express the ordering the
-jackpot rules require).
+jackpot rules require).  :attr:`GameSpec.matrices` lists a game's count
+matrices; the row checks and :func:`build_count_matrices` are written once over them.
 """
 
 from __future__ import annotations
@@ -109,6 +110,15 @@ class GameSpec:
             if not 1 <= self.picks <= 6:
                 raise ValueError(f"positional-digit games support 1 to 6 positions, got {self.picks}")
 
+    @property
+    def matrices(self) -> tuple[tuple[slice, int, int], ...]:
+        """The count matrices a draw fills, in order: per matrix, the slice of
+        a draw's numbers that places its ones, the number that marks its
+        column 0, and K.  A digit game has one matrix per position."""
+        if self.kind is GameKind.SET_DRAW:
+            return ((slice(0, self.picks), 1, self.categories),)
+        return tuple((slice(p, p + 1), 0, 10) for p in range(self.picks))
+
 
 def _rule_break(index, numbers: tuple[int, ...], previous: int | None, spec: GameSpec) -> str | None:
     """Why a row breaks the game rules, the index order or the int64 column,
@@ -136,11 +146,11 @@ def _rule_break(index, numbers: tuple[int, ...], previous: int | None, spec: Gam
 
 def _rule_breaks(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Per row of an (n, picks) array, whether :func:`_rule_break` finds a game-rule break."""
-    if spec.kind is GameKind.SET_DRAW:
-        ordered = np.sort(numbers, axis=1)
-        duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        return duplicate | (ordered[:, 0] < 1) | (ordered[:, -1] > spec.categories)
-    return ((numbers < 0) | (numbers > 9)).any(axis=1)
+    bad = np.zeros(len(numbers), dtype=bool)
+    for columns, base, k in spec.matrices:
+        ordered = np.sort(numbers[:, columns], axis=1)
+        bad |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | (ordered[:, 0] < base) | (ordered[:, -1] >= base + k)
+    return bad
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,7 +321,7 @@ def serialize_history(history: DrawHistory) -> str:
 
 
 def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
-    """Indicator count matrices for a history.
+    """Indicator count matrices for a history, in :attr:`GameSpec.matrices` order.
 
     Set games produce a single n-by-pool 0/1 matrix whose rows sum to the
     number of picks.  Digit games produce one n-by-10 one-hot matrix per
@@ -321,13 +331,12 @@ def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
     n = len(history)
     if not n:
         raise ValueError("history is empty")
-    spec = history.spec
-    if spec.kind is GameKind.SET_DRAW:
-        matrix = np.zeros((n, spec.categories), dtype=np.int8)
-        matrix[np.arange(n)[:, None], history.numbers - 1] = 1
-        return [CountMatrix(matrix)]
-    one_hot = np.eye(10, dtype=np.int8)
-    return [CountMatrix(one_hot[digits]) for digits in history.numbers.T]
+    matrices = []
+    for columns, base, k in history.spec.matrices:
+        matrix = np.zeros((n, k), dtype=np.int8)
+        matrix[np.arange(n)[:, None], history.numbers[:, columns] - base] = 1
+        matrices.append(CountMatrix(matrix))
+    return matrices
 
 
 def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> CountMatrix:

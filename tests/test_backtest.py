@@ -16,7 +16,7 @@ from cdmlotto.backtest import (
     ALTERNATION_NOTE,
     BacktestConfig,
     BacktestError,
-    _layout,
+    _diagonals,
     _trackers,
     _window_stats,
     classify_stretches,
@@ -65,18 +65,35 @@ class TestSelectCombination:
         assert combo.numbers == (2, 3)
 
     def test_all_equal_scores_pick_smallest_numbers(self):
-        spec = GameSpec(GameKind.SET_DRAW, 4, 2)
-        assert select_combination(np.ones(4), spec).numbers == (1, 2)
+        # One game of each kind: a set game's one count matrix, a pick game's three.
+        for spec, picked in [(GameSpec(GameKind.SET_DRAW, 4, 2), (1, 2)), (PICK3, (0, 0, 0))]:
+            assert select_combination([np.ones(spec.categories)] * len(spec.matrices), spec).numbers == picked
 
     def test_positional_argmax_per_position(self):
         vectors = [np.eye(10)[7], np.eye(10)[0], np.eye(10)[4]]
         assert select_combination(vectors, PICK3).numbers == (7, 0, 4)
 
+    @pytest.mark.parametrize("spec,picked", [(GameSpec(GameKind.SET_DRAW, 5, 2), (4, 5)), (PICK3, (0, 0, 3))],
+                             ids=["2of5", "pick3"])
+    def test_non_finite_scores_are_never_picked(self, spec, picked):
+        vec = np.full(spec.categories, -5.0)
+        vec[:3] = [np.inf, np.nan, -np.inf]
+        scores = [np.ones(spec.categories)] * (len(spec.matrices) - 1) + [vec]
+        assert select_combination(scores, spec).numbers == picked
+
     def test_too_few_finite_scores_rejected(self):
-        spec = GameSpec(GameKind.SET_DRAW, 4, 2)
-        scores = np.array([1.0, np.nan, np.nan, np.nan])
-        with pytest.raises(ValueError):
-            select_combination(scores, spec)
+        # One message for both kinds: a matrix placing m numbers needs m finite scores.
+        for spec, finite, message in [
+            (GameSpec(GameKind.SET_DRAW, 4, 2), 1, "need at least 2 finite scores, got 1"),
+            (PICK3, 0, "need at least 1 finite scores, got 0"),
+        ]:
+            vec = np.full(spec.categories, np.nan)
+            vec[1:3] = [np.inf, -np.inf]
+            vec[3:3 + finite] = 1.0
+            scores = [np.ones(spec.categories)] * (len(spec.matrices) - 1) + [vec]
+            with pytest.raises(ValueError) as info:
+                select_combination(scores, spec)
+            assert str(info.value) == message
 
     def test_output_sorted_ascending(self):
         spec = GameSpec(GameKind.SET_DRAW, 6, 3)
@@ -209,7 +226,7 @@ def oracle_pick(spec, scores):
     for vec in (v.tolist() for v in scores):
         finite = [d for d, score in enumerate(vec) if math.isfinite(score)]
         if not finite:
-            raise ValueError("need at least one finite score per position")
+            raise ValueError("need at least 1 finite scores, got 0")
         digits.append(max(finite, key=vec.__getitem__))
     return tuple(digits)
 
@@ -282,21 +299,20 @@ class TestRollingStatsFromNumbers:
             assert tracker.prefix.dtype == np.int64
             np.testing.assert_array_equal(tracker.prefix[0], 0)
             np.testing.assert_array_equal(tracker.prefix[1:], np.cumsum(matrix.counts, axis=0))
-            ends = np.arange(matrix.cols, matrix.rows + 1)
-            expected = [np.diagonal(matrix.counts[end - matrix.cols:end]) for end in ends]
-            np.testing.assert_array_equal(tracker.trailing_diagonal(ends), expected)
+        # The diagonals read from the rows are those of the count matrices.
+        for matrix, (columns, base, k) in zip(matrices, spec.matrices):
+            ends = np.arange(k, matrix.rows + 1)
+            expected = [np.diagonal(matrix.counts[end - k:end]) for end in ends]
+            np.testing.assert_array_equal(_diagonals(history.numbers[:, columns], base, k, ends), expected)
         # One window's statistics read from its rows alone are the trackers' for it.
         for start in (0, 100, 290):
-            layout = _layout(spec, history.numbers[start:])
-            for tracker, (picked, base, k) in zip(trackers, layout):
-                rows, col_sums, diagonal = _window_stats(picked, base, k)
+            for tracker, (columns, base, k) in zip(trackers, spec.matrices):
+                got = _window_stats(history.numbers[start:, columns], base, k)
                 want = tracker.stats(np.array([start]), np.array([300]), md=True)
-                np.testing.assert_array_equal(rows, want[0])
-                np.testing.assert_array_equal(col_sums, want[1])
-                if rows[0] >= k:
-                    np.testing.assert_array_equal(diagonal, want[2])
-                else:
-                    assert diagonal is None
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+                if got[0][0] >= k:
+                    np.testing.assert_array_equal(got[2], want[2])
 
 
 def naive_predict(history, estimators, window):

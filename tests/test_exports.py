@@ -42,3 +42,9 @@ def test_the_package_exports_the_union_of_the_lists():
     }
     listed = {n for layer in LAYERS for n in importlib.import_module(f"cdmlotto.{layer}").__all__}
     assert exported == listed
+
+
+def test_the_backtest_knows_no_game_kind():
+    """The backtest reads a game through ``GameSpec.matrices`` alone; the
+    game's kind is decided in ingest."""
+    assert not hasattr(importlib.import_module("cdmlotto.backtest"), "GameKind")

@@ -459,16 +459,26 @@ class TestColumnarHistory:
 
 
 SMALL_SET = GameSpec(GameKind.SET_DRAW, 9, 3)
+# Games of one, three and six count matrices, and set games of other widths.
+ARRAY_CHECK_GAMES = [
+    SMALL_SET,
+    GameSpec(GameKind.SET_DRAW, 5, 2),
+    GameSpec(GameKind.SET_DRAW, 12, 8),
+    GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1),
+    PICK3,
+    GameSpec(GameKind.POSITIONAL_DIGITS, 10, 6),
+]
 
 
 @st.composite
 def draw_columns(draw):
     """Columns within a whisker of the game rules: numbers one past either
     end of the range, repeats, and index steps of 0 or 2."""
-    spec = draw(st.sampled_from([SMALL_SET, PICK3]))
+    spec = draw(st.sampled_from(ARRAY_CHECK_GAMES))
     n = draw(st.integers(0, 6))
-    low, high = (0, 10) if spec.kind is GameKind.SET_DRAW else (-1, 10)
-    numbers = draw(st.lists(st.lists(st.integers(low, high), min_size=3, max_size=3), min_size=n, max_size=n))
+    low, high = (0, spec.categories + 1) if spec.kind is GameKind.SET_DRAW else (-1, 10)
+    row = st.lists(st.integers(low, high), min_size=spec.picks, max_size=spec.picks)
+    numbers = draw(st.lists(row, min_size=n, max_size=n))
     steps = draw(st.lists(st.sampled_from([1, 1, 1, 0, 2]), min_size=n, max_size=n))
     indices = [draw(st.integers(0, 5)) + sum(steps[:i]) for i in range(n)]
     return spec, indices, numbers
@@ -489,7 +499,7 @@ class TestArrayChecks:
         spec, indices, numbers = columns
         rows = [(i, None, tuple(row)) for i, row in zip(indices, numbers)]
         direct = raised(lambda: DrawHistory(spec, np.array(indices, dtype=np.int64),
-                                            np.array(numbers, dtype=np.int64).reshape(-1, 3), (None,) * len(indices)))
+                                            np.array(numbers, dtype=np.int64).reshape(-1, spec.picks), (None,) * len(indices)))
         assert direct == raised(lambda: oracle_check(spec, rows))
 
 
