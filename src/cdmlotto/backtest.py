@@ -49,8 +49,6 @@ __all__ = [
     "BacktestConfig",
     "PredictedCombination",
     "BacktestResult",
-    "GapStats",
-    "StretchSummary",
     "select_combination",
     "match_count",
     "run_backtest",
@@ -105,20 +103,6 @@ class PredictedCombination:
     scores: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class GapStats:
-    gaps: tuple[int, ...]
-    average: float | None
-    max_gap: int | None
-
-
-@dataclass(frozen=True)
-class StretchSummary:
-    labels: tuple[str, ...]
-    alternation_fraction: float | None
-    cutoff: int
-
-
 @dataclass(frozen=True, eq=False)
 class BacktestResult:
     """The walk's outcome as whole-history columns plus its hits.
@@ -154,15 +138,6 @@ class BacktestResult:
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
-    def _record_columns(self) -> dict[str, np.ndarray]:
-        """Each field of a document record, with the column that holds it."""
-        return {
-            "draw_index": self.draw_indices,
-            "prediction": self.predictions,
-            "actual": self.actuals,
-            "match_count": self.match_counts,
-        }
-
     def summary(self) -> dict:
         """Every document field but the records: :func:`gap_report` of the hits,
         the match-count histogram, and the average gap per minimum match count
@@ -189,22 +164,18 @@ class BacktestResult:
             "hit_threshold": self.hit_threshold,
         }
 
-    def to_dict(self) -> dict:
-        """Machine-readable document with fixed field names."""
-        columns = self._record_columns()
-        rows = zip(*(column.tolist() for column in columns.values()))
-        return {"records": [dict(zip(columns, row)) for row in rows], **self.summary()}
-
     def to_json(self, extra: Mapping | None = None) -> str:
-        """:func:`~cdmlotto.jsondoc.document` of ``{**self.to_dict(), **extra}``,
-        with the records written straight from the columns."""
+        """The backtest document: :func:`~cdmlotto.jsondoc.document` of
+        :meth:`summary` and ``extra``, with one record per predicted draw
+        written straight from the columns."""
         return jsondoc.document({**self.summary(), **(extra or {})}, {"records": self._records_json()})
 
     def _records_json(self) -> str:
         """The records as :func:`~cdmlotto.jsondoc.document` takes them: one
         record's text with a ``%d`` slot per number, repeated per draw and
         filled from the columns in sorted-key order."""
-        columns = self._record_columns()
+        columns = {"draw_index": self.draw_indices, "prediction": self.predictions,
+                   "actual": self.actuals, "match_count": self.match_counts}
         slots = {name: "%d" if c.ndim == 1 else ["%d"] * c.shape[1] for name, c in columns.items()}
         record = jsondoc.compact(slots).replace('"%d"', "%d")
         values = np.column_stack([columns[name] for name in sorted(columns)]).ravel().tolist()
@@ -435,51 +406,41 @@ def _predict_chunk(predict, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     raise error
 
 
-def gap_stats(hit_indices: Sequence[int]) -> GapStats:
-    """Successive differences of hit indices with their average and maximum.
+def gap_stats(hit_indices: Sequence[int]) -> dict:
+    """The report's gap fields: the successive differences of hit indices
+    (``gaps``), their ``average_gap`` and their ``max_gap``.
 
-    Fewer than two hits leave the gaps empty and the average absent.
+    Fewer than two hits leave the gaps empty and the other two None.
     """
     indices = [int(i) for i in hit_indices]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("hit indices must be strictly increasing")
-    gaps = tuple(b - a for a, b in zip(indices, indices[1:]))
-    if not gaps:
-        return GapStats((), None, None)
-    return GapStats(gaps, sum(gaps) / len(gaps), max(gaps))
+    gaps = [b - a for a, b in zip(indices, indices[1:])]
+    return {"gaps": gaps, "average_gap": sum(gaps) / len(gaps) if gaps else None, "max_gap": max(gaps, default=None)}
 
 
 def gap_report(hit_indices: Sequence[int]) -> dict:
     """Hit indices, gap statistics and stretch labels: the report fields
     that backtest and hits-replay documents share."""
     stats = gap_stats(hit_indices)
-    stretch = classify_stretches(stats.gaps)
-    return {
-        "hit_indices": list(hit_indices),
-        "gaps": list(stats.gaps),
-        "average_gap": stats.average,
-        "max_gap": stats.max_gap,
-        "stretch": {
-            "cutoff": stretch.cutoff,
-            "labels": list(stretch.labels),
-            "alternation_fraction": stretch.alternation_fraction,
-            "note": ALTERNATION_NOTE,
-        },
-    }
+    return {"hit_indices": list(hit_indices), **stats, "stretch": classify_stretches(stats["gaps"])}
 
 
-def classify_stretches(gaps: Sequence[int], cutoff: int = SHORT_LONG_CUTOFF) -> StretchSummary:
-    """Label every gap short (S) or long (L) and measure label alternation.
+def classify_stretches(gaps: Sequence[int]) -> dict:
+    """The report's ``stretch`` object: every gap labelled short (S, below
+    :data:`SHORT_LONG_CUTOFF`) or long (L), and the alternation fraction.
 
     The alternation fraction is the share of adjacent label pairs that
-    differ; it is absent with fewer than two gaps.
+    differ; it is None with fewer than two gaps.
     """
-    labels = tuple("S" if g < cutoff else "L" for g in gaps)
-    if len(labels) < 2:
-        return StretchSummary(labels, None, cutoff)
-    pairs = len(labels) - 1
-    flips = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
-    return StretchSummary(labels, flips / pairs, cutoff)
+    labels = ["S" if g < SHORT_LONG_CUTOFF else "L" for g in gaps]
+    flips = sum(a != b for a, b in zip(labels, labels[1:]))
+    return {
+        "cutoff": SHORT_LONG_CUTOFF,
+        "labels": labels,
+        "alternation_fraction": flips / (len(labels) - 1) if len(labels) >= 2 else None,
+        "note": ALTERNATION_NOTE,
+    }
 
 
 def extrapolate_gaps(observed: Mapping[int, float], targets: Iterable[int]) -> dict[int, float]:

@@ -58,7 +58,6 @@ from .strategy import (
     required_budget,
     simulate_stream,
     simulate_streams,
-    summarize_streams,
 )
 
 __all__ = ["main", "build_parser", "parse_args"]
@@ -430,33 +429,31 @@ def cmd_simulate(cfg: dict) -> int:
 
     if cfg["no_win_horizon"] is not None:
         gaps: list[int] = []
-        summary = summarize_streams([simulate_stream(None, config, horizon_days=cfg["no_win_horizon"])])
+        streams = (simulate_stream(None, config, horizon_days=cfg["no_win_horizon"]),)
     else:
         gaps = list(cfg["gaps"] if cfg["gaps"] is not None else _read_int_series(Path(cfg["gaps_file"]), "gaps", "gaps"))
-        summary = simulate_streams(gaps, config)
-    streams = summary.streams
+        streams = simulate_streams(gaps, config)
     keys = gaps or [None] * len(streams)
     # A ledger is a function of its gap, so each distinct stream is rendered
     # once and its text repeated.
     distinct = dict(zip(keys, streams))
 
-    budget = required_budget(max(gaps), config) if gaps else None
+    spend = sum(ledger.total_spend_cents for ledger in streams)
+    payout = sum(ledger.total_payout_cents for ledger in streams)
+    aggregate = {
+        "total_spend_cents": spend,
+        "total_payout_cents": payout,
+        "profit_cents": payout - spend,
+        "max_drawdown_cents": max((ledger.drawdown_cents for ledger in streams), default=0),
+        "required_budget_cents": required_budget(max(gaps), config) if gaps else None,
+    }
 
     if cfg["format"] == "json":
         items = {
             g: compact({**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)})
             for g, ledger in distinct.items()
         }
-        fields = {
-            "config": _config_echo(cfg),
-            "aggregate": {
-                "total_spend_cents": summary.total_spend_cents,
-                "total_payout_cents": summary.total_payout_cents,
-                "profit_cents": summary.profit_cents,
-                "max_drawdown_cents": summary.max_drawdown_cents,
-                "required_budget_cents": budget,
-            },
-        }
+        fields = {"config": _config_echo(cfg), "aggregate": aggregate}
         _emit(document(fields, {"streams": ITEM_SEPARATOR.join([items[g] for g in keys])}), cfg)
         return 0
 
@@ -467,13 +464,14 @@ def cmd_simulate(cfg: dict) -> int:
     )
     lines = [
         f"aggregate: streams {len(streams)},"
-        f" spend {format_cents(summary.total_spend_cents)},"
-        f" payout {format_cents(summary.total_payout_cents)},"
-        f" profit {format_cents(summary.profit_cents)},"
-        f" max drawdown {format_cents(summary.max_drawdown_cents)}"
+        f" spend {format_cents(aggregate['total_spend_cents'])},"
+        f" payout {format_cents(aggregate['total_payout_cents'])},"
+        f" profit {format_cents(aggregate['profit_cents'])},"
+        f" max drawdown {format_cents(aggregate['max_drawdown_cents'])}"
     ]
-    if budget is not None:
-        lines.append(f"required budget for the longest gap ({max(gaps)} draws): {format_cents(budget)}")
+    if gaps:
+        lines.append(f"required budget for the longest gap ({max(gaps)} draws):"
+                     f" {format_cents(aggregate['required_budget_cents'])}")
     lines.append("note: each player plays one combination per draw; the 21-combination per-player cap is not binding")
     _emit(report + "\n".join(lines) + "\n", cfg)
     return 0

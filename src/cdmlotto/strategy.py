@@ -20,7 +20,7 @@ All money is integer cents so the accounting identity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -32,12 +32,10 @@ __all__ = [
     "CapExceededError",
     "QuarterRecord",
     "StreamLedger",
-    "StreamsSummary",
     "quarter_net",
     "next_player_count",
     "simulate_stream",
     "simulate_streams",
-    "summarize_streams",
     "required_budget",
     "format_cents",
     "ledger_to_dict",
@@ -164,30 +162,6 @@ class StreamLedger:
         return self.quarters[-1].cumulative_loss_cents
 
 
-@dataclass(frozen=True)
-class StreamsSummary:
-    """Totals over streams, read from their ledgers; the drawdown is the
-    deepest single stream's."""
-
-    streams: tuple[StreamLedger, ...]
-
-    @property
-    def total_spend_cents(self) -> int:
-        return sum(ledger.total_spend_cents for ledger in self.streams)
-
-    @property
-    def total_payout_cents(self) -> int:
-        return sum(ledger.total_payout_cents for ledger in self.streams)
-
-    @property
-    def profit_cents(self) -> int:
-        return self.total_payout_cents - self.total_spend_cents
-
-    @property
-    def max_drawdown_cents(self) -> int:
-        return max((ledger.drawdown_cents for ledger in self.streams), default=0)
-
-
 def next_player_count(
     cumulative_loss_cents: int,
     previous_net_cents: int,
@@ -275,8 +249,8 @@ def simulate_stream(
     return StreamLedger(tuple(records), win_day)
 
 
-def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSummary:
-    """One stream per hit gap; the winning draw is the gap-th draw of its stream.
+def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> tuple[StreamLedger, ...]:
+    """One stream's ledger per hit gap; the winning draw is the gap-th draw of its stream.
 
     A ledger is a pure function of its gap, so each distinct gap is
     simulated once, at its first stream, and its frozen ledger is shared
@@ -295,11 +269,7 @@ def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> StreamsSumm
             except CapExceededError as exc:
                 raise CapExceededError(f"stream {i} (gap {g} draws): {exc}") from exc
         ledgers.append(by_gap[g])
-    return summarize_streams(ledgers)
-
-
-def summarize_streams(ledgers: Sequence[StreamLedger]) -> StreamsSummary:
-    return StreamsSummary(tuple(ledgers))
+    return tuple(ledgers)
 
 
 def required_budget(max_gap_draws: int, config: StrategyConfig) -> int:
@@ -321,17 +291,7 @@ def format_cents(cents: int) -> str:
 
 def ledger_to_dict(ledger: StreamLedger) -> dict:
     return {
-        "quarters": [
-            {
-                "quarter": r.quarter,
-                "players": r.players,
-                "spend_cents": r.spend_cents,
-                "payout_cents": r.payout_cents,
-                "net_cents": r.net_cents,
-                "cumulative_loss_cents": r.cumulative_loss_cents,
-            }
-            for r in ledger.quarters
-        ],
+        "quarters": [asdict(r) for r in ledger.quarters],
         "outcome": ledger.outcome,
         "win_quarter": ledger.win_quarter,
         "win_day": ledger.win_day,
@@ -342,12 +302,9 @@ def ledger_to_dict(ledger: StreamLedger) -> dict:
     }
 
 
-def render_ledger(ledger: StreamLedger, title: str = "") -> list[str]:
+def render_ledger(ledger: StreamLedger) -> list[str]:
     """Plain-text table for one stream."""
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  quarter  players       spend      payout         net  loss_before")
+    lines = ["  quarter  players       spend      payout         net  loss_before"]
     for r in ledger.quarters:
         lines.append(
             f"  {r.quarter:7d}  {r.players:7d}  {format_cents(r.spend_cents):>10}"

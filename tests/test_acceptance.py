@@ -62,11 +62,12 @@ def test_criterion_2_reference_gap_statistics(capsys):
     started = time.perf_counter()
     indices = [0, 44, 659, 1357, 1369, 1915, 2039, 3449, 3685, 4285]
     stats = gap_stats(indices)
-    assert stats.gaps == (44, 615, 698, 12, 546, 124, 1410, 236, 600)
-    assert round(stats.average) == 476
-    summary = classify_stretches(stats.gaps, cutoff=500)
-    assert summary.labels == ("S", "L", "L", "S", "L", "S", "L", "S", "L")
-    assert summary.alternation_fraction == pytest.approx(7 / 8)
+    assert stats["gaps"] == [44, 615, 698, 12, 546, 124, 1410, 236, 600]
+    assert round(stats["average_gap"]) == 476
+    stretch = classify_stretches(stats["gaps"])
+    assert stretch["cutoff"] == 500
+    assert stretch["labels"] == ["S", "L", "L", "S", "L", "S", "L", "S", "L"]
+    assert stretch["alternation_fraction"] == pytest.approx(7 / 8)
     assert "60%" in ALTERNATION_NOTE and "not reproduced" in ALTERNATION_NOTE
     code = main(["backtest", "--hits", ",".join(str(i) for i in indices)])
     report = capsys.readouterr().out

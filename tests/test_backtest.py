@@ -3,6 +3,7 @@ the reference sequence, and the rolling loop pinned to a naive refit loop
 written from the paper's rules, independent of the library's code."""
 
 import dataclasses
+import json
 import math
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
     ALTERNATION_NOTE,
+    SHORT_LONG_CUTOFF,
     BacktestConfig,
     BacktestError,
     _diagonals,
@@ -570,7 +572,7 @@ class TestRunBacktest:
     def test_result_document_field_names(self):
         history = synthetic_history(SIX_52, 80, seed=6)
         result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
-        document = result.to_dict()
+        document = json.loads(result.to_json())
         for field in ("records", "hit_indices", "gaps", "average_gap", "max_gap"):
             assert field in document
         assert set(document["records"][0]) == {"draw_index", "prediction", "actual", "match_count"}
@@ -640,19 +642,18 @@ class TestWalkMatchesOracle:
 class TestGapStats:
     def test_reference_sequence(self):
         stats = gap_stats(REFERENCE_HITS)
-        assert stats.gaps == REFERENCE_GAPS
-        assert round(stats.average) == 476
-        assert stats.average == pytest.approx(4285 / 9)
-        assert stats.max_gap == 1410
-        assert len(stats.gaps) == 9
+        assert stats["gaps"] == list(REFERENCE_GAPS)
+        assert round(stats["average_gap"]) == 476
+        assert stats["average_gap"] == pytest.approx(4285 / 9)
+        assert stats["max_gap"] == 1410
+        assert set(stats) == {"gaps", "average_gap", "max_gap"}
 
     def test_single_hit_has_no_gaps(self):
-        stats = gap_stats([5])
-        assert stats.gaps == () and stats.average is None and stats.max_gap is None
+        assert gap_stats([5]) == {"gaps": [], "average_gap": None, "max_gap": None}
 
     def test_equally_spaced(self):
         stats = gap_stats([0, 10, 20])
-        assert stats.gaps == (10, 10) and stats.average == 10
+        assert stats["gaps"] == [10, 10] and stats["average_gap"] == 10
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -665,32 +666,33 @@ class TestGapStats:
             indices.append(indices[-1] + gap)
         stats = gap_stats(indices)
         rebuilt = [first]
-        for gap in stats.gaps:
+        for gap in stats["gaps"]:
             rebuilt.append(rebuilt[-1] + gap)
         assert rebuilt == indices
 
 
 class TestClassifyStretches:
     def test_reference_labels_and_alternation(self):
-        summary = classify_stretches(REFERENCE_GAPS, cutoff=500)
-        assert summary.labels == ("S", "L", "L", "S", "L", "S", "L", "S", "L")
-        assert summary.alternation_fraction == pytest.approx(7 / 8)
+        stretch = classify_stretches(REFERENCE_GAPS)
+        assert stretch["labels"] == ["S", "L", "L", "S", "L", "S", "L", "S", "L"]
+        assert stretch["alternation_fraction"] == pytest.approx(7 / 8)
+        assert stretch["cutoff"] == SHORT_LONG_CUTOFF == 500
+        assert stretch["note"] == ALTERNATION_NOTE
 
     def test_all_short(self):
-        summary = classify_stretches([1, 2, 3], cutoff=500)
-        assert summary.labels == ("S", "S", "S") and summary.alternation_fraction == 0.0
+        stretch = classify_stretches([1, 2, 3])
+        assert stretch["labels"] == ["S", "S", "S"] and stretch["alternation_fraction"] == 0.0
 
     def test_strict_alternation(self):
-        summary = classify_stretches([10, 900, 10, 900], cutoff=500)
-        assert summary.alternation_fraction == 1.0
+        assert classify_stretches([10, 900, 10, 900])["alternation_fraction"] == 1.0
 
     def test_empty_gaps(self):
-        summary = classify_stretches([])
-        assert summary.labels == () and summary.alternation_fraction is None
+        stretch = classify_stretches([])
+        assert stretch["labels"] == [] and stretch["alternation_fraction"] is None
 
     def test_cutoff_is_inclusive_for_long(self):
-        assert classify_stretches([500], cutoff=500).labels == ("L",)
-        assert classify_stretches([499], cutoff=500).labels == ("S",)
+        assert classify_stretches([500])["labels"] == ["L"]
+        assert classify_stretches([499])["labels"] == ["S"]
 
     def test_note_flags_the_unreproduced_rate(self):
         assert "60%" in ALTERNATION_NOTE and "not reproduced" in ALTERNATION_NOTE

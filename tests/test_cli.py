@@ -2,6 +2,7 @@
 and the JSON round trips between subcommands."""
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -18,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
-    ALTERNATION_NOTE,
     BacktestConfig,
     classify_stretches,
     extrapolate_gaps,
@@ -37,7 +37,6 @@ from cdmlotto.strategy import (
     render_ledger,
     required_budget,
     simulate_stream,
-    summarize_streams,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -244,7 +243,9 @@ class TestBacktest:
                            "--hits", "0,44,659,1357,1369,1915,2039,3449,3685,4285")
         assert code == 0
         assert "average gap: 476.111 (rounded 476)" in out
+        assert "max gap: 1410\n" in out
         assert "S L L S L S L S L" in out
+        assert "alternation fraction: 0.8750\n" in out
         assert "60%" in out and "not reproduced" in out
 
     def test_backtest_json_feeds_hits_replay(self, capsys, tmp_path):
@@ -310,6 +311,42 @@ class TestSimulate:
         assert code == 0
         assert "$380.00" in out
         assert "one combination per draw" in out
+
+    def test_reference_gaps_aggregate(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--gaps", "44,615,698,12,546,124,1410,236,600")
+        assert code == 0
+        assert ("aggregate: streams 9, spend $78480.00, payout $101000.00, profit $22520.00,"
+                " max drawdown $40560.00\n") in out
+        assert "required budget for the longest gap (1410 draws): $54960.00\n" in out
+
+    def test_stream_totals_are_the_required_budgets(self, capsys):
+        # Paper accounting charges a stream's last quarter in full, as the
+        # budget does, so a stream winning on its gap-th draw spends exactly
+        # the budget for that gap.
+        gaps = (120, 480, 960, 1410, 2000)
+        code, out, _ = run(capsys, "simulate", "--gaps", ",".join(map(str, gaps)), "--format", "json")
+        assert code == 0
+        spend = [stream["total_spend_cents"] for stream in json.loads(out)["streams"]]
+        assert spend == [required_budget(gap, StrategyConfig()) for gap in gaps]
+        assert spend == [12_000, 240_000, 1_512_000, 5_496_000, 23_208_000]
+
+    def test_zero_streams_from_an_empty_gaps_file(self, capsys, tmp_path):
+        # A backtest with fewer than two hits writes no gaps.
+        path = tmp_path / "bt.json"
+        path.write_text('{"gaps": []}')
+        code, out, _ = run(capsys, "simulate", "--gaps-file", str(path))
+        assert code == 0
+        assert out == (
+            "aggregate: streams 0, spend $0.00, payout $0.00, profit $0.00, max drawdown $0.00\n"
+            "note: each player plays one combination per draw; the 21-combination per-player cap is not binding\n"
+        )
+        code, out, _ = run(capsys, "simulate", "--gaps-file", str(path), "--format", "json")
+        assert code == 0
+        assert '\n  "streams": []\n' in out
+        document = json.loads(out)
+        assert document["streams"] == []
+        assert document["aggregate"] == {"total_spend_cents": 0, "total_payout_cents": 0, "profit_cents": 0,
+                                         "max_drawdown_cents": 0, "required_budget_cents": None}
 
     def test_backtest_json_feeds_simulate(self, capsys, tmp_path):
         report = tmp_path / "bt.json"
@@ -411,7 +448,9 @@ class TestSimulateMatchesPerStreamOracle:
         else:
             streams = [(g, f"stream {i + 1}: gap {g} draws", simulate_stream(g - 1, config))
                        for i, g in enumerate(gaps)]
-        summary = summarize_streams([ledger for _, _, ledger in streams])
+        spend = sum(ledger.total_spend_cents for _, _, ledger in streams)
+        payout = sum(ledger.total_payout_cents for _, _, ledger in streams)
+        drawdown = max(ledger.drawdown_cents for _, _, ledger in streams)
         budget = required_budget(max(gaps), config) if gaps else None
         if fmt == "json":
             document = {
@@ -419,21 +458,21 @@ class TestSimulateMatchesPerStreamOracle:
                 "streams": [{**({"gap_draws": g} if g is not None else {}), **ledger_to_dict(ledger)}
                             for g, _, ledger in streams],
                 "aggregate": {
-                    "total_spend_cents": summary.total_spend_cents,
-                    "total_payout_cents": summary.total_payout_cents,
-                    "profit_cents": summary.profit_cents,
-                    "max_drawdown_cents": summary.max_drawdown_cents,
+                    "total_spend_cents": spend,
+                    "total_payout_cents": payout,
+                    "profit_cents": payout - spend,
+                    "max_drawdown_cents": drawdown,
                     "required_budget_cents": budget,
                 },
             }
             assert json.loads(out.getvalue()) == document
             assert_line_per_field_and_item(out.getvalue(), "streams")
             return
-        lines = [line for _, title, ledger in streams for line in (*render_ledger(ledger, title), "")]
+        lines = [line for _, title, ledger in streams for line in (title, *render_ledger(ledger), "")]
         lines.append(
-            f"aggregate: streams {len(streams)}, spend {format_cents(summary.total_spend_cents)},"
-            f" payout {format_cents(summary.total_payout_cents)}, profit {format_cents(summary.profit_cents)},"
-            f" max drawdown {format_cents(summary.max_drawdown_cents)}"
+            f"aggregate: streams {len(streams)}, spend {format_cents(spend)},"
+            f" payout {format_cents(payout)}, profit {format_cents(payout - spend)},"
+            f" max drawdown {format_cents(drawdown)}"
         )
         if budget is not None:
             lines.append(f"required budget for the longest gap ({max(gaps)} draws): {format_cents(budget)}")
@@ -789,9 +828,10 @@ DIFFERENTIAL_GAMES = {
 
 
 class TestBacktestJsonMatchesDocumentDump:
-    """The backtest JSON reads back as the whole document, with the records
-    from ``to_dict()``, one per line, on histories of several chunks and on
-    a one-record walk, read from a path that mimics the records key."""
+    """The backtest JSON reads back as the whole document, built here from
+    the result's columns, with one record per line, on histories of several
+    chunks and on a one-record walk, read from a path that mimics the
+    records key."""
 
     @pytest.mark.parametrize("game", sorted(DIFFERENTIAL_GAMES))
     @pytest.mark.parametrize("window", [None, 60])
@@ -812,20 +852,26 @@ class TestBacktestJsonMatchesDocumentDump:
 
         result = run_backtest(history, BacktestConfig(estimator, window=window, warmup=60, hit_threshold=threshold))
         assert len(result.draw_indices) == draws - 60
-        pairs = zip(result.draw_indices.tolist(), result.match_counts.tolist())
-        observed, projections = tier_gap_report_from_records(pairs, spec.picks)
-        stretch = classify_stretches(gap_stats(result.hit_indices).gaps)
+        columns = (result.draw_indices, result.predictions, result.actuals, result.match_counts)
+        records = [{"draw_index": t, "prediction": p, "actual": a, "match_count": m}
+                   for t, p, a, m in zip(*(column.tolist() for column in columns))]
+        observed, projections = tier_gap_report_from_records(
+            ((r["draw_index"], r["match_count"]) for r in records), spec.picks)
+        hits = [r["draw_index"] for r in records if r["match_count"] >= threshold]
+        stats = gap_stats(hits)
+        tiers = collections.Counter(r["match_count"] for r in records)
         document = {
             "config": config,
-            **result.to_dict(),
-            "stretch": {
-                "cutoff": stretch.cutoff,
-                "labels": list(stretch.labels),
-                "alternation_fraction": stretch.alternation_fraction,
-                "note": ALTERNATION_NOTE,
-            },
+            "records": records,
+            "hit_indices": hits,
+            **stats,
+            "stretch": classify_stretches(stats["gaps"]),
+            "hit_count": len(hits),
+            "tier_counts": {str(k): v for k, v in sorted(tiers.items())},
             "tier_average_gaps": {str(k): v for k, v in sorted(observed.items())},
             "projected_gaps": {str(k): v for k, v in sorted(projections.items())},
+            "warmup": 60,
+            "hit_threshold": threshold,
         }
         assert json.loads(out) == document
         assert_line_per_field_and_item(out, "records")

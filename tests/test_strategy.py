@@ -23,7 +23,6 @@ from cdmlotto.strategy import (
     required_budget,
     simulate_stream,
     simulate_streams,
-    summarize_streams,
 )
 
 DEFAULTS = StrategyConfig()
@@ -162,18 +161,15 @@ class TestSimulateStream:
 
 class TestSimulateStreams:
     def test_reference_gap_sequence(self):
-        summary = simulate_streams(REFERENCE_GAPS, DEFAULTS)
-        assert len(summary.streams) == 9
-        first = summary.streams[0]  # gap 44 -> day 21 -> quarter 1
+        streams = simulate_streams(REFERENCE_GAPS, DEFAULTS)
+        assert len(streams) == 9
+        first = streams[0]  # gap 44 -> day 21 -> quarter 1
         assert first.win_quarter == 1 and first.profit_cents == 38_000
-        assert summary.profit_cents == summary.total_payout_cents - summary.total_spend_cents
-        longest = summary.streams[6]  # gap 1410
-        assert summary.max_drawdown_cents == longest.drawdown_cents
+        longest = streams[6]  # gap 1410
+        assert max(ledger.drawdown_cents for ledger in streams) == longest.drawdown_cents
 
     def test_empty_gaps_empty_aggregate(self):
-        summary = simulate_streams([], DEFAULTS)
-        assert summary.streams == ()
-        assert summary.total_spend_cents == 0 and summary.max_drawdown_cents == 0
+        assert simulate_streams([], DEFAULTS) == ()
 
     def test_nonpositive_gap_rejected(self):
         with pytest.raises(ValueError, match=r"^stream 2: gap must be a positive draw count, got 0$"):
@@ -197,10 +193,10 @@ class TestSimulateStreams:
 
         gaps = [44, 615, 44, 698, 615, 44]
         monkeypatch.setattr(strategy, "simulate_stream", counted)
-        summary = simulate_streams(gaps, DEFAULTS)
+        streams = simulate_streams(gaps, DEFAULTS)
         assert offsets == [43, 614, 697]
-        assert summary.streams[0] is summary.streams[2] is summary.streams[5]
-        assert summary == summarize_streams([simulate_stream(g - 1, DEFAULTS) for g in gaps])
+        assert streams[0] is streams[2] is streams[5]
+        assert streams == tuple(simulate_stream(g - 1, DEFAULTS) for g in gaps)
 
 
 def two_pass_quarter_rows(config, quarters):
@@ -355,6 +351,7 @@ class TestLedgerRendering:
         assert document["profit_cents"] == 360_000
 
     def test_text_table_carries_the_totals(self):
-        lines = render_ledger(simulate_stream(479, DEFAULTS), title="stream")
+        lines = render_ledger(simulate_stream(479, DEFAULTS))
+        assert lines[0] == "  quarter  players       spend      payout         net  loss_before"
         text = "\n".join(lines)
         assert "$2400.00" in text and "$6000.00" in text and "$3600.00" in text
