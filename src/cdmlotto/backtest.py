@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import jsondoc
 from ._numpy import np
-from .distributions import _check_alpha, _predictive_scores
+from .distributions import _predictive_scores
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
 from .ingest import DrawHistory, GameSpec
 
@@ -304,7 +304,7 @@ def _score_and_pick(spec: GameSpec, estimator: EstimatorConfig,
     scores = []
     for (rows, col_sums, diagonal), (columns, _, _) in zip(stats, spec.matrices):
         alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
-        scores.append(_predictive_scores(_check_alpha(alpha, positive=False), col_sums, columns.stop - columns.start))
+        scores.append(_predictive_scores(alpha, col_sums, columns.stop - columns.start))
     return scores, _select(spec, scores)
 
 

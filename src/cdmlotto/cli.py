@@ -21,9 +21,9 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
-import math
 import os
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .backtest import (
@@ -111,7 +111,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 def _parse_extension(text: str) -> ExtensionRule:
     if text == "min-recover":
-        return ExtensionRule.min_recover()
+        return ExtensionRule()
     if text.startswith("ratio:"):
         try:
             return ExtensionRule.fixed_ratio(text.partition(":")[2])
@@ -140,16 +140,23 @@ def _parse_smoothing(text: str) -> float:
 
 
 def _parse_money(text: str) -> int:
+    """Dollars as integer cents, read exactly by ``Decimal`` (which takes
+    ``float``'s spellings) within ``float``'s exponent range: never rounded."""
     try:
-        amount = float(text) * 100
-    except ValueError:
+        dollars = Decimal(text)
+    except InvalidOperation:
         raise argparse.ArgumentTypeError(f"expected a dollar amount, got {text!r}") from None
-    if not math.isfinite(amount):
+    if not dollars.is_finite():
         raise argparse.ArgumentTypeError(f"dollar amounts must be finite, got {text!r}")
-    cents = round(amount)
-    if cents <= 0:
+    if dollars <= 0:
         raise argparse.ArgumentTypeError("dollar amounts must be positive")
-    return cents
+    # Bounding the leading digit's power of ten keeps the ratio's integers small.
+    if abs(dollars.adjusted()) > sys.float_info.max_10_exp:
+        raise argparse.ArgumentTypeError(f"dollar amount {text!r} is out of range")
+    numerator, denominator = dollars.as_integer_ratio()
+    if 100 % denominator:
+        raise argparse.ArgumentTypeError(f"dollar amounts must be a whole number of cents, got {text!r}")
+    return numerator * (100 // denominator)
 
 
 def _read_text(path: str | Path, role: str) -> str:
@@ -276,9 +283,9 @@ def cmd_predict(cfg: dict) -> int:
     predictions = list(zip(cfg["estimator"], predict_next(history, estimators, _window_arg(cfg["window"]))))
 
     if cfg["format"] == "json":
-        items = [{"estimator": kind.value, "numbers": list(combo.numbers),
-                  "scores": [vec.tolist() for vec in combo.scores]} for kind, combo in predictions]
-        _emit(document({"config": _config_echo(cfg, spec), "predictions": items}), cfg)
+        items = [compact({"estimator": kind.value, "numbers": list(combo.numbers),
+                          "scores": [vec.tolist() for vec in combo.scores]}) for kind, combo in predictions]
+        _emit(document({"config": _config_echo(cfg, spec)}, {"predictions": ITEM_SEPARATOR.join(items)}), cfg)
     else:
         lines = render_comparison([(kind.value, combo.numbers) for kind, combo in predictions])
         _emit("\n".join(lines) + "\n", cfg)

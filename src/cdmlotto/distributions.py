@@ -72,22 +72,17 @@ def _as_counts(x, name: str = "x", ndim: int = 1) -> np.ndarray:
     return arr
 
 
-def _as_alpha(alpha, *, positive: bool, name: str = "alpha") -> np.ndarray:
+def _as_alpha(alpha, *, positive: bool) -> np.ndarray:
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    return _check_alpha(arr, positive=positive, name=name)
-
-
-def _check_alpha(arr: np.ndarray, *, positive: bool, name: str = "alpha") -> np.ndarray:
-    """Concentration values of any shape: finite, and positive or nonnegative."""
+        raise ValueError("alpha must be a nonempty 1-d vector")
     if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("alpha must be finite")
     if positive:
         if np.any(arr <= 0.0):
-            raise ValueError(f"{name} entries must be strictly positive for density evaluation")
+            raise ValueError("alpha entries must be strictly positive for density evaluation")
     elif np.any(arr < 0.0):
-        raise ValueError(f"{name} entries must be nonnegative")
+        raise ValueError("alpha entries must be nonnegative")
     return arr
 
 

@@ -29,9 +29,9 @@ silently adjusting, and ``smoothing`` adds a uniform offset first for
 opt-in use on such data.
 
 The moment and diagonal estimators can legitimately return zero entries.
-Density code downstream rejects those while the predictive expectation
-accepts them, so ``EstimatorConfig.positivity_floor`` offers an explicit
-lift of exact zeros rather than a hidden one.
+The predictive expectation accepts them; density code rejects them, so a
+density caller lifts exact zeros itself with :func:`apply_positivity_floor`
+rather than the estimators hiding a lift.
 """
 
 from __future__ import annotations
@@ -94,17 +94,15 @@ class EstimatorKind(Enum):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """An estimator choice plus its knobs."""
+    """An estimator choice plus the mle's additive smoothing."""
 
     kind: EstimatorKind
     mle_smoothing: float = 0.0
-    positivity_floor: float = 0.0
 
     def __post_init__(self) -> None:
         # ``nan < 0`` is False, so test for the valid range instead.
-        for name in ("mle_smoothing", "positivity_floor"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if not 0 <= self.mle_smoothing < math.inf:
+            raise ValueError("mle_smoothing must be finite and nonnegative")
 
 
 def mle_alpha_from_stats(rows, col_means: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -143,8 +141,8 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
     diagonal of the window's trailing K rows.  mle treats the windows as
     0/1 indicator matrices and needs nothing more, unless ``entries``, a
     (windows, rows, K) array, gives the entries of general integer
-    windows.  The positivity floor is applied last, and a non-finite
-    estimate (huge mle smoothing overflows) raises
+    windows.  Every estimate returned is finite and nonnegative: a
+    non-finite one (huge mle smoothing overflows) raises
     :class:`NonPositiveAlphaError`.  Each check raises for the first
     window that fails it.
     """
@@ -180,7 +178,6 @@ def alpha_from_stats(config: EstimatorConfig, rows, col_sums: np.ndarray, diagon
                 # Each column's share of sum_i f log(f / x_i); exactly 0 for a constant column.
                 denominator = rows * ((s + p) * (_log1p_ratio(p, s) - p * _log1p_ratio(1, s))).sum(axis=1)
             alpha = mle_alpha_from_stats(rows, col_means, denominator)
-    alpha = apply_positivity_floor(alpha, config.positivity_floor)
     if not np.isfinite(alpha).all():
         raise NonPositiveAlphaError("estimated concentration is not finite")
     return alpha

@@ -32,7 +32,6 @@ __all__ = [
     "CapExceededError",
     "QuarterRecord",
     "StreamLedger",
-    "quarter_net",
     "next_player_count",
     "simulate_stream",
     "simulate_streams",
@@ -62,10 +61,6 @@ class ExtensionRule:
     def __post_init__(self) -> None:
         if self.ratio is not None and self.ratio <= 0:
             raise ValueError("fixed-ratio extension needs a positive ratio")
-
-    @staticmethod
-    def min_recover() -> "ExtensionRule":
-        return ExtensionRule()
 
     @staticmethod
     def fixed_ratio(ratio) -> "ExtensionRule":
@@ -189,19 +184,6 @@ def next_player_count(
     return int(players)
 
 
-def quarter_net(quarter_index: int, config: StrategyConfig) -> int:
-    """Net profit in cents if the first win lands in the given 1-based quarter.
-
-    Full-quarter accounting: the winning quarter's payout minus its spend
-    minus everything spent in earlier quarters.
-    """
-    if quarter_index < 1:
-        raise ValueError(f"quarter_index must be >= 1, got {quarter_index}")
-    full_quarter = replace(config, accounting=AccountingMode.FULL_QUARTER)
-    first_draw = (quarter_index - 1) * config.quarter_days * config.draws_per_day
-    return simulate_stream(first_draw, full_quarter).quarters[-1].net_cents
-
-
 def simulate_stream(
     win_draw_offset: int | None,
     config: StrategyConfig,
@@ -211,19 +193,17 @@ def simulate_stream(
 
     ``win_draw_offset`` is the 0-based index of the winning draw counted
     from the stream's first draw, or None for a stream that never hits;
-    open streams run for ``horizon_days`` (default: the scheduled
-    quarters).  Both play every day through a last day, the winning one or
-    the horizon's.  FULL_QUARTER accounting charges the last quarter in
-    full; EXACT_DAY charges it only through the last day.
+    an open stream needs ``horizon_days``, the days it runs.  Both play
+    every day through a last day, the winning one or the horizon's.
+    FULL_QUARTER accounting charges the last quarter in full; EXACT_DAY
+    charges it only through the last day.
     """
     if win_draw_offset is not None:
         if win_draw_offset < 0:
             raise ValueError(f"win_draw_offset must be >= 0, got {win_draw_offset}")
         win_day = last_day = win_draw_offset // config.draws_per_day
     else:
-        if horizon_days is None:
-            horizon_days = len(config.schedule) * config.quarter_days
-        if horizon_days < 1:
+        if horizon_days is None or horizon_days < 1:
             raise ValueError(f"horizon_days must be positive, got {horizon_days}")
         win_day, last_day = None, horizon_days - 1
     quarters = last_day // config.quarter_days + 1

@@ -30,7 +30,7 @@ from cdmlotto.estimators import (
     estimate_mom,
 )
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history, synthetic_history
-from cdmlotto.strategy import StrategyConfig, quarter_net, simulate_stream
+from cdmlotto.strategy import StrategyConfig, simulate_stream
 
 SIX_52 = GameSpec(GameKind.SET_DRAW, 52, 6)
 
@@ -47,7 +47,10 @@ def compositions(total, parts):
 def test_criterion_1_strategy_arithmetic_exact():
     started = time.perf_counter()
     config = StrategyConfig()
-    assert [quarter_net(q, config) for q in (1, 2, 3, 4)] == [38_000, 64_000, 154_000, 360_000]
+    # A first win on quarter q's first draw: the winning row's net.
+    draws_per_quarter = config.quarter_days * config.draws_per_day
+    nets = [simulate_stream((q - 1) * draws_per_quarter, config).quarters[-1].net_cents for q in (1, 2, 3, 4)]
+    assert nets == [38_000, 64_000, 154_000, 360_000]
     drought = simulate_stream(None, config, horizon_days=240)
     assert drought.total_spend_cents == 240_000
     fourth = simulate_stream(479, config)

@@ -201,8 +201,6 @@ def oracle_alpha(window, estimator):
             if alpha0 <= 0:
                 raise NonPositiveAlphaError(f"estimated total mass {alpha0:.6g} is not positive")
             alpha = alpha0 * ((col_sums + rows * s) / rows)
-    if estimator.positivity_floor > 0:
-        alpha = np.where(alpha == 0, estimator.positivity_floor, alpha)
     if not np.isfinite(alpha).all():
         raise NonPositiveAlphaError("estimated concentration is not finite")
     return alpha

@@ -312,6 +312,22 @@ class TestSimulate:
         assert "$380.00" in out
         assert "one combination per draw" in out
 
+    def test_the_paper_quarter_nets_end_the_ledgers(self, capsys):
+        # README's recipe: a first win in quarter 1, 2, 3 or 4 nets the
+        # paper's $380, $640, $1540 or $3600, the last row of its ledger.
+        argv = ("simulate", "--gaps", "120,240,360,480")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.split("\n")
+        last_rows = [lines[i - 1].split() for i, line in enumerate(lines) if line.startswith("  outcome:")]
+        assert [(row[0], row[4]) for row in last_rows] == [
+            ("1", "$380.00"), ("2", "$640.00"), ("3", "$1540.00"), ("4", "$3600.00"),
+        ]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        nets = [stream["quarters"][-1]["net_cents"] for stream in json.loads(out)["streams"]]
+        assert nets == [38_000, 64_000, 154_000, 360_000]
+
     def test_reference_gaps_aggregate(self, capsys):
         code, out, _ = run(capsys, "simulate", "--gaps", "44,615,698,12,546,124,1410,236,600")
         assert code == 0
@@ -662,11 +678,56 @@ class TestStrictValues:
         assert (read if field == "hit_indices" else [s["gap_draws"] for s in read]) == [44]
 
     @pytest.mark.parametrize("flag,value", [("--payout", "inf"), ("--ticket-price", "1e400"),
-                                            ("--payout", "1e307"), ("--ticket-price", "nan")])
+                                            ("--ticket-price", "nan")])
     def test_non_finite_money_is_a_usage_error(self, capsys, flag, value):
         code, _, err = run(capsys, "simulate", "--gaps", "10", flag, value)
         assert code == 2
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+    def test_nan_and_infinite_money_must_be_finite(self, capsys, value):
+        code, out, err = run(capsys, "simulate", "--gaps", "10", "--payout", value)
+        assert (code, out) == (2, "")
+        assert f"dollar amounts must be finite, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["1e309", "1e-309"])
+    def test_money_keeps_the_exponent_range_of_float(self, capsys, value):
+        code, out, err = run(capsys, "simulate", "--gaps", "10", "--payout", value)
+        assert (code, out) == (2, "")
+        assert f"dollar amount {value!r} is out of range" in err
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("flag,value", [("--ticket-price", "1.004"), ("--payout", "500.006"),
+                                            ("--ticket-price", "0.015"), ("--ticket-price", "0.004")])
+    def test_money_that_is_not_whole_cents_is_refused(self, capsys, tmp_path, flag, value, route):
+        """Never rounded to the cent: 1.004 would play $1.00 tickets, 0.015
+        $0.02 ones, and 0.004 would be called nonpositive."""
+        argv = ["simulate", "--gaps", "120"]
+        if route == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"dollar amounts must be a whole number of cents, got {value!r}" in err
+
+    @pytest.mark.parametrize("value,cents", [
+        pytest.param("2.5", 250, id="2.5"),
+        pytest.param("1e2", 10_000, id="1e2"),
+        pytest.param("1_0", 1_000, id="1_0"),
+        pytest.param(" 0.10 ", 10, id="0.10"),
+        # float overflowed once multiplied by 100; the amounts are whole cents.
+        pytest.param("1e307", 10**309, id="1e307"),
+        pytest.param("1e308", 10**310, id="1e308"),
+    ])
+    def test_whole_cent_spellings_are_read_exactly(self, capsys, value, cents):
+        code, out, err = run(capsys, "simulate", "--gaps", "120", "--ticket-price", value, "--payout", value,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        config = json.loads(out)["config"]
+        assert config["ticket_price"] == config["payout"] == cents
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_smoothing_must_be_finite_and_nonnegative(self, capsys, history_csv, value):

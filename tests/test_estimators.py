@@ -9,15 +9,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cdmlotto.distributions import CountMatrix
+from cdmlotto.distributions import CountMatrix, cdm_log_pmf
 from cdmlotto.estimators import (
     EULER_MASCHERONI,
     DegenerateDataError,
+    EstimationError,
     EstimatorConfig,
     EstimatorKind,
     InsufficientRowsError,
     NonPositiveAlphaError,
     ZeroEntryError,
+    alpha_from_stats,
+    apply_positivity_floor,
     estimate_alpha,
     estimate_main_diagonal,
     estimate_mle,
@@ -268,9 +271,14 @@ class TestEstimateAlphaDispatch:
         )
 
     def test_positivity_floor_lifts_only_zeros(self):
+        # A density caller lifts the zeros itself; the densities reject them.
         matrix = np.array([[1, 0, 2], [1, 0, 2]])
-        config = EstimatorConfig(EstimatorKind.MOM, positivity_floor=1e-6)
-        np.testing.assert_allclose(estimate_alpha(matrix, config), [1.0, 1e-6, 2.0])
+        alpha = estimate_alpha(matrix, EstimatorConfig(EstimatorKind.MOM))
+        lifted = apply_positivity_floor(alpha, 1e-6)
+        np.testing.assert_allclose(lifted, [1.0, 1e-6, 2.0])
+        with pytest.raises(ValueError, match="strictly positive"):
+            cdm_log_pmf([1, 0, 1], alpha)
+        assert math.isfinite(cdm_log_pmf([1, 0, 1], lifted))
 
     def test_no_floor_keeps_zeros(self):
         matrix = np.array([[1, 0, 2], [1, 0, 2]])
@@ -280,13 +288,44 @@ class TestEstimateAlphaDispatch:
     def test_config_rejects_negative_knobs(self):
         with pytest.raises(ValueError):
             EstimatorConfig(EstimatorKind.MLE, mle_smoothing=-1)
-        with pytest.raises(ValueError):
-            EstimatorConfig(EstimatorKind.MOM, positivity_floor=-1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_config_rejects_non_finite_knobs(self, value):
         # nan < 0 is False, so a sign test alone lets NaN through.
         with pytest.raises(ValueError, match="finite"):
             EstimatorConfig(EstimatorKind.MLE, mle_smoothing=value)
-        with pytest.raises(ValueError, match="finite"):
-            EstimatorConfig(EstimatorKind.MOM, positivity_floor=value)
+
+
+class TestEstimatesAreConcentrations:
+    """The walk scores ``alpha_from_stats`` output as it comes, so every
+    estimate it returns must be finite and nonnegative."""
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=indicator_windows(),
+        smoothing=st.one_of(
+            st.just(0.0),
+            st.floats(0, 2.0),
+            st.floats(0, 1.7e308),
+            st.floats(0, 1e-300),  # subnormals among them
+            st.sampled_from([5e-324, 2.2e-308, 1e15, 1e200, 5e307, 1e308, 1.7976931348623157e308]),
+        ),
+    )
+    # mle's total mass times its shares overflows here.
+    @example(counts=np.array([[1, 0], [1, 0], [1, 0], [0, 1]]), smoothing=1e308)
+    def test_finite_and_nonnegative_or_an_estimation_error(self, kind, counts, smoothing):
+        config = EstimatorConfig(kind, mle_smoothing=smoothing)
+        k = counts.shape[1]
+        # Every prefix window, as an unwindowed walk fits them; a batch would
+        # stop at its first failing window.
+        for end in range(1, len(counts) + 1):
+            window = counts[:end]
+            diagonal = np.diagonal(window[-k:])[None] if end >= k else None
+            try:
+                alpha = alpha_from_stats(config, np.array([end]), window.sum(axis=0)[None], diagonal)
+            except EstimationError:
+                continue
+            assert alpha.shape == (1, k)
+            assert np.isfinite(alpha).all()
+            assert (alpha >= 0).all()

@@ -1,11 +1,14 @@
 """The export lists agree with the modules: each module's ``__all__`` names
 only what the module defines, the lists are disjoint, and the package
-exports exactly their union."""
+exports exactly their union.  Every name the benchmark traces or imports
+resolves."""
 
+import ast
 import importlib
 import pkgutil
 import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +51,31 @@ def test_the_backtest_knows_no_game_kind():
     """The backtest reads a game through ``GameSpec.matrices`` alone; the
     game's kind is decided in ingest."""
     assert not hasattr(importlib.import_module("cdmlotto.backtest"), "GameKind")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_names():
+    """The (module, name) pairs of the functions ``perfbench/tracer.py``
+    lists in ``TRACED``, and those of the names ``perfbench/checks.py``
+    imports from the package, read from their source without running either."""
+    tracer = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    (traced,) = [node.value for node in tracer.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]]
+    checks = ast.parse((PERFBENCH / "checks.py").read_text(encoding="utf-8"))
+    return (
+        [(f"cdmlotto.{layer}", name) for layer, names in ast.literal_eval(traced).items() for name in names],
+        [(node.module, alias.name) for node in checks.body
+         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cdmlotto" for alias in node.names],
+    )
+
+
+def test_the_benchmark_names_resolve():
+    """The traced benchmark run wraps each ``TRACED`` name and the output
+    checks import theirs, so a package change that drops one breaks the
+    benchmark."""
+    traced, imported = benchmark_names()
+    assert traced and imported
+    assert [f"{module}.{name}" for module, name in traced + imported
+            if not hasattr(importlib.import_module(module), name)] == []

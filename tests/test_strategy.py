@@ -18,7 +18,6 @@ from cdmlotto.strategy import (
     StrategyConfig,
     ledger_to_dict,
     next_player_count,
-    quarter_net,
     render_ledger,
     required_budget,
     simulate_stream,
@@ -29,16 +28,21 @@ DEFAULTS = StrategyConfig()
 REFERENCE_GAPS = (44, 615, 698, 12, 546, 124, 1410, 236, 600)
 
 
+def quarter_net(quarter, config):
+    """The net a first win in the 1-based ``quarter`` yields, under
+    full-quarter accounting: the winning row of a stream won on the
+    quarter's first draw."""
+    first_draw = (quarter - 1) * config.quarter_days * config.draws_per_day
+    full_quarter = dataclasses.replace(config, accounting=AccountingMode.FULL_QUARTER)
+    return simulate_stream(first_draw, full_quarter).quarters[-1].net_cents
+
+
 class TestQuarterNet:
     @pytest.mark.parametrize("quarter,expected_dollars", [
         (1, 380), (2, 640), (3, 1540), (4, 3600),
     ])
     def test_scheduled_quarters(self, quarter, expected_dollars):
         assert quarter_net(quarter, DEFAULTS) == expected_dollars * 100
-
-    def test_rejects_nonpositive_quarter(self):
-        with pytest.raises(ValueError):
-            quarter_net(0, DEFAULTS)
 
 
 class TestNextPlayerCount:
@@ -87,6 +91,10 @@ class TestSimulateStream:
         assert ledger.total_spend_cents == 240_000
         assert ledger.total_payout_cents == 0
         assert ledger.profit_cents == -240_000
+
+    def test_open_stream_needs_a_horizon(self):
+        with pytest.raises(ValueError, match="^horizon_days must be positive, got None$"):
+            simulate_stream(None, DEFAULTS)
 
     def test_scheduled_quarter_records(self):
         """(players, spend, win payout, net) per quarter, exact in cents."""
@@ -227,9 +235,7 @@ def two_pass_stream(win_draw_offset, config, horizon_days=None):
         win_day = win_draw_offset // config.draws_per_day
         win_quarter = quarters = win_day // config.quarter_days + 1
     else:
-        if horizon_days is None:
-            horizon_days = len(config.schedule) * config.quarter_days
-        if horizon_days < 1:
+        if horizon_days is None or horizon_days < 1:
             raise ValueError(f"horizon_days must be positive, got {horizon_days}")
         win_day = win_quarter = None
         quarters = -(-horizon_days // config.quarter_days)
@@ -273,12 +279,12 @@ def outcome(fn, *args, **kwargs):
 class TestStreamMatchesTwoPassOracle:
     """The one-loop ledger against the two-pass one it replaced, across
     extension rules, quarter lengths, schedules, payouts, prices and caps,
-    for wins, open horizons and ``quarter_net``."""
+    for wins, open horizons and the net of a first win in each quarter."""
 
     @pytest.mark.parametrize("accounting", list(AccountingMode))
     @pytest.mark.parametrize("extension", ["min-recover", "1", "2.4", "0.5"])
     def test_ledgers_errors_and_quarter_nets(self, accounting, extension):
-        rule = ExtensionRule.min_recover() if extension == "min-recover" else ExtensionRule.fixed_ratio(extension)
+        rule = ExtensionRule() if extension == "min-recover" else ExtensionRule.fixed_ratio(extension)
         grid = itertools.product([1, 7, 60], [(1, 2, 5, 12), (3,), (1, 1, 2)], [50_000, 12_000, 1_000],
                                  [100, 250], [10, 1_000_000])
         for quarter_days, schedule, payout, price, cap in grid:
@@ -333,7 +339,7 @@ class TestConfigValidation:
 
     def test_ratio_rule_needs_a_ratio(self):
         # The rule is its ratio: None is min-recover, and a ratio must be positive.
-        assert ExtensionRule.min_recover() == ExtensionRule() and ExtensionRule().ratio is None
+        assert ExtensionRule().ratio is None
         assert ExtensionRule.fixed_ratio("2.4").ratio == Fraction(12, 5)
         for ratio in (0, "-2.4", Fraction(-1)):
             with pytest.raises(ValueError, match="positive ratio"):
