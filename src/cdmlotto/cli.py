@@ -12,6 +12,8 @@ and default.  Flag values may also come from a ``key=value`` config file
 (``--config``): :func:`parse_args` turns its values into the subcommand's
 defaults, so explicit flags win over file values and file values win
 over defaults.  The effective configuration is echoed in JSON output.
+Integers are ASCII digits, as in history files; dollar amounts, ratios
+and smoothing share :func:`_parse_decimal`'s exact decimal grammar.
 Exit codes: 0 success, 1 model or runtime failure, 2 usage or validation
 problems.
 """
@@ -22,8 +24,9 @@ import argparse
 import codecs
 import json
 import os
+import re
 import sys
-from decimal import Decimal, InvalidOperation
+from fractions import Fraction
 from pathlib import Path
 
 from .backtest import (
@@ -80,6 +83,24 @@ def _parse_count(text: str) -> int:
         raise argparse.ArgumentTypeError(f"an integer of {len(text.strip())} digits is too long to read") from None
 
 
+_DECIMAL = re.compile(r"(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][-+]?[0-9]+)?")
+
+
+def _parse_decimal(text: str, what: str) -> Fraction:
+    """The exact value of ASCII digits, an optional ``.fraction`` and ``e`` exponent, padded by
+    whitespace.  Unless zero, it must read as a finite nonzero float, so no huge power of ten is built."""
+    digits = text.strip()
+    if not _DECIMAL.fullmatch(digits):
+        raise argparse.ArgumentTypeError(f"{what} must be an unsigned decimal of ASCII digits, got {text!r}")
+    value = float(digits)
+    if value in (0, float("inf")) and digits.lower().partition("e")[0].strip("0."):
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is out of range")
+    try:
+        return Fraction(digits) if value else Fraction(0)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"a {what} of {len(digits)} characters is too long to read") from None
+
+
 def _parse_window(text: str):
     """'all', or a positive integer under :func:`_parse_count`'s rule."""
     if text.lower() == "all":
@@ -113,8 +134,9 @@ def _parse_extension(text: str) -> ExtensionRule:
     if text == "min-recover":
         return ExtensionRule()
     if text.startswith("ratio:"):
+        parts = [_parse_decimal(part, "ratio") for part in text.partition(":")[2].split("/", 1)]  # R or N/D
         try:
-            return ExtensionRule.fixed_ratio(text.partition(":")[2])
+            return ExtensionRule(Fraction(*parts))
         except (ValueError, ZeroDivisionError):
             raise argparse.ArgumentTypeError(f"bad ratio in {text!r}") from None
     raise argparse.ArgumentTypeError("extension must be 'min-recover' or 'ratio:R'")
@@ -131,32 +153,18 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
 
 
 def _parse_smoothing(text: str) -> float:
-    """A smoothing value under ``EstimatorConfig``'s rule: finite and
-    nonnegative, checked here because a hits replay builds no config."""
-    try:
-        return EstimatorConfig(EstimatorKind.MLE, mle_smoothing=float(text)).mle_smoothing
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """Finite and nonnegative by the grammar, as ``EstimatorConfig`` requires."""
+    return float(_parse_decimal(text, "smoothing"))
 
 
 def _parse_money(text: str) -> int:
-    """Dollars as integer cents, read exactly by ``Decimal`` (which takes
-    ``float``'s spellings) within ``float``'s exponent range: never rounded."""
-    try:
-        dollars = Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"expected a dollar amount, got {text!r}") from None
-    if not dollars.is_finite():
-        raise argparse.ArgumentTypeError(f"dollar amounts must be finite, got {text!r}")
-    if dollars <= 0:
+    """Dollars as integer cents, read exactly: never rounded."""
+    cents = _parse_decimal(text, "dollar amount") * 100
+    if cents <= 0:
         raise argparse.ArgumentTypeError("dollar amounts must be positive")
-    # Bounding the leading digit's power of ten keeps the ratio's integers small.
-    if abs(dollars.adjusted()) > sys.float_info.max_10_exp:
-        raise argparse.ArgumentTypeError(f"dollar amount {text!r} is out of range")
-    numerator, denominator = dollars.as_integer_ratio()
-    if 100 % denominator:
+    if cents.denominator != 1:
         raise argparse.ArgumentTypeError(f"dollar amounts must be a whole number of cents, got {text!r}")
-    return numerator * (100 // denominator)
+    return cents.numerator
 
 
 def _read_text(path: str | Path, role: str) -> str:

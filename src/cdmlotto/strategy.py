@@ -5,7 +5,8 @@ paying players quarter by quarter until the combination hits.  The first
 quarters follow a fixed schedule (default 1, 2, 5, 12 players); beyond it
 an explicit extension rule takes over, either the smallest player count
 that recovers all losses while at least matching the previous quarter's
-would-be profit (min-recover) or a fixed multiplicative step (a ratio).
+would-be profit (min-recover) or a fixed step by an exact ratio such as
+``ExtensionRule(Fraction("2.4"))`` (a float 2.4 * 5 would ceil to 13).
 
 Two accounting modes are first class.  FULL_QUARTER charges every started
 quarter in full, which reproduces round-number hand arithmetic exactly;
@@ -61,14 +62,6 @@ class ExtensionRule:
     def __post_init__(self) -> None:
         if self.ratio is not None and self.ratio <= 0:
             raise ValueError("fixed-ratio extension needs a positive ratio")
-
-    @staticmethod
-    def fixed_ratio(ratio) -> "ExtensionRule":
-        # Ratios arrive as decimal text like "2.4"; going through str keeps
-        # them exact (Fraction(2.4) would carry float noise and 2.4 * 5
-        # would ceil to 13 instead of 12).
-        frac = ratio if isinstance(ratio, Fraction) else Fraction(str(ratio))
-        return ExtensionRule(frac)
 
 
 @dataclass(frozen=True)
@@ -180,7 +173,9 @@ def next_player_count(
         required = cumulative_loss_cents + previous_net_cents
         players = max(1, -(-required // margin))
     if players > config.player_cap:
-        raise CapExceededError(f"required player count {players} exceeds the cap {config.player_cap}")
+        # str() refuses an int of more than 4,300 digits, so a count that long is named by its size.
+        count = players if players < 10**1000 else f"of about 10**{math.log10(players):.0f}"
+        raise CapExceededError(f"required player count {count} exceeds the cap {config.player_cap}")
     return int(players)
 
 

@@ -8,14 +8,17 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
@@ -26,7 +29,7 @@ from cdmlotto.backtest import (
     gap_stats,
     run_backtest,
 )
-from cdmlotto.cli import build_parser, main, parse_args
+from cdmlotto.cli import _parse_decimal, build_parser, main, parse_args
 from cdmlotto.estimators import EstimatorConfig, EstimatorKind
 from cdmlotto.ingest import GameKind, GameSpec, parse_history, serialize_history, synthetic_history
 from cdmlotto.strategy import (
@@ -417,6 +420,13 @@ class TestSimulate:
         players = [q["players"] for q in document["streams"][0]["quarters"]]
         assert players[:5] == [1, 2, 5, 12, 29]  # ceil(2.4 * 12)
 
+    @pytest.mark.parametrize("ratio", ["2.4", "12/5", "4.8/2", "24e-1"])
+    def test_a_ratio_reads_back_from_its_echo(self, capsys, ratio):
+        # The echo writes N/D, so N/D is read, each part by the decimal grammar.
+        code, out, err = run(capsys, "simulate", "--gaps", "1410", "--extension", f"ratio:{ratio}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["extension"] == "ratio:12/5"
+
 
 class TestEarlierLayoutDocuments:
     """A backtest document in the earlier indent-2 layout still feeds
@@ -570,9 +580,9 @@ class TestExitCodes:
 
 
 class TestStrictValues:
-    """Integers follow the history files' ASCII-digit rule; money and
-    smoothing must be finite.  Without those rules most of these commands
-    exit 0 or crash."""
+    """Integers follow the history files' ASCII-digit rule; dollar amounts,
+    ratios and smoothing follow one decimal grammar of ASCII digits.
+    Without those rules most of these commands exit 0 or crash."""
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--gaps", "1_0,+4"),
@@ -688,13 +698,17 @@ class TestStrictValues:
     def test_nan_and_infinite_money_must_be_finite(self, capsys, value):
         code, out, err = run(capsys, "simulate", "--gaps", "10", "--payout", value)
         assert (code, out) == (2, "")
-        assert f"dollar amounts must be finite, got {value!r}" in err
+        assert f"dollar amount must be an unsigned decimal of ASCII digits, got {value!r}" in err
 
-    @pytest.mark.parametrize("value", ["1e309", "1e-309"])
-    def test_money_keeps_the_exponent_range_of_float(self, capsys, value):
+    @pytest.mark.parametrize("value,message", [
+        pytest.param("1e309", "dollar amount '1e309' is out of range", id="1e309"),
+        # A subnormal float, so in range, and a fraction of a cent.
+        pytest.param("1e-309", "dollar amounts must be a whole number of cents, got '1e-309'", id="1e-309"),
+    ])
+    def test_money_keeps_the_exponent_range_of_float(self, capsys, value, message):
         code, out, err = run(capsys, "simulate", "--gaps", "10", "--payout", value)
         assert (code, out) == (2, "")
-        assert f"dollar amount {value!r} is out of range" in err
+        assert message in err
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     @pytest.mark.parametrize("flag,value", [("--ticket-price", "1.004"), ("--payout", "500.006"),
@@ -716,8 +730,8 @@ class TestStrictValues:
     @pytest.mark.parametrize("value,cents", [
         pytest.param("2.5", 250, id="2.5"),
         pytest.param("1e2", 10_000, id="1e2"),
-        pytest.param("1_0", 1_000, id="1_0"),
         pytest.param(" 0.10 ", 10, id="0.10"),
+        pytest.param(".5", 50, id=".5"),
         # float overflowed once multiplied by 100; the amounts are whole cents.
         pytest.param("1e307", 10**309, id="1e307"),
         pytest.param("1e308", 10**310, id="1e308"),
@@ -736,7 +750,7 @@ class TestStrictValues:
                              "--smoothing", value, "--format", "json")
         assert code == 2
         assert out == ""
-        assert "mle_smoothing" in err
+        assert f"smoothing must be an unsigned decimal of ASCII digits, got {value!r}" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_hits_replay_smoothing_must_be_finite_and_nonnegative(self, capsys, value):
@@ -744,11 +758,76 @@ class TestStrictValues:
         code, out, err = run(capsys, "backtest", "--hits", "1,5", "--smoothing", value, "--format", "json")
         assert code == 2
         assert out == ""
-        assert "mle_smoothing" in err
+        assert f"smoothing must be an unsigned decimal of ASCII digits, got {value!r}" in err
+
+    @pytest.mark.parametrize("value,message", [
+        *[pytest.param(v, "must be an unsigned decimal of ASCII digits", id=v or "empty") for v in
+          ["٣", "1_0", "nan", "inf", "Infinity", "0x10", "-1", "+1", ""]],
+        pytest.param("1e400", "is out of range", id="1e400"),
+        pytest.param("1e-400", "is out of range", id="1e-400"),
+        pytest.param(HUGE, "is out of range", id="huge"),
+        # In range, but its digits are more than int() converts.
+        pytest.param("0." + "0" * 300 + HUGE, "characters is too long to read", id="long-mantissa"),
+    ])
+    @pytest.mark.parametrize("flag", ["--ticket-price", "--payout", "--smoothing", "--extension"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_refused_decimal_spellings(self, capsys, tmp_path, route, flag, value, message):
+        """Signs, underscores, non-ASCII digits, nan, inf and values float
+        reads as infinite or as zero exit 2 on both routes, never rounded
+        to 0 or read by another library's rules."""
+        value = FLAG_PREFIX.get(flag, "") + value
+        command, *rest = NUMERIC_FLAGS[flag]
+        if route == "flag":
+            value_args = [f"{flag}={value}"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+            value_args = ["--config", str(config)]
+        code, out, err = run(capsys, command, *rest, *value_args)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+
+    @given(st.from_regex(r"[ \t]?[0-9]{0,25}(\.[0-9]{0,25})?([eE][-+]?[0-9]{1,3})?[ \t]?", fullmatch=True))
+    def test_the_decimal_reader_is_fraction_in_range(self, text):
+        assume(any(c.isdigit() for c in text.lower().partition("e")[0]))
+        exact = Fraction(text)
+        if exact == 0 or float(text) not in (0, math.inf):
+            assert _parse_decimal(text, "value") == exact
+        else:
+            with pytest.raises(argparse.ArgumentTypeError, match="out of range"):
+                _parse_decimal(text, "value")
+
+    @pytest.mark.parametrize("value", ["1", "0.5", ".5", "1e305", "1e-320", " 2 ", "0"])
+    def test_smoothing_is_the_float_of_its_text(self, capsys, value):
+        code, out, err = run(capsys, "backtest", "--hits", "1,5", "--smoothing", value, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["smoothing"] == float(value)
+        assert f'"smoothing":{float(value)!r}' in out
+
+    @pytest.mark.parametrize("argv,code,message", [
+        pytest.param(("simulate", "--gaps", "2000", "--extension", "ratio:1e3000000"), 2,
+                     "ratio '1e3000000' is out of range", id="ratio"),
+        pytest.param(("backtest", "--hits", "1,5", "--smoothing", "0e3000000", "--format", "json"), 0, "",
+                     id="zero-smoothing"),
+    ])
+    def test_a_huge_exponent_is_read_at_once(self, capsys, argv, code, message):
+        # Fraction("1e3000000"), or "0e3000000", spends seconds building 10**3000000.
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert result[0] == code and message in result[2]
+
+    def test_a_ratio_in_range_still_meets_the_cap(self, capsys):
+        code, out, err = run(capsys, "simulate", "--gaps", "2000", "--extension", "ratio:1e300")
+        assert (code, out) == (1, "")
+        assert err == f"error: stream 1 (gap 2000 draws): required player count {12 * 10**300} exceeds the cap 1000000\n"
 
 
 # Every flag whose value is a number, with a fast command that takes it.
+# The extension's number follows its "ratio:" prefix.
 NUMERIC_FLAGS = {
+    "--extension": ("simulate", "--gaps", "44"),
     "--pool": ("predict", "--picks", "6"),
     "--picks": ("predict", "--pool", "52"),
     "--draws": ("backtest", "--pool", "52", "--picks", "6", "--seed", "1"),
@@ -765,6 +844,7 @@ NUMERIC_FLAGS = {
     "--quarter-days": ("simulate", "--gaps", "44"),
     "--schedule": ("simulate", "--gaps", "44"),
 }
+FLAG_PREFIX = {"--extension": "ratio:"}
 
 # Short text keeps integer values, and so the work they ask for, small.
 numeric_text = st.one_of(
@@ -787,7 +867,7 @@ class TestNumericFlagsNeverCrash:
     @example(value="1e400")
     @example(value=HUGE)
     def test_any_text_exits_0_1_or_2(self, flag, value):
-        self.exits_cleanly(flag, [f"{flag}={value}"])
+        self.exits_cleanly(flag, [f"{flag}={FLAG_PREFIX.get(flag, '')}{value}"])
 
     @pytest.mark.parametrize("flag", sorted(NUMERIC_FLAGS))
     @settings(max_examples=25, deadline=None)
@@ -798,7 +878,7 @@ class TestNumericFlagsNeverCrash:
     @example(value=HUGE)
     def test_any_config_value_exits_0_1_or_2(self, tmp_path_factory, flag, value):
         config = tmp_path_factory.mktemp("config") / "run.cfg"
-        config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+        config.write_text(f"{flag[2:]} = {FLAG_PREFIX.get(flag, '')}{value}\n", encoding="utf-8")
         self.exits_cleanly(flag, ["--config", str(config)])
 
     @staticmethod
