@@ -9,15 +9,16 @@ hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  Every rule is written once over the count
-matrices that :attr:`~cdmlotto.ingest.GameSpec.matrices` lists.  Prefix
-sums over them give every window's column sums as one subtraction.  They
-are built straight from the history's numbers column, without
-materialising the 0/1 indicator matrices, and the row count and those
+matrices that :attr:`~cdmlotto.ingest.GameSpec.matrices` lists.  One
+prefix array per matrix gives every window's column sums as one
+subtraction.  It is built straight from the history's numbers column,
+without materialising the 0/1 indicator matrix, and the row count and those
 column sums are all that mm and the smoothed MLE read (md adds the
 trailing diagonal, read from the rows), so a pass over a multi-decade
 history costs O(n K) instead of O(n^2 K).  The estimate, the predictive
 scores, the tie-broken pick and the match count then follow for the whole
-chunk at once.  Chunks bound the size of the temporary arrays.
+chunk at once.  Chunks bound the size of the temporary arrays, and a
+chunk that raises is replayed one window at a time.
 :func:`predict_next` is the same scoring on the one window before the
 next draw, whose column sums are counted from its rows in place, so it
 needs O(K) memory and no prefix array.  Tests pin both to an independent
@@ -260,36 +261,19 @@ def _diagonals(picked: np.ndarray, base: int, k: int, ends: np.ndarray) -> np.nd
     return diagonals
 
 
-class _RollingStats:
-    """Sufficient statistics of any batch of windows of one count matrix.
-
-    Row t of the matrix has a one in each column of ``picked[t] - base``; the
-    matrix itself is never built.  The ones are scattered into an (n+1, K)
-    array that is then summed in place, so window ``[start, end)`` has column
-    sums ``prefix[end] - prefix[start]``.  md reads its diagonal from the rows.
-    """
-
-    def __init__(self, picked: np.ndarray, base: int, k: int):
-        self.picked, self.base = picked, base
-        self.prefix = np.zeros((len(picked) + 1, k), dtype=np.int64)
-        self.prefix[np.arange(1, len(picked) + 1)[:, None], picked - base] = 1
-        np.cumsum(self.prefix, axis=0, out=self.prefix)
-
-    def stats(self, starts: np.ndarray, ends: np.ndarray, md: bool) -> tuple:
-        """Row counts, column sums and, for md, trailing diagonals of the
-        windows ``[starts[i], ends[i])``, for consecutive ``ends``."""
-        diagonal = _diagonals(self.picked, self.base, self.prefix.shape[1], ends) if md else None
-        return ends - starts, self.prefix[ends] - self.prefix[starts], diagonal
-
-
-def _trackers(history: DrawHistory) -> list[_RollingStats]:
-    """One tracker per count matrix, over the whole history."""
-    return [_RollingStats(history.numbers[:, columns], base, k) for columns, base, k in history.spec.matrices]
+def _prefix(picked: np.ndarray, base: int, k: int) -> np.ndarray:
+    """A count matrix's (n+1, K) prefix array: row t of the matrix, never built,
+    has a one in each column of ``picked[t] - base``, so window ``[start, end)``
+    has column sums ``prefix[end] - prefix[start]``."""
+    prefix = np.zeros((len(picked) + 1, k), dtype=np.int64)
+    prefix[np.arange(1, len(picked) + 1)[:, None], picked - base] = 1
+    np.cumsum(prefix, axis=0, out=prefix)
+    return prefix
 
 
 def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
-    """What :meth:`_RollingStats.stats` gives for one window, read from the
-    window's rows ``picked`` alone, in O(K) memory."""
+    """One window's row count, column sums and trailing diagonal, as the walk
+    reads them, counted from the window's rows ``picked`` alone, in O(K) memory."""
     rows = len(picked)
     # Not bincount: it copies a read-only input such as the history's numbers.
     counts = np.zeros(k + base, dtype=np.int64)
@@ -342,11 +326,14 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
     spec = history.spec
     n = len(history)
     warmup, threshold = _resolve(config, spec, n)
-    trackers = _trackers(history)
+    prefixes = [_prefix(history.numbers[:, columns], base, k) for columns, base, k in spec.matrices]
     md = config.estimator.kind is EstimatorKind.MAIN_DIAGONAL
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        return _score_and_pick(spec, config.estimator, [t.stats(starts, ends, md) for t in trackers])[1]
+        stats = [(ends - starts, prefix[ends] - prefix[starts],
+                  _diagonals(history.numbers[:, columns], base, k, ends) if md else None)
+                 for prefix, (columns, base, k) in zip(prefixes, spec.matrices)]
+        return _score_and_pick(spec, config.estimator, stats)[1]
 
     chunks = []
     for first in range(warmup, n, _CHUNK):
@@ -354,9 +341,9 @@ def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult
         starts = np.zeros_like(ends) if config.window is None else ends - config.window
         chunks.append(_predict_chunk(predict, starts, ends))
     draw_indices = np.arange(warmup, n, dtype=np.int64)
-    predictions = np.concatenate(chunks).astype(np.int64, copy=False)
+    predictions = np.concatenate(chunks)
     actuals = history.numbers[warmup:]
-    match_counts = _match_counts(spec, predictions, actuals).astype(np.int64, copy=False)
+    match_counts = _match_counts(spec, predictions, actuals)
     for column in (draw_indices, predictions, actuals, match_counts):
         column.flags.writeable = False
     return BacktestResult(draw_indices, predictions, actuals, match_counts, warmup, threshold)
@@ -384,26 +371,19 @@ def _predict_chunk(predict, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``predict(starts, ends)``, or the error of the chunk's first failing draw.
 
     A check raises for the first window that fails it, but an earlier window
-    may fail a later check.  Every check looks at one window at a time, so a
-    prefix of the chunk fails exactly when it holds a failing window:
-    bisection finds the shortest failing prefix, whose error concerns its
-    last window alone, as the per-draw order would report it.
+    may fail a later check, so a failing chunk is replayed one window at a
+    time, in order.  Every check looks at one window at a time, so the first
+    window that fails alone is the one the per-draw order would report.
     """
     try:
         return predict(starts, ends)
-    except ValueError as exc:
-        error, bad = exc, ends.size
-    good = 0
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            predict(starts[:mid], ends[:mid])
-            good = mid
-        except ValueError as exc:
-            error, bad = exc, mid
-    if isinstance(error, EstimationError):
-        raise BacktestError(int(ends[bad - 1]), str(error)) from error
-    raise error
+    except ValueError:
+        for i in range(ends.size):
+            try:
+                predict(starts[i : i + 1], ends[i : i + 1])
+            except EstimationError as exc:
+                raise BacktestError(int(ends[i]), str(exc)) from exc
+        raise
 
 
 def gap_stats(hit_indices: Sequence[int]) -> dict:

@@ -73,10 +73,15 @@ class CliError(Exception):
     """Usage or validation problem surfaced with exit code 2."""
 
 
+def _quoted(text: str) -> str:
+    """A value as a message shows it: its repr, or past 100 characters its head and length."""
+    return repr(text) if len(text) <= 100 else f"{text[:10]!r}... of {len(text)} characters"
+
+
 def _parse_count(text: str) -> int:
     """A nonnegative integer of ASCII digits, the rule history files follow."""
     if not is_digits(text.strip()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer of ASCII digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer of ASCII digits, got {_quoted(text)}")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
@@ -91,10 +96,10 @@ def _parse_decimal(text: str, what: str) -> Fraction:
     whitespace.  Unless zero, it must read as a finite nonzero float, so no huge power of ten is built."""
     digits = text.strip()
     if not _DECIMAL.fullmatch(digits):
-        raise argparse.ArgumentTypeError(f"{what} must be an unsigned decimal of ASCII digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what} must be an unsigned decimal of ASCII digits, got {_quoted(text)}")
     value = float(digits)
     if value in (0, float("inf")) and digits.lower().partition("e")[0].strip("0."):
-        raise argparse.ArgumentTypeError(f"{what} {text!r} is out of range")
+        raise argparse.ArgumentTypeError(f"{what} {_quoted(text)} is out of range")
     try:
         return Fraction(digits) if value else Fraction(0)
     except ValueError:  # more digits than int() converts
@@ -138,7 +143,7 @@ def _parse_extension(text: str) -> ExtensionRule:
         try:
             return ExtensionRule(Fraction(*parts))
         except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"bad ratio in {text!r}") from None
+            raise argparse.ArgumentTypeError(f"bad ratio in {_quoted(text)}") from None
     raise argparse.ArgumentTypeError("extension must be 'min-recover' or 'ratio:R'")
 
 
@@ -146,7 +151,7 @@ def _parse_estimators(text: str) -> tuple[EstimatorKind, ...]:
     try:
         kinds = tuple(EstimatorKind(token) for token in text.replace(",", " ").split())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"unknown estimator in {text!r}; choose from md, mm, mle") from None
+        raise argparse.ArgumentTypeError(f"unknown estimator in {_quoted(text)}; choose from md, mm, mle") from None
     if not kinds:
         raise argparse.ArgumentTypeError("no estimator given")
     return kinds
@@ -163,7 +168,7 @@ def _parse_money(text: str) -> int:
     if cents <= 0:
         raise argparse.ArgumentTypeError("dollar amounts must be positive")
     if cents.denominator != 1:
-        raise argparse.ArgumentTypeError(f"dollar amounts must be a whole number of cents, got {text!r}")
+        raise argparse.ArgumentTypeError(f"dollar amounts must be a whole number of cents, got {_quoted(text)}")
     return cents.numerator
 
 

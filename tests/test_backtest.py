@@ -3,6 +3,7 @@ the reference sequence, and the rolling loop pinned to a naive refit loop
 written from the paper's rules, independent of the library's code."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -19,7 +20,7 @@ from cdmlotto.backtest import (
     BacktestConfig,
     BacktestError,
     _diagonals,
-    _trackers,
+    _prefix,
     _window_stats,
     classify_stretches,
     extrapolate_gaps,
@@ -278,6 +279,10 @@ def walked(history, config):
 _rng = random.Random(5)
 _digits = [_rng.randrange(10) for _ in range(1200)] + [3] * 800 + [_rng.randrange(10) for _ in range(300)]
 CONSTANT_RUN = DrawHistory(PICK1, np.arange(len(_digits)), np.array(_digits)[:, None], (None,) * len(_digits))
+# Its digits from draw 689 on, so the run starts at draw 511: with window and warmup 60,
+# the first window inside it, draw 571's, is the last window of the walk's first chunk.
+_late = _digits[689:]
+LATE_RUN = DrawHistory(PICK1, np.arange(len(_late)), np.array(_late)[:, None], (None,) * len(_late))
 
 
 def head(history, draws):
@@ -293,26 +298,26 @@ class TestRollingStatsFromNumbers:
     def test_prefix_is_the_cumulative_count_matrix(self, spec):
         history = synthetic_history(spec, 300, seed=6)
         matrices = build_count_matrices(history)
-        trackers = _trackers(history)
-        assert len(trackers) == len(matrices)
-        for tracker, matrix in zip(trackers, matrices):
-            assert tracker.prefix.dtype == np.int64
-            np.testing.assert_array_equal(tracker.prefix[0], 0)
-            np.testing.assert_array_equal(tracker.prefix[1:], np.cumsum(matrix.counts, axis=0))
+        prefixes = [_prefix(history.numbers[:, columns], base, k) for columns, base, k in spec.matrices]
+        assert len(prefixes) == len(matrices)
+        for prefix, matrix in zip(prefixes, matrices):
+            assert prefix.dtype == np.int64
+            np.testing.assert_array_equal(prefix[0], 0)
+            np.testing.assert_array_equal(prefix[1:], np.cumsum(matrix.counts, axis=0))
         # The diagonals read from the rows are those of the count matrices.
         for matrix, (columns, base, k) in zip(matrices, spec.matrices):
             ends = np.arange(k, matrix.rows + 1)
             expected = [np.diagonal(matrix.counts[end - k:end]) for end in ends]
             np.testing.assert_array_equal(_diagonals(history.numbers[:, columns], base, k, ends), expected)
-        # One window's statistics read from its rows alone are the trackers' for it.
+        # One window's statistics read from its rows alone are the prefix arrays' for it.
         for start in (0, 100, 290):
-            for tracker, (columns, base, k) in zip(trackers, spec.matrices):
+            for prefix, (columns, base, k) in zip(prefixes, spec.matrices):
                 got = _window_stats(history.numbers[start:, columns], base, k)
-                want = tracker.stats(np.array([start]), np.array([300]), md=True)
-                np.testing.assert_array_equal(got[0], want[0])
-                np.testing.assert_array_equal(got[1], want[1])
+                np.testing.assert_array_equal(got[0], [300 - start])
+                np.testing.assert_array_equal(got[1], prefix[[300]] - prefix[[start]])
                 if got[0][0] >= k:
-                    np.testing.assert_array_equal(got[2], want[2])
+                    want = _diagonals(history.numbers[:, columns], base, k, np.array([300]))
+                    np.testing.assert_array_equal(got[2], want)
 
 
 def naive_predict(history, estimators, window):
@@ -332,8 +337,8 @@ def outcome(fn, *args):
 
 
 class TestPredictNext:
-    """predict_next scores the window before the next draw through the
-    walk's trackers; the naive refit must agree on scores, numbers and
+    """predict_next scores the window before the next draw from that
+    window's rows; the naive refit must agree on scores, numbers and
     errors alike."""
 
     @pytest.mark.parametrize("spec", [SIX_52, FIVE_10, PICK1, PICK4], ids=["6of52", "5of10", "pick1", "pick4"])
@@ -511,15 +516,19 @@ class TestRunBacktest:
         (0.5, 64, "draw 1264: total-mass denominator is zero (all columns constant)"),
         (3.0, 100, "draw 1300: total-mass denominator is zero (all columns constant)"),
     ])
-    def test_failure_past_the_first_chunk_names_its_draw(self, smoothing, window, expected):
+    def test_failure_past_the_first_chunk_names_its_draw(self, smoothing, window, expected, history=CONSTANT_RUN):
         # The first window inside the constant run has constant columns.
         config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
                                 window=window, warmup=window)
         with pytest.raises(BacktestError) as walked:
-            run_backtest(CONSTANT_RUN, config)
+            run_backtest(history, config)
         with pytest.raises(BacktestError) as naive:
-            naive_backtest(CONSTANT_RUN, config)
+            naive_backtest(history, config)
         assert str(walked.value) == str(naive.value) == expected
+
+    def test_failure_at_a_chunks_last_window_names_its_draw(self):
+        self.test_failure_past_the_first_chunk_names_its_draw(
+            1.0, 60, "draw 571: total-mass denominator is zero (all columns constant)", LATE_RUN)
 
     @pytest.mark.parametrize("smoothing", [0.1, 0.5, 1.0, 3.0, 10.0, 1e3])
     @pytest.mark.parametrize("window", [None, 60, 64, 100, 500])
@@ -579,8 +588,9 @@ class TestRunBacktest:
 @st.composite
 def walk_cases(draw):
     """A game of any valid shape, a history of 30-700 draws (some past the
-    walk's 512-draw chunk), any estimator with smoothing 0 or 1, and all
-    prior draws or a window the estimator accepts."""
+    walk's 512-draw chunk), any estimator with a smoothing from 0 to 1e305
+    (the large ones fail at draws anywhere in a chunk), and all prior draws
+    or a window the estimator accepts."""
     if draw(st.booleans()):
         pool = draw(st.integers(3, 15))
         spec = GameSpec(GameKind.SET_DRAW, pool, draw(st.integers(2, pool - 1)))
@@ -590,7 +600,8 @@ def walk_cases(draw):
     draws = draw(st.integers(30, 700) | st.integers(528, 700))  # the second often spans two chunks
     shortest = spec.categories if kind is EstimatorKind.MAIN_DIAGONAL else 1
     window = draw(st.none() | st.integers(shortest, draws - 1))
-    config = BacktestConfig(EstimatorConfig(kind, mle_smoothing=draw(st.sampled_from([0.0, 1.0]))),
+    smoothing = draw(st.sampled_from([0.0, 1.0, 5e-324, 1e20, 1e100, 1e290, 1e305]))
+    config = BacktestConfig(EstimatorConfig(kind, mle_smoothing=smoothing),
                             window=window, warmup=window, hit_threshold=draw(st.integers(1, spec.picks)))
     return synthetic_history(spec, draws, seed=draw(st.integers(0, 2**16))), config
 
@@ -635,6 +646,60 @@ class TestWalkMatchesOracle:
                 value = fn.__globals__.get(name)
                 if getattr(value, "__module__", "").startswith("cdmlotto"):
                     assert isinstance(value, type), f"{fn.__name__} reads cdmlotto's {name}"
+
+
+def edged_history(spec, draws, concentration, seed):
+    """A history with an edge, and each count matrix's fixed probabilities
+    p ~ Dirichlet(concentration / K).  Every draw takes a matrix's m numbers
+    whose keys log p + Gumbel noise are largest: m numbers drawn from p
+    without replacement, so a digit position's digit is drawn from p."""
+    rng = np.random.default_rng(seed)
+    probs = [rng.dirichlet(np.full(k, concentration / k)) for _, _, k in spec.matrices]
+    columns = []
+    for p, (places, base, k) in zip(probs, spec.matrices):
+        keys = np.log(p) + rng.gumbel(size=(draws, k))
+        columns.append(np.sort(np.argsort(-keys, axis=1)[:, : places.stop - places.start], axis=1) + base)
+    return DrawHistory(spec, np.arange(draws), np.hstack(columns), (None,) * draws), probs
+
+
+def null_hit_rate(spec, threshold):
+    """P(match count >= threshold) for a fixed pick against a uniform draw:
+    hypergeometric for a set game, binomial(picks, 1/10) for a pick game."""
+    m, k = spec.picks, spec.categories
+    if spec.kind is GameKind.SET_DRAW:
+        return sum(math.comb(m, j) * math.comb(k - m, m - j) for j in range(threshold, m + 1)) / math.comb(k, m)
+    return sum(math.comb(m, j) * 0.1**j * 0.9 ** (m - j) for j in range(threshold, m + 1))
+
+
+class TestPositiveControl:
+    """On histories with a real edge the walk must find it, or the tests that
+    find its hits at chance's rate on uniform histories would show nothing."""
+
+    @pytest.mark.parametrize("estimator", [
+        EstimatorConfig(EstimatorKind.MOM),
+        EstimatorConfig(EstimatorKind.MAIN_DIAGONAL),
+        EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1.0),
+    ], ids=lambda estimator: estimator.kind.value)
+    @pytest.mark.parametrize("spec,concentration", [(PICK3, 5.0), (SIX_52, 50.0)], ids=["pick3", "6of52"])
+    def test_hits_beat_chance(self, spec, concentration, estimator):
+        history, probs = edged_history(spec, 5000, concentration, seed=0)
+        result = run_backtest(history, BacktestConfig(estimator, hit_threshold=3))
+        draws = len(result.draw_indices)
+        rate = len(result.hit_indices) / draws
+        null = null_hit_rate(spec, 3)
+        assert rate - null >= 10 * math.sqrt(null * (1 - null) / draws)
+        if spec.kind is GameKind.POSITIONAL_DIGITS:
+            # The best any pick can do is the most likely digit at every position.
+            assert rate >= 0.7 * math.prod(p.max() for p in probs)
+
+    def test_the_null_rates_are_the_counted_ones(self):
+        # Small games, every draw enumerated against a fixed pick.
+        pairs = list(itertools.product(range(10), repeat=2))
+        assert null_hit_rate(GameSpec(GameKind.POSITIONAL_DIGITS, 10, 2), 1) == pytest.approx(
+            sum(a == 1 or b == 2 for a, b in pairs) / len(pairs))
+        sets = list(itertools.combinations(range(1, 6), 3))
+        assert null_hit_rate(GameSpec(GameKind.SET_DRAW, 5, 3), 2) == pytest.approx(
+            sum(len({1, 2, 3} & set(s)) >= 2 for s in sets) / len(sets))
 
 
 class TestGapStats:

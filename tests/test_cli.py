@@ -823,6 +823,44 @@ class TestStrictValues:
         assert (code, out) == (1, "")
         assert err == f"error: stream 1 (gap 2000 draws): required player count {12 * 10**300} exceeds the cap 1000000\n"
 
+    @pytest.mark.parametrize("flag,value,message", [
+        pytest.param("--seed", "x" * 5000, "integer of ASCII digits, got 'xxxxxxxxxx'... of 5000 characters",
+                     id="count"),
+        pytest.param("--smoothing", "x" * 5000, "decimal of ASCII digits, got 'xxxxxxxxxx'... of 5000 characters",
+                     id="decimal-grammar"),
+        pytest.param("--payout", HUGE, "dollar amount '9999999999'... of 5000 characters is out of range",
+                     id="decimal-range"),
+        # The exponent's zeros keep the mantissa within the digits int() converts.
+        pytest.param("--ticket-price", "1." + "0" * 3000 + "1e" + "0" * 1996,
+                     "whole number of cents, got '1.00000000'... of 5000 characters", id="money"),
+        pytest.param("--extension", "ratio:1/" + "0" * 4992, "bad ratio in 'ratio:1/00'... of 5000 characters",
+                     id="extension"),
+        pytest.param("--estimator", "x" * 5000, "unknown estimator in 'xxxxxxxxxx'... of 5000 characters",
+                     id="estimators"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_a_long_value_is_named_by_its_length(self, capsys, tmp_path, route, flag, value, message):
+        """A refused value past 100 characters is shown by its head and
+        length, so the error stays one short line on both routes."""
+        command, *rest = NUMERIC_FLAGS.get(flag, NUMERIC_FLAGS["--seed"])
+        if route == "flag":
+            value_args = [f"{flag}={value}"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n", encoding="utf-8")
+            value_args = ["--config", str(config)]
+        code, out, err = run(capsys, command, *rest, *value_args)
+        assert (code, out) == (2, "")
+        assert message in err.splitlines()[-1]
+        assert len(err.splitlines()[-1]) < 200
+
+    @pytest.mark.parametrize("length,shown", [(100, repr("x" * 100)), (101, "'xxxxxxxxxx'... of 101 characters")],
+                             ids=["100", "101"])
+    def test_values_up_to_100_characters_are_shown_whole(self, capsys, length, shown):
+        code, out, err = run(capsys, "synth", "--draws", "5", "--seed", "x" * length)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"expected a nonnegative integer of ASCII digits, got {shown}\n")
+
 
 # Every flag whose value is a number, with a fast command that takes it.
 # The extension's number follows its "ratio:" prefix.
