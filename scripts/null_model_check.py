@@ -11,7 +11,7 @@ to the exact value with a three-sigma band.
 import argparse
 import math
 
-from cdmlotto.backtest import BacktestConfig, run_backtest
+from cdmlotto.backtest import run_backtest
 from cdmlotto.estimators import EstimatorConfig, EstimatorKind
 from cdmlotto.ingest import GameKind, GameSpec, synthetic_history
 
@@ -50,8 +50,8 @@ def main() -> None:
     print(f"exact P(match >= {args.threshold}) = {expected:.6f}")
     print(f"{'estimator':<12} {'hits':>6} {'trials':>7} {'rate':>9} {'z':>7}")
     for estimator in estimators:
-        result = run_backtest(history, BacktestConfig(estimator, hit_threshold=args.threshold))
-        trials = len(result.draw_indices)
+        result = run_backtest(history, estimator, hit_threshold=args.threshold)
+        trials = len(result.match_counts)
         hits = len(result.hit_indices)
         rate = hits / trials
         sigma = math.sqrt(expected * (1 - expected) / trials)

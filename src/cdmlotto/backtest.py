@@ -27,8 +27,9 @@ slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
 fit, scores, pick and match count from the paper's rules.
 
 The result is its columns: one int64 array each for the predicted draws'
-indices, predictions, actual numbers and match counts.  Hits, tier counts
-and the JSON records block come from array operations on those columns.
+predictions, actual numbers and match counts, whose draw indices run on
+from the warmup.  Hits, tier counts and the JSON records block come from
+array operations on those columns.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "SHORT_LONG_CUTOFF",
     "ALTERNATION_NOTE",
     "BacktestError",
-    "BacktestConfig",
     "PredictedCombination",
     "BacktestResult",
     "select_combination",
@@ -83,20 +83,6 @@ class BacktestError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BacktestConfig:
-    """Walk-forward settings.
-
-    ``window`` of None uses all prior draws.  ``warmup`` of None resolves
-    to max(categories, 10).  ``hit_threshold`` of None means a full match.
-    """
-
-    estimator: EstimatorConfig
-    window: int | None = None
-    warmup: int | None = None
-    hit_threshold: int | None = None
-
-
-@dataclass(frozen=True)
 class PredictedCombination:
     """A playable combination plus the expectation vectors that ranked it."""
 
@@ -108,20 +94,24 @@ class PredictedCombination:
 class BacktestResult:
     """The walk's outcome as whole-history columns plus its hits.
 
-    Row i of ``draw_indices`` (n,), ``predictions`` (n, picks), ``actuals``
-    (n, picks) and ``match_counts`` (n,), all read-only int64 arrays,
-    describes the i-th predicted draw; the hits are the rows whose match
-    count reaches ``hit_threshold``.  :attr:`hit_indices` and
+    Row i of ``predictions`` (n, picks), ``actuals`` (n, picks) and
+    ``match_counts`` (n,), all read-only int64 arrays, describes predicted
+    draw ``warmup + i``; the hits are the rows whose match count reaches
+    ``hit_threshold``.  :attr:`draw_indices`, :attr:`hit_indices` and
     :attr:`tier_counts` are read from these columns, and :meth:`summary`
     builds every other report field.
     """
 
-    draw_indices: np.ndarray
     predictions: np.ndarray
     actuals: np.ndarray
     match_counts: np.ndarray
     warmup: int
     hit_threshold: int
+
+    @property
+    def draw_indices(self) -> np.ndarray:
+        """The predicted draws' indices, one per row."""
+        return np.arange(self.warmup, self.warmup + len(self.match_counts))
 
     @property
     def hit_indices(self) -> tuple[int, ...]:
@@ -292,61 +282,62 @@ def _score_and_pick(spec: GameSpec, estimator: EstimatorConfig,
     return scores, _select(spec, scores)
 
 
-def _resolve(config: BacktestConfig, spec: GameSpec, n: int) -> tuple[int, int]:
-    warmup = config.warmup if config.warmup is not None else max(spec.categories, 10)
-    threshold = config.hit_threshold if config.hit_threshold is not None else spec.picks
+def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
+             threshold: int | None, spec: GameSpec, n: int) -> tuple[int, int]:
+    warmup = warmup if warmup is not None else max(spec.categories, 10)
+    threshold = threshold if threshold is not None else spec.picks
     if warmup < 1:
         raise ValueError(f"warmup must be positive, got {warmup}")
     if not 1 <= threshold <= spec.picks:
         raise ValueError(f"hit threshold must lie in [1, {spec.picks}], got {threshold}")
-    needs_square = config.estimator.kind is EstimatorKind.MAIN_DIAGONAL
+    needs_square = estimator.kind is EstimatorKind.MAIN_DIAGONAL
     if needs_square and warmup < spec.categories:
         raise ValueError(f"main-diagonal estimation needs warmup >= {spec.categories}, got {warmup}")
-    if config.window is not None:
-        if config.window < 1:
-            raise ValueError(f"window must be positive, got {config.window}")
-        if config.window > warmup:
-            raise ValueError(
-                f"window ({config.window}) may not exceed warmup ({warmup}); early fits would lack rows"
-            )
-        if needs_square and config.window < spec.categories:
+    if window is not None:
+        if window < 1:
+            raise ValueError(f"window must be positive, got {window}")
+        if window > warmup:
+            raise ValueError(f"window ({window}) may not exceed warmup ({warmup}); early fits would lack rows")
+        if needs_square and window < spec.categories:
             raise ValueError(f"main-diagonal estimation needs a window of at least {spec.categories} rows")
     if n <= warmup:
         raise ValueError(f"history has {n} draws but prediction starts after {warmup}")
     return warmup, threshold
 
 
-def run_backtest(history: DrawHistory, config: BacktestConfig) -> BacktestResult:
+def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: int | None = None,
+                 warmup: int | None = None, hit_threshold: int | None = None) -> BacktestResult:
     """Walk the history and score one prediction per post-warmup draw.
 
-    A pure function of its inputs: repeated runs agree exactly.  Estimator
-    failures propagate as :class:`BacktestError` carrying the index of the
-    first draw that fails.
+    Each fit reads the last ``window`` draws (all prior draws when None);
+    ``warmup`` of None resolves to max(categories, 10), and
+    ``hit_threshold`` of None means a full match.  A pure function of its
+    inputs: repeated runs agree exactly.  Estimator failures propagate as
+    :class:`BacktestError` carrying the index of the first draw that fails.
     """
     spec = history.spec
     n = len(history)
-    warmup, threshold = _resolve(config, spec, n)
+    warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, spec, n)
     prefixes = [_prefix(history.numbers[:, columns], base, k) for columns, base, k in spec.matrices]
-    md = config.estimator.kind is EstimatorKind.MAIN_DIAGONAL
+    md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
 
     def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         stats = [(ends - starts, prefix[ends] - prefix[starts],
                   _diagonals(history.numbers[:, columns], base, k, ends) if md else None)
                  for prefix, (columns, base, k) in zip(prefixes, spec.matrices)]
-        return _score_and_pick(spec, config.estimator, stats)[1]
+        return _score_and_pick(spec, estimator, stats)[1]
 
     chunks = []
     for first in range(warmup, n, _CHUNK):
         ends = np.arange(first, min(first + _CHUNK, n))
-        starts = np.zeros_like(ends) if config.window is None else ends - config.window
+        starts = np.zeros_like(ends) if window is None else ends - window
         chunks.append(_predict_chunk(predict, starts, ends))
-    draw_indices = np.arange(warmup, n, dtype=np.int64)
     predictions = np.concatenate(chunks)
     actuals = history.numbers[warmup:]
     match_counts = _match_counts(spec, predictions, actuals)
-    for column in (draw_indices, predictions, actuals, match_counts):
+    for column in (predictions, actuals, match_counts):
         column.flags.writeable = False
-    return BacktestResult(draw_indices, predictions, actuals, match_counts, warmup, threshold)
+    return BacktestResult(predictions, actuals, match_counts, warmup, threshold)
 
 
 def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],

@@ -30,7 +30,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .backtest import (
-    BacktestConfig,
     BacktestError,
     BacktestResult,
     gap_report,
@@ -44,6 +43,7 @@ from .ingest import (
     DrawHistory,
     GameKind,
     GameSpec,
+    _quoted,
     is_digits,
     parse_history,
     serialize_history,
@@ -53,7 +53,6 @@ from .jsondoc import ITEM_SEPARATOR, compact, document
 from .strategy import (
     AccountingMode,
     CapExceededError,
-    ExtensionRule,
     StrategyConfig,
     format_cents,
     ledger_to_dict,
@@ -71,11 +70,6 @@ _INTERNAL_KEYS = ("command", "func", "config")
 
 class CliError(Exception):
     """Usage or validation problem surfaced with exit code 2."""
-
-
-def _quoted(text: str) -> str:
-    """A value as a message shows it: its repr, or past 100 characters its head and length."""
-    return repr(text) if len(text) <= 100 else f"{text[:10]!r}... of {len(text)} characters"
 
 
 def _parse_count(text: str) -> int:
@@ -135,15 +129,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_extension(text: str) -> ExtensionRule:
+def _parse_extension(text: str) -> Fraction | None:
+    """The extension ratio, or None for min-recover."""
     if text == "min-recover":
-        return ExtensionRule()
+        return None
     if text.startswith("ratio:"):
         parts = [_parse_decimal(part, "ratio") for part in text.partition(":")[2].split("/", 1)]  # R or N/D
-        try:
-            return ExtensionRule(Fraction(*parts))
-        except (ValueError, ZeroDivisionError):
-            raise argparse.ArgumentTypeError(f"bad ratio in {_quoted(text)}") from None
+        if not all(parts):  # the parts are nonnegative: a zero leaves no positive ratio
+            raise argparse.ArgumentTypeError(f"bad ratio in {_quoted(text)}")
+        return Fraction(*parts)
     raise argparse.ArgumentTypeError("extension must be 'min-recover' or 'ratio:R'")
 
 
@@ -238,8 +232,6 @@ def _emit(text: str, cfg: dict) -> None:
 
 def _echo_value(value):
     """A setting in the form the JSON echo prints it."""
-    if isinstance(value, ExtensionRule):
-        return "min-recover" if value.ratio is None else f"ratio:{value.ratio}"
     if isinstance(value, AccountingMode):
         return value.value
     if isinstance(value, tuple):
@@ -251,6 +243,8 @@ def _echo_value(value):
 
 def _config_echo(cfg: dict, spec: GameSpec | None = None) -> dict:
     echo = {key: _echo_value(value) for key, value in cfg.items()}
+    if "extension" in cfg:
+        echo["extension"] = "min-recover" if cfg["extension"] is None else f"ratio:{cfg['extension']}"
     if spec is not None:
         echo["game"] = spec.kind.value
         echo["pool"] = spec.categories
@@ -341,7 +335,7 @@ def _backtest_text(result: BacktestResult, spec: GameSpec, cfg: dict) -> str:
         f" estimator {cfg['estimator']}; window {'all' if window is None else window};"
         f" warmup {result.warmup}; threshold {result.hit_threshold}"
     )
-    lines.append(f"predicted draws: {len(result.draw_indices)}; hits: {summary['hit_count']}")
+    lines.append(f"predicted draws: {len(result.match_counts)}; hits: {summary['hit_count']}")
     hit = result.match_counts >= result.hit_threshold
     columns = (result.draw_indices, result.match_counts, result.predictions, result.actuals)
     for t, matches, prediction, actual in zip(*(column[hit].tolist() for column in columns)):
@@ -385,13 +379,8 @@ def cmd_backtest(cfg: dict) -> int:
     if len(kinds) != 1:
         raise CliError("backtest runs one estimator at a time; repeat the command per estimator")
     cfg["estimator"] = kinds[0].value
-    config = BacktestConfig(
-        estimator=EstimatorConfig(kinds[0], mle_smoothing=cfg["smoothing"]),
-        window=_window_arg(cfg["window"]),
-        warmup=cfg["warmup"],
-        hit_threshold=cfg["threshold"],
-    )
-    result = run_backtest(history, config)
+    result = run_backtest(history, EstimatorConfig(kinds[0], mle_smoothing=cfg["smoothing"]),
+                          window=_window_arg(cfg["window"]), warmup=cfg["warmup"], hit_threshold=cfg["threshold"])
     if cfg["format"] == "json":
         _emit(result.to_json({"config": _config_echo(cfg, spec)}), cfg)
     else:
@@ -436,7 +425,7 @@ def _strategy_config(cfg: dict) -> StrategyConfig:
         payout_per_ticket_cents=cfg["payout"],
         quarter_days=cfg["quarter_days"],
         schedule=cfg["schedule"],
-        extension=cfg["extension"],
+        extension_ratio=cfg["extension"],
         accounting=cfg["accounting"],
     )
 
@@ -572,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="days per quarter (default 60)")
     p.add_argument("--schedule", type=_parse_int_list, default=_PLAN.schedule,
                    help="players per quarter (default 1,2,5,12)")
-    p.add_argument("--extension", type=_parse_extension, default=_PLAN.extension,
+    p.add_argument("--extension", type=_parse_extension, default=_PLAN.extension_ratio,
                    help="min-recover or ratio:R (default min-recover)")
     p.add_argument("--accounting", type=AccountingMode, default=_PLAN.accounting,
                    help="paper or exact (default paper)")

@@ -268,12 +268,13 @@ def _row_error(line: str, lineno: int, previous_index: int | None, spec: GameSpe
     or none when that is None."""
     parts = line.split(",", 2)
     if len(parts) != 3:
-        return HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
+        return HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {_quoted(line)}")
     if not is_digits(parts[0].strip()):
-        return HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
+        return HistoryParseError(f"line {lineno}: draw index {_quoted(parts[0])} is not an integer of ASCII digits")
     tokens = parts[2].split()
     if tokens and not is_digits("".join(tokens)):
-        return HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
+        return HistoryParseError(
+            f"line {lineno}: numbers field {_quoted(parts[2])} is not a space-separated integer list")
     problem = _rule_break(_integer(parts[0]), tuple(map(_integer, tokens)), previous_index, spec)
     return HistoryValidationError(f"line {lineno}: {problem}")
 
@@ -296,6 +297,12 @@ def is_digits(token: str) -> bool:
     digits from other scripts.  History files and the CLI's integer
     values share this rule."""
     return token.isascii() and token.isdigit()
+
+
+def _quoted(text: str) -> str:
+    """A value as a message shows it: its repr, or past 100 characters its
+    head and length.  History rows and the CLI's values share this rule."""
+    return repr(text) if len(text) <= 100 else f"{text[:10]!r}... of {len(text)} characters"
 
 
 def serialize_history(history: DrawHistory) -> str:

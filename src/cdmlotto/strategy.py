@@ -3,10 +3,11 @@
 One stream plays a fixed combination every draw, escalating the number of
 paying players quarter by quarter until the combination hits.  The first
 quarters follow a fixed schedule (default 1, 2, 5, 12 players); beyond it
-an explicit extension rule takes over, either the smallest player count
-that recovers all losses while at least matching the previous quarter's
-would-be profit (min-recover) or a fixed step by an exact ratio such as
-``ExtensionRule(Fraction("2.4"))`` (a float 2.4 * 5 would ceil to 13).
+the extension ratio takes over.  Without one (None, the default) the next
+count is the smallest that recovers all losses while at least matching the
+previous quarter's would-be profit (min-recover); a ratio such as
+``extension_ratio=Fraction("2.4")`` is a fixed step by that exact factor
+(a float 2.4 * 5 would ceil to 13).
 
 Two accounting modes are first class.  FULL_QUARTER charges every started
 quarter in full, which reproduces round-number hand arithmetic exactly;
@@ -28,7 +29,6 @@ from typing import Sequence
 
 __all__ = [
     "AccountingMode",
-    "ExtensionRule",
     "StrategyConfig",
     "CapExceededError",
     "QuarterRecord",
@@ -53,25 +53,13 @@ class CapExceededError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExtensionRule:
-    """How player counts continue past the fixed schedule: a fixed
-    multiplicative step ``ratio``, or min-recover when it is None."""
-
-    ratio: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if self.ratio is not None and self.ratio <= 0:
-            raise ValueError("fixed-ratio extension needs a positive ratio")
-
-
-@dataclass(frozen=True)
 class StrategyConfig:
     ticket_price_cents: int = 100
     draws_per_day: int = 2
     payout_per_ticket_cents: int = 50_000
     quarter_days: int = 60
     schedule: tuple[int, ...] = (1, 2, 5, 12)
-    extension: ExtensionRule = ExtensionRule()
+    extension_ratio: Fraction | None = None
     accounting: AccountingMode = AccountingMode.FULL_QUARTER
     player_cap: int = 1_000_000
 
@@ -87,6 +75,8 @@ class StrategyConfig:
         if any(b < a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be nondecreasing")
         object.__setattr__(self, "schedule", schedule)
+        if self.extension_ratio is not None and self.extension_ratio <= 0:
+            raise ValueError("fixed-ratio extension needs a positive ratio")
 
     @property
     def quarter_cost_per_player_cents(self) -> int:
@@ -156,14 +146,14 @@ def next_player_count(
     previous_players: int,
     config: StrategyConfig,
 ) -> int:
-    """Player count for the next quarter under the configured extension rule.
+    """Player count for the next quarter past the schedule.
 
-    Min-recover returns the smallest count whose win recovers the losses
-    so far and still nets at least the previous quarter's would-be profit;
-    a ratio scales the previous count and rounds up.  Counts above the cap
-    raise :class:`CapExceededError`.
+    Without an extension ratio, min-recover returns the smallest count
+    whose win recovers the losses so far and still nets at least the
+    previous quarter's would-be profit; a ratio scales the previous count
+    and rounds up.  Counts above the cap raise :class:`CapExceededError`.
     """
-    ratio = config.extension.ratio
+    ratio = config.extension_ratio
     if ratio is not None:
         players = max(1, math.ceil(ratio * previous_players))
     else:

@@ -10,7 +10,6 @@ import pytest
 
 from cdmlotto.backtest import (
     ALTERNATION_NOTE,
-    BacktestConfig,
     classify_stretches,
     gap_stats,
     run_backtest,
@@ -169,7 +168,7 @@ def test_criterion_7_null_model_oracle():
     ]
     rates = {}
     for estimator in estimators:
-        result = run_backtest(history, BacktestConfig(estimator, hit_threshold=2))
+        result = run_backtest(history, estimator, hit_threshold=2)
         trials = len(result.draw_indices)
         empirical = len(result.hit_indices) / trials
         sigma = math.sqrt(p * (1.0 - p) / trials)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from cdmlotto.backtest import (
     ALTERNATION_NOTE,
     SHORT_LONG_CUTOFF,
-    BacktestConfig,
     BacktestError,
     _diagonals,
     _prefix,
@@ -246,20 +245,21 @@ def oracle_matches(spec, prediction, actual):
     return sum(p == a for p, a in zip(prediction, actual))
 
 
-def naive_backtest(history, config):
-    """Slice-and-refit oracle of run_backtest: for every draw t past the
-    warmup, fit rows ``[start, t)`` of each indicator matrix and score the
-    pick against draw t.  Rows are (t, prediction, match count, is hit)."""
+def naive_backtest(history, estimator, *, window=None, warmup=None, hit_threshold=None):
+    """Slice-and-refit oracle of run_backtest, with its settings: for every
+    draw t past the warmup, fit rows ``[start, t)`` of each indicator matrix
+    and score the pick against draw t.  Rows are (t, prediction, match
+    count, is hit)."""
     spec = history.spec
     matrices = indicator_matrices(history)
     actuals = history.numbers.tolist()
-    warmup = config.warmup if config.warmup is not None else max(spec.categories, 10)
-    threshold = config.hit_threshold if config.hit_threshold is not None else spec.picks
+    warmup = warmup if warmup is not None else max(spec.categories, 10)
+    threshold = hit_threshold if hit_threshold is not None else spec.picks
     outcomes = []
     for t in range(warmup, len(actuals)):
-        start = 0 if config.window is None else t - config.window
+        start = 0 if window is None else t - window
         try:
-            prediction, _ = oracle_predict(spec, [m[start:t] for m in matrices], config.estimator)
+            prediction, _ = oracle_predict(spec, [m[start:t] for m in matrices], estimator)
         except EstimationError as exc:
             raise BacktestError(t, str(exc)) from exc
         matches = oracle_matches(spec, prediction, actuals[t])
@@ -267,9 +267,9 @@ def naive_backtest(history, config):
     return outcomes
 
 
-def walked(history, config):
+def walked(history, estimator, **settings):
     """run_backtest's columns as naive_backtest's rows."""
-    result = run_backtest(history, config)
+    result = run_backtest(history, estimator, **settings)
     hits = set(result.hit_indices)
     columns = (result.draw_indices.tolist(), result.predictions.tolist(), result.match_counts.tolist())
     return [(t, tuple(prediction), matches, t in hits) for t, prediction, matches in zip(*columns)]
@@ -328,10 +328,10 @@ def naive_predict(history, estimators, window):
     return [oracle_predict(history.spec, windows, estimator) for estimator in estimators]
 
 
-def outcome(fn, *args):
-    """``fn(*args)``, or the class and message of the error it raises."""
+def outcome(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the class and message of the error it raises."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except (ValueError, BacktestError) as exc:
         return type(exc), str(exc)
 
@@ -399,9 +399,9 @@ class TestPredictNext:
 
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
         history = synthetic_history(SIX_52, 140, seed=9)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), window=60, warmup=60)
-        result = run_backtest(history, config)
-        (combo,) = predict_next(head(history, result.draw_indices[-1]), [config.estimator], 60)
+        estimator = EstimatorConfig(EstimatorKind.MAIN_DIAGONAL)
+        result = run_backtest(history, estimator, window=60, warmup=60)
+        (combo,) = predict_next(head(history, result.draw_indices[-1]), [estimator], 60)
         assert combo.numbers == tuple(result.predictions[-1].tolist())
 
     @pytest.mark.parametrize("draws,window,message", [
@@ -422,55 +422,51 @@ class TestRunBacktest:
         drawn set itself and the prediction must match it in full."""
         numbers = (2, 9, 17, 25, 33, 41)
         history = DrawHistory(SIX_52, np.arange(10), [numbers] * 10, (None,) * 10)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=3, hit_threshold=6)
-        result = run_backtest(history, config)
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), warmup=3, hit_threshold=6)
         assert result.hit_indices == tuple(range(3, 10))
         assert result.predictions.tolist() == [list(numbers)] * 7
 
     def test_history_shorter_than_warmup_rejected(self):
         history = synthetic_history(SIX_52, 30, seed=1)
         with pytest.raises(ValueError):
-            run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=30))
+            run_backtest(history, EstimatorConfig(EstimatorKind.MOM), warmup=30)
 
     def test_threshold_outside_picks_rejected(self):
         history = synthetic_history(SIX_52, 80, seed=1)
         with pytest.raises(ValueError):
-            run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=7))
+            run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=7)
 
     def test_main_diagonal_needs_square_warmup(self):
         history = synthetic_history(SIX_52, 80, seed=1)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), warmup=20)
         with pytest.raises(ValueError):
-            run_backtest(history, config)
+            run_backtest(history, EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), warmup=20)
 
     def test_window_may_not_exceed_warmup(self):
         history = synthetic_history(SIX_52, 80, seed=1)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), warmup=20, window=30)
         with pytest.raises(ValueError):
-            run_backtest(history, config)
+            run_backtest(history, EstimatorConfig(EstimatorKind.MOM), warmup=20, window=30)
 
     def test_unsmoothed_mle_failure_carries_the_draw_index(self):
         history = synthetic_history(SIX_52, 60, seed=1)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE), hit_threshold=2)
         with pytest.raises(BacktestError) as excinfo:
-            run_backtest(history, config)
+            run_backtest(history, EstimatorConfig(EstimatorKind.MLE), hit_threshold=2)
         assert excinfo.value.draw_index == 52
 
     def test_is_deterministic(self):
         history = synthetic_history(SIX_52, 150, seed=5)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
-        assert run_backtest(history, config) == run_backtest(history, config)
+        estimator = EstimatorConfig(EstimatorKind.MOM)
+        assert run_backtest(history, estimator, hit_threshold=2) == run_backtest(history, estimator, hit_threshold=2)
 
     def test_results_differing_in_one_column_are_unequal(self):
         history = synthetic_history(SIX_52, 150, seed=5)
-        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         predictions = result.predictions.copy()
         predictions[-1, 0] += 1
         assert dataclasses.replace(result, predictions=predictions) != result
 
     def test_columns_hold_one_row_per_predicted_draw(self):
         history = synthetic_history(PICK4, 200, seed=2)
-        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         assert result.draw_indices.tolist() == list(range(10, 200))
         assert result.predictions.shape == result.actuals.shape == (190, 4)
         assert result.actuals.tolist() == history.numbers[10:].tolist()
@@ -488,9 +484,8 @@ class TestRunBacktest:
         # 1,600 draws span four chunks of the batched walk; each case runs
         # on all prior draws and on a 60-draw window.
         history = synthetic_history(spec, 1600, seed=seed)
-        for config in (BacktestConfig(estimator, hit_threshold=2),
-                       BacktestConfig(estimator, window=60, warmup=60, hit_threshold=2)):
-            assert walked(history, config) == naive_backtest(history, config)
+        for settings in ({"hit_threshold": 2}, {"window": 60, "warmup": 60, "hit_threshold": 2}):
+            assert walked(history, estimator, **settings) == naive_backtest(history, estimator, **settings)
 
     @pytest.mark.parametrize("spec,smoothing,window", [
         (SIX_52, 1e100, None),  # the chunk's first-raised check fails later than draw 52 does
@@ -503,12 +498,11 @@ class TestRunBacktest:
     ])
     def test_first_failing_draw_matches_naive_refit(self, spec, smoothing, window):
         history = synthetic_history(spec, 1200, seed=9)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
-                                window=window, warmup=window)
+        estimator = EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing)
         with pytest.raises(BacktestError) as walked:
-            run_backtest(history, config)
+            run_backtest(history, estimator, window=window, warmup=window)
         with pytest.raises(BacktestError) as naive:
-            naive_backtest(history, config)
+            naive_backtest(history, estimator, window=window, warmup=window)
         assert (walked.value.draw_index, str(walked.value)) == (naive.value.draw_index, str(naive.value))
 
     @pytest.mark.parametrize("smoothing,window,expected", [
@@ -518,12 +512,11 @@ class TestRunBacktest:
     ])
     def test_failure_past_the_first_chunk_names_its_draw(self, smoothing, window, expected, history=CONSTANT_RUN):
         # The first window inside the constant run has constant columns.
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
-                                window=window, warmup=window)
+        estimator = EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing)
         with pytest.raises(BacktestError) as walked:
-            run_backtest(history, config)
+            run_backtest(history, estimator, window=window, warmup=window)
         with pytest.raises(BacktestError) as naive:
-            naive_backtest(history, config)
+            naive_backtest(history, estimator, window=window, warmup=window)
         assert str(walked.value) == str(naive.value) == expected
 
     def test_failure_at_a_chunks_last_window_names_its_draw(self):
@@ -533,15 +526,15 @@ class TestRunBacktest:
     @pytest.mark.parametrize("smoothing", [0.1, 0.5, 1.0, 3.0, 10.0, 1e3])
     @pytest.mark.parametrize("window", [None, 60, 64, 100, 500])
     def test_constant_run_matches_naive_refit(self, smoothing, window):
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
-                                window=window, warmup=window)
-        assert outcome(walked, CONSTANT_RUN, config) == outcome(naive_backtest, CONSTANT_RUN, config)
+        estimator = EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing)
+        assert (outcome(walked, CONSTANT_RUN, estimator, window=window, warmup=window)
+                == outcome(naive_backtest, CONSTANT_RUN, estimator, window=window, warmup=window))
 
     def test_subnormal_smoothing_matches_naive_refit(self):
         # 1/s overflows at this smoothing, so the mle fit takes its log-difference form.
         history = synthetic_history(SIX_52, 700, seed=8)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1e-320), hit_threshold=2)
-        assert walked(history, config) == naive_backtest(history, config)
+        estimator = EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1e-320)
+        assert walked(history, estimator, hit_threshold=2) == naive_backtest(history, estimator, hit_threshold=2)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -557,20 +550,20 @@ class TestRunBacktest:
         """On 0/1 windows the mle score alpha0 (s + p_j) + c_j rises with the
         column sum c_j and ties where c_j ties, so it ranks as mm does."""
         history = synthetic_history(game, 150, seed=seed)
-        mle, mm = (run_backtest(history, BacktestConfig(estimator, window=window, warmup=window or 60))
+        mle, mm = (run_backtest(history, estimator, window=window, warmup=window or 60)
                    for estimator in (EstimatorConfig(EstimatorKind.MLE, mle_smoothing=smoothing),
                                      EstimatorConfig(EstimatorKind.MOM)))
         np.testing.assert_array_equal(mle.predictions, mm.predictions)
 
     def test_windowed_run_matches_naive_refit(self):
         history = synthetic_history(SIX_52, 120, seed=31)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), window=60, warmup=60, hit_threshold=2)
-        assert walked(history, config) == naive_backtest(history, config)
+        settings = {"window": 60, "warmup": 60, "hit_threshold": 2}
+        estimator = EstimatorConfig(EstimatorKind.MOM)
+        assert walked(history, estimator, **settings) == naive_backtest(history, estimator, **settings)
 
     def test_hit_bookkeeping_is_exhaustive(self):
         history = synthetic_history(SIX_52, 200, seed=6)
-        config = BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
-        result = run_backtest(history, config)
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         rescanned = {t for t, matches in zip(result.draw_indices.tolist(), result.match_counts.tolist())
                      if matches >= 2}
         assert set(result.hit_indices) == rescanned
@@ -578,7 +571,7 @@ class TestRunBacktest:
 
     def test_result_document_field_names(self):
         history = synthetic_history(SIX_52, 80, seed=6)
-        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         document = json.loads(result.to_json())
         for field in ("records", "hit_indices", "gaps", "average_gap", "max_gap"):
             assert field in document
@@ -601,17 +594,18 @@ def walk_cases(draw):
     shortest = spec.categories if kind is EstimatorKind.MAIN_DIAGONAL else 1
     window = draw(st.none() | st.integers(shortest, draws - 1))
     smoothing = draw(st.sampled_from([0.0, 1.0, 5e-324, 1e20, 1e100, 1e290, 1e305]))
-    config = BacktestConfig(EstimatorConfig(kind, mle_smoothing=smoothing),
-                            window=window, warmup=window, hit_threshold=draw(st.integers(1, spec.picks)))
-    return synthetic_history(spec, draws, seed=draw(st.integers(0, 2**16))), config
+    settings = {"window": window, "warmup": window, "hit_threshold": draw(st.integers(1, spec.picks))}
+    history = synthetic_history(spec, draws, seed=draw(st.integers(0, 2**16)))
+    return history, EstimatorConfig(kind, mle_smoothing=smoothing), settings
 
 
 class TestWalkMatchesOracle:
     @settings(max_examples=100, deadline=None)
     @given(case=walk_cases())
     def test_any_game_shape(self, case):
-        history, config = case
-        assert outcome(walked, history, config) == outcome(naive_backtest, history, config)
+        history, estimator, settings = case
+        assert (outcome(walked, history, estimator, **settings)
+                == outcome(naive_backtest, history, estimator, **settings))
 
     @settings(max_examples=200)
     @given(
@@ -683,7 +677,7 @@ class TestPositiveControl:
     @pytest.mark.parametrize("spec,concentration", [(PICK3, 5.0), (SIX_52, 50.0)], ids=["pick3", "6of52"])
     def test_hits_beat_chance(self, spec, concentration, estimator):
         history, probs = edged_history(spec, 5000, concentration, seed=0)
-        result = run_backtest(history, BacktestConfig(estimator, hit_threshold=3))
+        result = run_backtest(history, estimator, hit_threshold=3)
         draws = len(result.draw_indices)
         rate = len(result.hit_indices) / draws
         null = null_hit_rate(spec, 3)

@@ -22,7 +22,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdmlotto.backtest import (
-    BacktestConfig,
     classify_stretches,
     extrapolate_gaps,
     gap_report,
@@ -196,6 +195,21 @@ class TestPredict:
         assert got == (code, "", err)
 
 
+    @pytest.mark.parametrize("row,message", [
+        pytest.param("2,," + "x" * 5000, "numbers field 'xxxxxxxxxx'... of 5000 characters "
+                     "is not a space-separated integer list", id="numbers"),
+        pytest.param("x" * 5000 + ",,1 2 3 4 5 6", "draw index 'xxxxxxxxxx'... of 5000 characters "
+                     "is not an integer of ASCII digits", id="index"),
+        pytest.param("x" * 5000, "expected 'draw_index,date,numbers', got 'xxxxxxxxxx'... of 5000 characters",
+                     id="row"),
+    ])
+    def test_an_overlong_history_field_is_named_by_its_length(self, capsys, tmp_path, row, message):
+        path = tmp_path / "history.csv"
+        path.write_text(f"0,,1 2 3 4 5 6\n1,,7 8 9 10 11 12\n{row}\n", encoding="utf-8")
+        got = run(capsys, "predict", "--game", "set", "--pool", "52", "--picks", "6", "--input", str(path))
+        assert got == (2, "", f"error: line 3: {message}\n")
+
+
 class TestBacktest:
     def test_synthetic_runs_are_byte_identical(self, capsys):
         argv = ["backtest", "--game", "set", "--pool", "52", "--picks", "6",
@@ -274,7 +288,7 @@ class TestBacktest:
                              "--input", str(path), "--threshold", "2", "--format", "json")
         assert code == 0, err
         document = json.loads(out)
-        result = run_backtest(history, BacktestConfig(EstimatorConfig(EstimatorKind.MOM), hit_threshold=2))
+        result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM), hit_threshold=2)
         del document["config"], document["records"]
         assert result.summary() == document
         code, out, err = run(capsys, "backtest", "--hits", ",".join(map(str, result.hit_indices)), "--format", "json")
@@ -577,6 +591,32 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys, history_csv):
         assert main(["predict", "--game", "set", "--pool", "52", "--picks", "6",
                      "--input", str(history_csv), "--estimator", "mm"]) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(("predict", "--game", "lotto"), "game must be 'set' or 'pick'", id="game"),
+        pytest.param(("predict", "--format", "xml"), "format must be 'text' or 'json'", id="format"),
+        pytest.param(("simulate", "--gaps", "44", "--extension", "fibonacci"),
+                     "extension must be 'min-recover' or 'ratio:R'", id="extension"),
+        pytest.param(("predict", "--estimator", ","), "no estimator given", id="no-estimator"),
+        pytest.param(("predict", "--game", "set", "--picks", "6"), "set games need --pool and --picks",
+                     id="set-without-pool"),
+        pytest.param(("predict", "--game", "pick"), "pick games need --picks", id="pick-without-picks"),
+        pytest.param(("predict", "--game", "pick", "--picks", "3", "--pool", "52"),
+                     "pick games draw from the 10 digits; --pool must be 10 or omitted", id="pick-pool-52"),
+        pytest.param(("synth", "--game", "pick", "--picks", "3"), "synth needs --draws", id="synth-without-draws"),
+        pytest.param(("backtest", "--pool", "52", "--picks", "6", "--draws", "60", "--estimator", "md,mm"),
+                     "backtest runs one estimator at a time; repeat the command per estimator", id="backtest-two"),
+        pytest.param(("simulate", "--gaps-file", "{doc}"), "{doc}: JSON document has no 'gaps' field",
+                     id="gaps-file-field"),
+        pytest.param(("backtest", "--hits-file", "{doc}"), "{doc}: JSON document has no 'hit_indices' field",
+                     id="hits-file-field"),
+    ])
+    def test_each_refusal_exits_2_with_its_message(self, capsys, tmp_path, argv, message):
+        doc = tmp_path / "doc.json"
+        doc.write_text('{"hits": [1]}', encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(doc=doc) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(message.format(doc=doc))
 
 
 class TestStrictValues:
@@ -1029,7 +1069,7 @@ class TestBacktestJsonMatchesDocumentDump:
         config = json.loads(out)["config"]
         assert config["input"] == str(path)
 
-        result = run_backtest(history, BacktestConfig(estimator, window=window, warmup=60, hit_threshold=threshold))
+        result = run_backtest(history, estimator, window=window, warmup=60, hit_threshold=threshold)
         assert len(result.draw_indices) == draws - 60
         columns = (result.draw_indices, result.predictions, result.actuals, result.match_counts)
         records = [{"draw_index": t, "prediction": p, "actual": a, "match_count": m}

@@ -228,6 +228,13 @@ class TestMom:
         scaled_exactly = [float(Fraction(int(s) * c, rows)) for s in matrix.sum(axis=0)]
         assert list(estimate_mom(matrix * c)) == scaled_exactly
 
+    def test_whole_float_counts_read_as_integers(self):
+        assert estimate_mom([[1.0, 2.0], [2.0, 1.0]]).tolist() == estimate_mom([[1, 2], [2, 1]]).tolist()
+
+    def test_fractional_counts_are_refused(self):
+        with pytest.raises(ValueError, match="counts must hold integers"):
+            estimate_mom([[1.5, 1.5], [2.0, 1.0]])
+
 
 class TestMainDiagonal:
     def test_square_matrix(self):

@@ -30,6 +30,7 @@ PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
 # More digits than Python's int() converts by default (4,300).
 HUGE = "9" * 5000
 PADDING = "0" * 5000
+LONG = "x" * 5000
 
 
 def history_rows(history):
@@ -117,6 +118,13 @@ class TestParseHistory:
                      id="huge-digit"),
         pytest.param(f"0,,1 2 3\n{PADDING}2,,4 5 {PADDING}6\n", HistoryValidationError,
                      "line 2: draw index 2 does not follow 0", id="long-zero-padding"),
+        # A field past 100 characters is shown by its head and length, so the message stays short.
+        pytest.param(f"0,,1 2 3\n1,,{LONG}\n", HistoryParseError, "line 2: numbers field 'xxxxxxxxxx'... "
+                     "of 5000 characters is not a space-separated integer list", id="long-numbers"),
+        pytest.param(f"0,,1 2 3\n{LONG},,4 5 6\n", HistoryParseError, "line 2: draw index 'xxxxxxxxxx'... "
+                     "of 5000 characters is not an integer of ASCII digits", id="long-index"),
+        pytest.param(f"0,,1 2 3\n{LONG}\n", HistoryParseError, "line 2: expected 'draw_index,date,numbers', "
+                     "got 'xxxxxxxxxx'... of 5000 characters", id="long-row"),
     ])
     def test_first_bad_line_in_file_order_is_reported(self, text, error, message):
         with pytest.raises(error) as excinfo:
@@ -542,6 +550,11 @@ def oracle_check_lines(spec, rows, linenos):
         raise HistoryValidationError(f"line {linenos[exc.position]}: {exc}") from None
 
 
+def shown(field):
+    """A field as an error shows it: whole up to 100 characters, else its first 10 and its length."""
+    return repr(field) if len(field) <= 100 else repr(field[:10]) + f"... of {len(field)} characters"
+
+
 def oracle_rows(lines, rows, linenos):
     first_line = True
     for lineno, raw in enumerate(lines, start=1):
@@ -554,13 +567,14 @@ def oracle_rows(lines, rows, linenos):
             if parts[0].strip() == "draw_index":
                 continue
         if len(parts) != 3:
-            raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {line!r}")
+            raise HistoryParseError(f"line {lineno}: expected 'draw_index,date,numbers', got {shown(line)}")
         index_text = parts[0].strip()
         if not is_digits(index_text):
-            raise HistoryParseError(f"line {lineno}: draw index {parts[0]!r} is not an integer of ASCII digits")
+            raise HistoryParseError(f"line {lineno}: draw index {shown(parts[0])} is not an integer of ASCII digits")
         tokens = parts[2].split()
         if tokens and not is_digits("".join(tokens)):
-            raise HistoryParseError(f"line {lineno}: numbers field {parts[2]!r} is not a space-separated integer list")
+            raise HistoryParseError(
+                f"line {lineno}: numbers field {shown(parts[2])} is not a space-separated integer list")
         rows.append((int(index_text), parts[1] or None, tuple(map(int, tokens))))
         linenos.append(lineno)
 
@@ -600,11 +614,13 @@ def numbers_flaws(tokens, high):
         "leading_zero": " ".join(["0" + first, *rest]),
         "empty": "",
         "letter": " ".join(["x", *rest]),
+        "overlong": " ".join(["x" * 101, *rest]),
     }
 
 
 INDEX_FLAWS = {"gap": None, "index_sign": "+{}", "index_space": " {}", "index_empty": "",
-               "index_arabic": "\u0661", "index_letter": "{}x"}
+               "index_arabic": "\u0661", "index_letter": "{}x",
+               "index_overlong": "{}" + "x" * 101}
 NUMBERS_FLAWS = list(numbers_flaws(["1"] * 3, 9))
 ROW_FLAWS = [*INDEX_FLAWS, "missing_field", "extra_field", "shifted_comma", *NUMBERS_FLAWS]
 TEXT_FLAWS = ["blank_line", "padded_line", "bom", "crlf", "cr", "mixed_newlines", "no_final_newline",

@@ -13,7 +13,6 @@ from cdmlotto import strategy
 from cdmlotto.strategy import (
     AccountingMode,
     CapExceededError,
-    ExtensionRule,
     QuarterRecord,
     StrategyConfig,
     ledger_to_dict,
@@ -54,11 +53,11 @@ class TestNextPlayerCount:
         assert next_player_count(0, 0, 0, DEFAULTS) == 1
 
     def test_fixed_ratio_rounds_up_exactly(self):
-        config = StrategyConfig(extension=ExtensionRule(Fraction("2.4")))
+        config = StrategyConfig(extension_ratio=Fraction("2.4"))
         assert next_player_count(0, 0, 5, config) == 12
 
     def test_fixed_ratio_with_fractional_step(self):
-        config = StrategyConfig(extension=ExtensionRule(Fraction("1.5")))
+        config = StrategyConfig(extension_ratio=Fraction("1.5"))
         assert next_player_count(0, 0, 5, config) == 8
 
     def test_unwinnable_margin_exceeds_cap(self):
@@ -75,7 +74,7 @@ class TestNextPlayerCount:
     def test_a_count_too_long_to_print_is_named_by_its_size(self):
         # 12 * 10**5000 players has more digits than str() converts, so the
         # message gives its size; the full count raised Python's ValueError.
-        config = StrategyConfig(extension=ExtensionRule(Fraction(10**5000)))
+        config = StrategyConfig(extension_ratio=Fraction(10**5000))
         message = "required player count of about 10\\*\\*5001 exceeds the cap 1000000"
         with pytest.raises(CapExceededError, match=message):
             simulate_stream(2000, config)
@@ -292,12 +291,12 @@ class TestStreamMatchesTwoPassOracle:
     @pytest.mark.parametrize("accounting", list(AccountingMode))
     @pytest.mark.parametrize("extension", ["min-recover", "1", "2.4", "0.5"])
     def test_ledgers_errors_and_quarter_nets(self, accounting, extension):
-        rule = ExtensionRule() if extension == "min-recover" else ExtensionRule(Fraction(extension))
+        ratio = None if extension == "min-recover" else Fraction(extension)
         grid = itertools.product([1, 7, 60], [(1, 2, 5, 12), (3,), (1, 1, 2)], [50_000, 12_000, 1_000],
                                  [100, 250], [10, 1_000_000])
         for quarter_days, schedule, payout, price, cap in grid:
             config = StrategyConfig(ticket_price_cents=price, payout_per_ticket_cents=payout,
-                                    quarter_days=quarter_days, schedule=schedule, extension=rule,
+                                    quarter_days=quarter_days, schedule=schedule, extension_ratio=ratio,
                                     accounting=accounting, player_cap=cap)
             for offset in (0, 1, 13, 119, 120, 239, 480):
                 assert outcome(stream_document, offset, config) == outcome(two_pass_stream, offset, config)
@@ -346,12 +345,12 @@ class TestConfigValidation:
             StrategyConfig(quarter_days=-1)
 
     def test_ratio_rule_needs_a_ratio(self):
-        # The rule is its ratio: None is min-recover, and a ratio must be positive.
-        assert ExtensionRule().ratio is None
-        assert ExtensionRule(Fraction("2.4")).ratio == Fraction(12, 5)
+        # None is min-recover, and a ratio must be positive.
+        assert StrategyConfig().extension_ratio is None
+        assert StrategyConfig(extension_ratio=Fraction("2.4")).extension_ratio == Fraction(12, 5)
         for ratio in (Fraction(0), Fraction("-2.4"), Fraction(-1)):
             with pytest.raises(ValueError, match="positive ratio"):
-                ExtensionRule(ratio)
+                StrategyConfig(extension_ratio=ratio)
 
 
 class TestLedgerRendering:
