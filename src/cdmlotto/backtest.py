@@ -8,20 +8,21 @@ whose match count reaches the hit threshold are hits; the gaps between
 hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
-one Python iteration per draw.  Every rule is written once over the count
-matrices that :attr:`~cdmlotto.ingest.GameSpec.matrices` lists.  One
-prefix array per matrix gives every window's column sums as one
-subtraction.  It is built straight from the history's numbers column,
-without materialising the 0/1 indicator matrix, and the row count and those
-column sums are all that mm and the smoothed MLE read (md adds the
-trailing diagonal, read from the rows), so a pass over a multi-decade
-history costs O(n K) instead of O(n^2 K).  The estimate, the predictive
-scores, the tie-broken pick and the match count then follow for the whole
-chunk at once.  Chunks bound the size of the temporary arrays, and a
-chunk that raises is replayed one window at a time.
+one Python iteration per draw.  A game's count matrices are alike
+(:attr:`~cdmlotto.ingest.GameSpec.layout`), so the history's numbers read
+as an (n, count, m) array and a chunk is one batch of ``windows x count``
+rows, each a window of one matrix.  One (n+1, count, K) prefix array,
+built straight from the numbers without materialising the 0/1 indicator
+matrices, gives every window's column sums as one subtraction.  The row
+count and those column sums are all that mm and the smoothed MLE read
+(md adds the trailing diagonal, read from the rows), so a pass over a
+multi-decade history costs O(n K) instead of O(n^2 K).  The estimate,
+the predictive scores, the tie-broken pick and the match count then
+follow for the whole batch at once.  Chunks bound the size of the
+temporary arrays, and a chunk that raises is replayed one row at a time.
 :func:`predict_next` is the same scoring on the one window before the
-next draw, whose column sums are counted from its rows in place, so it
-needs O(K) memory and no prefix array.  Tests pin both to an independent
+next draw, whose column sums are counted from its rows, so it needs
+O(K) memory and no prefix array.  Tests pin both to an independent
 slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
 ``tests/test_backtest.py``), which rebuilds each window's 0/1 matrix,
 fit, scores, pick and match count from the paper's rules.
@@ -64,8 +65,8 @@ __all__ = [
 # Gaps below the cutoff are short stretches, at or above it long ones.
 SHORT_LONG_CUTOFF = 500
 
-# Draws scored per array pass: enough to amortise the per-pass Python
-# overhead, few enough that a pass's (chunk, K) temporaries stay small.
+# Draws scored, or window rows counted, per array pass: enough to amortise the
+# per-pass Python overhead, few enough that a pass's temporaries stay small.
 _CHUNK = 512
 
 ALTERNATION_NOTE = (
@@ -181,37 +182,32 @@ def select_combination(scores, spec: GameSpec) -> PredictedCombination:
     it places (a set game's picks, or one digit), ties broken toward the smaller
     number, output ascending.  Any positive rescaling of the scores keeps the choice.
     """
-    lengths = [k for _, _, k in spec.matrices]
-    if len(lengths) == 1 and np.ndim(scores) == 1:
+    count, m, base = spec.layout
+    if count == 1 and np.ndim(scores) == 1:
         scores = (scores,)
     vectors = tuple(np.asarray(v, dtype=np.float64) for v in scores)
-    if [vec.shape for vec in vectors] != [(k,) for k in lengths]:
-        raise ValueError(f"need one score vector per count matrix, of lengths {lengths}")
-    numbers = _select(spec, [vec[None] for vec in vectors])[0]
-    return PredictedCombination(tuple(numbers.tolist()), vectors)
+    if [vec.shape for vec in vectors] != [(spec.categories,)] * count:
+        raise ValueError(f"need one score vector per count matrix, of lengths {[spec.categories] * count}")
+    return PredictedCombination(tuple(_select(np.stack(vectors), m, base).ravel().tolist()), vectors)
 
 
-def _select(spec: GameSpec, scores: list[np.ndarray]) -> np.ndarray:
-    """The tie rule for a stacked batch, one score matrix per count matrix:
-    each row's ``m`` highest finite scores, taken by ``m`` argmax passes that
-    return the first maximum, the smaller number; a row holding fewer finds
-    none on its last pass.  Output ascending within each count matrix."""
-    picked = np.empty((len(scores[0]), spec.picks), dtype=np.int64)
-    rows = np.arange(len(picked))
-    for score, (columns, base, _) in zip(scores, spec.matrices):
-        top = picked[:, columns]
-        vec = np.where(np.isfinite(score), score, -np.inf)
-        top[:, 0] = vec.argmax(axis=1)
-        for c in range(1, top.shape[1]):
-            vec[rows, top[:, c - 1]] = -np.inf
-            top[:, c] = vec.argmax(axis=1)
-        short = vec[rows, top[:, -1]] == -np.inf
-        if short.any():
-            got = np.isfinite(score[short.argmax()]).sum()
-            raise ValueError(f"need at least {top.shape[1]} finite scores, got {got}")
-        top.sort(axis=1)
-        top += base
-    return picked
+def _select(scores: np.ndarray, m: int, base: int) -> np.ndarray:
+    """The tie rule for a batch of score rows, one per count matrix of a
+    window: each row's ``m`` highest finite scores, taken by ``m`` argmax
+    passes that return the first maximum, the smaller number; a row holding
+    fewer finds none on its last pass.  Output ascending within each row."""
+    rows = np.arange(len(scores))
+    top = np.empty((len(scores), m), dtype=np.int64)
+    vec = np.where(np.isfinite(scores), scores, -np.inf)
+    top[:, 0] = vec.argmax(axis=1)
+    for j in range(1, m):
+        vec[rows, top[:, j - 1]] = -np.inf
+        top[:, j] = vec.argmax(axis=1)
+    short = vec[rows, top[:, -1]] == -np.inf
+    if short.any():
+        raise ValueError(f"need at least {m} finite scores, got {np.isfinite(scores[short.argmax()]).sum()}")
+    top.sort(axis=1)
+    return top + base
 
 
 def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: GameSpec) -> int:
@@ -231,55 +227,54 @@ def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: Ga
 def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> np.ndarray:
     """The match rule for stacked (draws, picks) predictions and draws.  A count
     matrix's drawn numbers are distinct: counting those predicted counts the intersection."""
-    counts = np.zeros(len(drawn), dtype=np.int64)
-    for columns, _, _ in spec.matrices:
-        counts += (drawn[:, columns, None] == predicted[:, None, columns]).any(axis=2).sum(axis=1)
-    return counts
+    count, m, _ = spec.layout
+    drawn, predicted = (a.reshape(len(a), count, m) for a in (drawn, predicted))
+    return (drawn[..., None] == predicted[..., None, :]).any(axis=3).sum(axis=(1, 2))
 
 
 def _diagonals(picked: np.ndarray, base: int, k: int, ends: np.ndarray) -> np.ndarray:
-    """Row i: the main diagonal of the K count-matrix rows before ``ends[i]``, for
+    """Row i, matrix c: the main diagonal of matrix c's K rows before ``ends[i]``, for
     consecutive ``ends``; entry j is whether row ``ends[i] - K + j`` of ``picked``
-    holds ``base + j``.  Each number read is placed on the one diagonal it lies on.
-    Rows before row 0 hold nothing: md rejects such a short window."""
+    places ``base + j`` in matrix c.  Each number read is placed on the one diagonal
+    it lies on.  Rows before row 0 hold nothing: md rejects such a short window."""
     first = max(int(ends[0]) - k, 0)
     cols = picked[first : ends[-1]] - base
-    at = np.arange(first + k - ends[0], ends[-1] + k - ends[0])[:, None] - cols
+    at = np.arange(first + k - ends[0], ends[-1] + k - ends[0])[:, None, None] - cols
     inside = (at >= 0) & (at < len(ends))
-    diagonals = np.zeros((len(ends), k), dtype=bool)
-    diagonals[at[inside], cols[inside]] = True
+    diagonals = np.zeros((len(ends), picked.shape[1], k), dtype=bool)
+    diagonals[at[inside], np.nonzero(inside)[1], cols[inside]] = True
     return diagonals
 
 
 def _prefix(picked: np.ndarray, base: int, k: int) -> np.ndarray:
-    """A count matrix's (n+1, K) prefix array: row t of the matrix, never built,
-    has a one in each column of ``picked[t] - base``, so window ``[start, end)``
-    has column sums ``prefix[end] - prefix[start]``."""
-    prefix = np.zeros((len(picked) + 1, k), dtype=np.int64)
-    prefix[np.arange(1, len(picked) + 1)[:, None], picked - base] = 1
+    """The count matrices' (n+1, count, K) prefix array: row t of matrix c, never
+    built, has a one in each column of ``picked[t, c] - base``, so window
+    ``[start, end)`` has column sums ``prefix[end] - prefix[start]``."""
+    n, count, _ = picked.shape
+    prefix = np.zeros((n + 1, count, k), dtype=np.int64)
+    prefix[np.arange(1, n + 1)[:, None, None], np.arange(count)[:, None], picked - base] = 1
     np.cumsum(prefix, axis=0, out=prefix)
     return prefix
 
 
 def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
-    """One window's row count, column sums and trailing diagonal, as the walk
-    reads them, counted from the window's rows ``picked`` alone, in O(K) memory."""
-    rows = len(picked)
-    # Not bincount: it copies a read-only input such as the history's numbers.
-    counts = np.zeros(k + base, dtype=np.int64)
-    np.add.at(counts, picked, 1)
-    return np.array([rows]), counts[None, base:], _diagonals(picked, base, k, np.array([rows]))
+    """One window's row count, column sums and trailing diagonal per count matrix, as
+    the walk reads them, counted from the window's rows ``picked`` alone in O(K) memory:
+    each number is shifted to its matrix's K slots of one flat count, a chunk of rows at a time."""
+    rows, count, _ = picked.shape
+    offsets = np.arange(count)[:, None] * k - base
+    counts = np.zeros(count * k, dtype=np.int64)
+    for first in range(0, rows, _CHUNK):
+        counts += np.bincount((picked[first : first + _CHUNK] + offsets).ravel(), minlength=count * k)
+    return np.full(count, rows), counts.reshape(count, k), _diagonals(picked, base, k, np.array([rows]))[0]
 
 
-def _score_and_pick(spec: GameSpec, estimator: EstimatorConfig,
-                    stats: list[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each count matrix's predictive scores and the picked numbers, one row
-    per window, from each matrix's row counts, column sums and diagonals."""
-    scores = []
-    for (rows, col_sums, diagonal), (columns, _, _) in zip(stats, spec.matrices):
-        alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
-        scores.append(_predictive_scores(alpha, col_sums, columns.stop - columns.start))
-    return scores, _select(spec, scores)
+def _score_and_pick(estimator: EstimatorConfig, m: int, base: int, rows: np.ndarray, col_sums: np.ndarray,
+                    diagonal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The predictive scores and picked numbers of a batch of rows, each a count matrix's window."""
+    alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
+    scores = _predictive_scores(alpha, col_sums, m)
+    return scores, _select(scores, m, base)
 
 
 def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
@@ -318,20 +313,17 @@ def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: in
     spec = history.spec
     n = len(history)
     warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, spec, n)
-    prefixes = [_prefix(history.numbers[:, columns], base, k) for columns, base, k in spec.matrices]
+    (count, m, base), k = spec.layout, spec.categories
+    picked = history.numbers.reshape(n, count, m)
+    prefix = _prefix(picked, base, k)
     md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
-
-    def predict(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        stats = [(ends - starts, prefix[ends] - prefix[starts],
-                  _diagonals(history.numbers[:, columns], base, k, ends) if md else None)
-                 for prefix, (columns, base, k) in zip(prefixes, spec.matrices)]
-        return _score_and_pick(spec, estimator, stats)[1]
-
     chunks = []
     for first in range(warmup, n, _CHUNK):
         ends = np.arange(first, min(first + _CHUNK, n))
         starts = np.zeros_like(ends) if window is None else ends - window
-        chunks.append(_predict_chunk(predict, starts, ends))
+        stats = (np.repeat(ends - starts, count), (prefix[ends] - prefix[starts]).reshape(-1, k),
+                 _diagonals(picked, base, k, ends).reshape(-1, k) if md else None)
+        chunks.append(_score_batch(estimator, m, base, stats, np.repeat(ends, count))[1].reshape(len(ends), -1))
     predictions = np.concatenate(chunks)
     actuals = history.numbers[warmup:]
     match_counts = _match_counts(spec, predictions, actuals)
@@ -352,28 +344,30 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
+    count, m, base = history.spec.layout
     rows = history.numbers[0 if window is None else n - window :]
-    stats = [_window_stats(rows[:, columns], base, k) for columns, base, k in history.spec.matrices]
-    fits = [_score_and_pick(history.spec, estimator, stats) for estimator in estimators]
-    return [PredictedCombination(tuple(picks[0].tolist()), tuple(s[0] for s in scores)) for scores, picks in fits]
+    stats = _window_stats(rows.reshape(len(rows), count, m), base, history.spec.categories)
+    fits = [_score_batch(estimator, m, base, stats) for estimator in estimators]
+    return [PredictedCombination(tuple(picks.ravel().tolist()), tuple(scores)) for scores, picks in fits]
 
 
-def _predict_chunk(predict, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``predict(starts, ends)``, or the error of the chunk's first failing draw.
-
-    A check raises for the first window that fails it, but an earlier window
-    may fail a later check, so a failing chunk is replayed one window at a
-    time, in order.  Every check looks at one window at a time, so the first
-    window that fails alone is the one the per-draw order would report.
-    """
+def _score_batch(estimator: EstimatorConfig, m: int, base: int, stats: tuple, draws: np.ndarray | None = None):
+    """:func:`_score_and_pick` of a batch of rows, row i a window before draw
+    ``draws[i]``.  A check raises for the first row that fails it, but an
+    earlier row may fail a later check, so a failing batch is replayed one row
+    at a time, in (draw, matrix) order: the first row that fails alone is the
+    one the per-draw order would report.  Its estimator failure names its draw
+    in a :class:`BacktestError`, or propagates as raised when ``draws`` is None."""
     try:
-        return predict(starts, ends)
+        return _score_and_pick(estimator, m, base, *stats)
     except ValueError:
-        for i in range(ends.size):
+        for i in range(len(stats[0])):
             try:
-                predict(starts[i : i + 1], ends[i : i + 1])
+                _score_and_pick(estimator, m, base, *(s if s is None else s[i : i + 1] for s in stats))
             except EstimationError as exc:
-                raise BacktestError(int(ends[i]), str(exc)) from exc
+                if draws is None:
+                    raise
+                raise BacktestError(int(draws[i]), str(exc)) from exc
         raise
 
 

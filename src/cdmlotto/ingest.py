@@ -22,8 +22,8 @@ numbers from 1..pool without regard to order.  Positional-digit games
 pick one digit 0-9 per position, order significant and repeats allowed,
 so they are encoded as one one-hot matrix per position rather than a
 single matrix (a single count matrix cannot express the ordering the
-jackpot rules require).  :attr:`GameSpec.matrices` lists a game's count
-matrices; the row checks and :func:`build_count_matrices` are written once over them.
+jackpot rules require).  :attr:`GameSpec.layout` states how a draw fills a game's
+alike count matrices; the row checks and :func:`build_count_matrices` treat them all at once.
 """
 
 from __future__ import annotations
@@ -111,13 +111,13 @@ class GameSpec:
                 raise ValueError(f"positional-digit games support 1 to 6 positions, got {self.picks}")
 
     @property
-    def matrices(self) -> tuple[tuple[slice, int, int], ...]:
-        """The count matrices a draw fills, in order: per matrix, the slice of
-        a draw's numbers that places its ones, the number that marks its
-        column 0, and K.  A digit game has one matrix per position."""
+    def layout(self) -> tuple[int, int, int]:
+        """``(count, m, base)``: a draw's numbers read as a (count, m) array, row c
+        placing m ones in count matrix c, whose K = ``categories`` columns start at
+        number ``base``.  A digit game has one matrix per position."""
         if self.kind is GameKind.SET_DRAW:
-            return ((slice(0, self.picks), 1, self.categories),)
-        return tuple((slice(p, p + 1), 0, 10) for p in range(self.picks))
+            return 1, self.picks, 1
+        return self.picks, 1, 0
 
 
 def _rule_break(index, numbers: tuple[int, ...], previous: int | None, spec: GameSpec) -> str | None:
@@ -130,27 +130,26 @@ def _rule_break(index, numbers: tuple[int, ...], previous: int | None, spec: Gam
     if spec.kind is GameKind.SET_DRAW:
         for n in numbers:
             if not 1 <= n <= spec.categories:
-                return f"number {n} outside the pool 1..{spec.categories}"
+                return f"number {_shown(n)} outside the pool 1..{spec.categories}"
         if len(set(numbers)) != len(numbers):
             return f"duplicate number in set draw: {numbers}"
     else:
         for n in numbers:
             if not 0 <= n <= 9:
-                return f"digit {n} outside 0..9"
+                return f"digit {_shown(n)} outside 0..9"
     if previous is not None and index != previous + 1:
-        return f"draw index {index} does not follow {previous}"
+        return f"draw index {_shown(index)} does not follow {previous}"
     if index > _INDEX_MAX:
-        return f"draw index {index} does not fit in 64 bits"
+        return f"draw index {_shown(index)} does not fit in 64 bits"
     return None
 
 
 def _rule_breaks(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Per row of an (n, picks) array, whether :func:`_rule_break` finds a game-rule break."""
-    bad = np.zeros(len(numbers), dtype=bool)
-    for columns, base, k in spec.matrices:
-        ordered = np.sort(numbers[:, columns], axis=1)
-        bad |= (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | (ordered[:, 0] < base) | (ordered[:, -1] >= base + k)
-    return bad
+    count, m, base = spec.layout
+    ordered = np.sort(numbers.reshape(len(numbers), count, m), axis=2)
+    bad = (ordered[..., 1:] == ordered[..., :-1]).any(axis=2) | (ordered[..., 0] < base)
+    return (bad | (ordered[..., -1] >= base + spec.categories)).any(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,6 +304,12 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 100 else f"{text[:10]!r}... of {len(text)} characters"
 
 
+def _shown(value) -> str:
+    """An integer as a message shows it: whole, or past 100 digits as :func:`_quoted` shows text."""
+    digits = str(value)
+    return digits if len(digits) <= 100 else f"{digits[:10]}... of {len(digits)} digits"
+
+
 def serialize_history(history: DrawHistory) -> str:
     """Inverse of :func:`parse_history`: the text parses back to an equal history.
 
@@ -328,7 +333,7 @@ def serialize_history(history: DrawHistory) -> str:
 
 
 def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
-    """Indicator count matrices for a history, in :attr:`GameSpec.matrices` order.
+    """Indicator count matrices for a history, in :attr:`GameSpec.layout` order.
 
     Set games produce a single n-by-pool 0/1 matrix whose rows sum to the
     number of picks.  Digit games produce one n-by-10 one-hot matrix per
@@ -338,12 +343,11 @@ def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
     n = len(history)
     if not n:
         raise ValueError("history is empty")
-    matrices = []
-    for columns, base, k in history.spec.matrices:
-        matrix = np.zeros((n, k), dtype=np.int8)
-        matrix[np.arange(n)[:, None], history.numbers[:, columns] - base] = 1
-        matrices.append(CountMatrix(matrix))
-    return matrices
+    count, m, base = history.spec.layout
+    counts = np.zeros((count, n, history.spec.categories), dtype=np.int8)
+    placed = history.numbers.reshape(n, count, m).transpose(1, 0, 2) - base
+    counts[np.arange(count)[:, None, None], np.arange(n)[:, None], placed] = 1
+    return list(map(CountMatrix, counts))
 
 
 def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> CountMatrix:

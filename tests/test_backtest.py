@@ -69,7 +69,7 @@ class TestSelectCombination:
     def test_all_equal_scores_pick_smallest_numbers(self):
         # One game of each kind: a set game's one count matrix, a pick game's three.
         for spec, picked in [(GameSpec(GameKind.SET_DRAW, 4, 2), (1, 2)), (PICK3, (0, 0, 0))]:
-            assert select_combination([np.ones(spec.categories)] * len(spec.matrices), spec).numbers == picked
+            assert select_combination([np.ones(spec.categories)] * spec.layout[0], spec).numbers == picked
 
     def test_positional_argmax_per_position(self):
         vectors = [np.eye(10)[7], np.eye(10)[0], np.eye(10)[4]]
@@ -80,7 +80,7 @@ class TestSelectCombination:
     def test_non_finite_scores_are_never_picked(self, spec, picked):
         vec = np.full(spec.categories, -5.0)
         vec[:3] = [np.inf, np.nan, -np.inf]
-        scores = [np.ones(spec.categories)] * (len(spec.matrices) - 1) + [vec]
+        scores = [np.ones(spec.categories)] * (spec.layout[0] - 1) + [vec]
         assert select_combination(scores, spec).numbers == picked
 
     def test_too_few_finite_scores_rejected(self):
@@ -92,7 +92,7 @@ class TestSelectCombination:
             vec = np.full(spec.categories, np.nan)
             vec[1:3] = [np.inf, -np.inf]
             vec[3:3 + finite] = 1.0
-            scores = [np.ones(spec.categories)] * (len(spec.matrices) - 1) + [vec]
+            scores = [np.ones(spec.categories)] * (spec.layout[0] - 1) + [vec]
             with pytest.raises(ValueError) as info:
                 select_combination(scores, spec)
             assert str(info.value) == message
@@ -291,33 +291,32 @@ def head(history, draws):
 
 
 class TestRollingStatsFromNumbers:
-    """The walk's prefix arrays come straight from the numbers column; they
-    must be the running sums of the count matrices the naive refit slices."""
+    """The walk's prefix array comes straight from the numbers column; it
+    must hold the running sums of the count matrices the naive refit slices."""
 
     @pytest.mark.parametrize("spec", [SIX_52, PICK3])
     def test_prefix_is_the_cumulative_count_matrix(self, spec):
         history = synthetic_history(spec, 300, seed=6)
-        matrices = build_count_matrices(history)
-        prefixes = [_prefix(history.numbers[:, columns], base, k) for columns, base, k in spec.matrices]
-        assert len(prefixes) == len(matrices)
-        for prefix, matrix in zip(prefixes, matrices):
-            assert prefix.dtype == np.int64
-            np.testing.assert_array_equal(prefix[0], 0)
-            np.testing.assert_array_equal(prefix[1:], np.cumsum(matrix.counts, axis=0))
+        count, m, base = spec.layout
+        k = spec.categories
+        picked = history.numbers.reshape(300, count, m)
+        # The count matrices as one (300, count, K) array, matrix c at index c of its second axis.
+        stacked = np.stack([matrix.counts for matrix in build_count_matrices(history)], axis=1)
+        prefix = _prefix(picked, base, k)
+        assert prefix.dtype == np.int64 and prefix.shape == (301, count, k)
+        np.testing.assert_array_equal(prefix[0], 0)
+        np.testing.assert_array_equal(prefix[1:], np.cumsum(stacked, axis=0))
         # The diagonals read from the rows are those of the count matrices.
-        for matrix, (columns, base, k) in zip(matrices, spec.matrices):
-            ends = np.arange(k, matrix.rows + 1)
-            expected = [np.diagonal(matrix.counts[end - k:end]) for end in ends]
-            np.testing.assert_array_equal(_diagonals(history.numbers[:, columns], base, k, ends), expected)
-        # One window's statistics read from its rows alone are the prefix arrays' for it.
+        ends = np.arange(k, 301)
+        expected = [np.diagonal(stacked[end - k:end], axis1=0, axis2=2) for end in ends]
+        np.testing.assert_array_equal(_diagonals(picked, base, k, ends), expected)
+        # One window's statistics read from its rows alone are the prefix array's for it.
         for start in (0, 100, 290):
-            for prefix, (columns, base, k) in zip(prefixes, spec.matrices):
-                got = _window_stats(history.numbers[start:, columns], base, k)
-                np.testing.assert_array_equal(got[0], [300 - start])
-                np.testing.assert_array_equal(got[1], prefix[[300]] - prefix[[start]])
-                if got[0][0] >= k:
-                    want = _diagonals(history.numbers[:, columns], base, k, np.array([300]))
-                    np.testing.assert_array_equal(got[2], want)
+            rows, col_sums, diagonal = _window_stats(picked[start:], base, k)
+            np.testing.assert_array_equal(rows, [300 - start] * count)
+            np.testing.assert_array_equal(col_sums, prefix[300] - prefix[start])
+            if 300 - start >= k:
+                np.testing.assert_array_equal(diagonal, _diagonals(picked, base, k, np.array([300]))[0])
 
 
 def naive_predict(history, estimators, window):
@@ -365,6 +364,15 @@ class TestPredictNext:
                 for vec, ref in zip(combo.scores, scores):
                     assert np.array_equal(vec, ref, equal_nan=True), case
 
+    def test_the_first_failing_matrix_names_the_error(self):
+        # Position 0's window fails the total-mass sign check and a later one's the
+        # zero-denominator check, which a check over every position at once raises first.
+        history = synthetic_history(PICK3, 700, seed=3)
+        estimators = [EstimatorConfig(EstimatorKind.MLE, mle_smoothing=1e305)]
+        got = outcome(predict_next, history, estimators, 60)
+        assert got == outcome(naive_predict, history, estimators, 60)
+        assert got == (NonPositiveAlphaError, "estimated total mass -1.64292e+17 is not positive")
+
     def test_one_call_serves_every_estimator_in_order(self):
         history = synthetic_history(PICK4, 120, seed=3)
         estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
@@ -372,9 +380,11 @@ class TestPredictNext:
         want = naive_predict(history, estimators, 60)
         assert [c.numbers for c in got] == [numbers for numbers, _ in want]
 
-    def test_a_window_tracks_its_own_draws_alone(self):
-        # Prefix sums over all 20,000 draws would hold 20,001 x 52 int64s, 8.3 MB.
-        history = synthetic_history(SIX_52, 20_000, seed=414)
+    @pytest.mark.parametrize("spec", [SIX_52, PICK4], ids=["6of52", "pick4"])
+    def test_a_window_tracks_its_own_draws_alone(self, spec):
+        # Prefix sums over all 20,000 draws would hold 20,001 x 52 int64s (8.3 MB) for
+        # 6-of-52 and 20,001 x 4 x 10 (6.4 MB) for pick-4.
+        history = synthetic_history(spec, 20_000, seed=414)
         estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
         tracemalloc.start()
         try:
@@ -384,9 +394,10 @@ class TestPredictNext:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_the_whole_history_needs_no_prefix_array(self):
-        # An unwindowed fit counts the rows in place and reads the last K, with no 20,001 x 52 prefix.
-        history = synthetic_history(SIX_52, 20_000, seed=414)
+    @pytest.mark.parametrize("spec", [SIX_52, PICK4], ids=["6of52", "pick4"])
+    def test_the_whole_history_needs_no_prefix_array(self, spec):
+        # An unwindowed fit counts the rows and reads the last K, with no 20,001-row prefix.
+        history = synthetic_history(spec, 20_000, seed=414)
         estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
         tracemalloc.start()
         try:
@@ -394,7 +405,7 @@ class TestPredictNext:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A copy of the (20,000, 6) numbers column alone would be 960 kB.
+        # A copy of the (20,000, picks) numbers column alone would be 960 kB or 640 kB.
         assert peak < 100_000
 
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
@@ -647,13 +658,13 @@ def edged_history(spec, draws, concentration, seed):
     p ~ Dirichlet(concentration / K).  Every draw takes a matrix's m numbers
     whose keys log p + Gumbel noise are largest: m numbers drawn from p
     without replacement, so a digit position's digit is drawn from p."""
+    count, m, base = spec.layout
+    k = spec.categories
     rng = np.random.default_rng(seed)
-    probs = [rng.dirichlet(np.full(k, concentration / k)) for _, _, k in spec.matrices]
-    columns = []
-    for p, (places, base, k) in zip(probs, spec.matrices):
-        keys = np.log(p) + rng.gumbel(size=(draws, k))
-        columns.append(np.sort(np.argsort(-keys, axis=1)[:, : places.stop - places.start], axis=1) + base)
-    return DrawHistory(spec, np.arange(draws), np.hstack(columns), (None,) * draws), probs
+    probs = rng.dirichlet(np.full(k, concentration / k), size=count)
+    keys = np.log(probs[:, None]) + rng.gumbel(size=(count, draws, k))
+    numbers = np.sort(np.argsort(-keys, axis=2)[..., :m], axis=2) + base
+    return DrawHistory(spec, np.arange(draws), np.hstack(numbers), (None,) * draws), probs
 
 
 def null_hit_rate(spec, threshold):

@@ -48,7 +48,7 @@ def test_the_package_exports_the_union_of_the_lists():
 
 
 def test_the_backtest_knows_no_game_kind():
-    """The backtest reads a game through ``GameSpec.matrices`` alone; the
+    """The backtest reads a game through ``GameSpec.layout`` alone; the
     game's kind is decided in ingest."""
     assert not hasattr(importlib.import_module("cdmlotto.backtest"), "GameKind")
 

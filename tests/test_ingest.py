@@ -109,13 +109,14 @@ class TestParseHistory:
         ("draw_index,date,numbers\n0,,1 2 3\n1,,1 2\n", HistoryValidationError, "line 3: expected 3 numbers"),
         ("0,,1 2 3\n2,,1 2 13\n", HistoryValidationError, "line 2: digit 13 outside 0..9"),
         ("0,,1 2 3\n1,,4 5 \ud800\n", HistoryParseError, "line 2: numbers field '4 5 \\ud800'"),
-        # Past 4,300 digits int() refuses a value, so these are named from their text.
-        pytest.param(f"{HUGE},,1 2 3\n", HistoryValidationError, f"line 1: draw index {HUGE} does not fit in 64 bits",
-                     id="huge-first-index"),
+        # Past 4,300 digits int() refuses a value, so these are named from their text; past
+        # 100 digits a value is shown by its first 10 digits and its digit count.
+        pytest.param(f"{HUGE},,1 2 3\n", HistoryValidationError,
+                     "line 1: draw index 9999999999... of 5000 digits does not fit in 64 bits", id="huge-first-index"),
         pytest.param(f"0,,1 2 3\n{HUGE},,4 5 6\n", HistoryValidationError,
-                     f"line 2: draw index {HUGE} does not follow 0", id="huge-index"),
-        pytest.param(f"0,,1 2 3\n1,,4 {HUGE} 6\n", HistoryValidationError, f"line 2: digit {HUGE} outside 0..9",
-                     id="huge-digit"),
+                     "line 2: draw index 9999999999... of 5000 digits does not follow 0", id="huge-index"),
+        pytest.param(f"0,,1 2 3\n1,,4 {HUGE} 6\n", HistoryValidationError,
+                     "line 2: digit 9999999999... of 5000 digits outside 0..9", id="huge-digit"),
         pytest.param(f"0,,1 2 3\n{PADDING}2,,4 5 {PADDING}6\n", HistoryValidationError,
                      "line 2: draw index 2 does not follow 0", id="long-zero-padding"),
         # A field past 100 characters is shown by its head and length, so the message stays short.
@@ -130,6 +131,18 @@ class TestParseHistory:
         with pytest.raises(error) as excinfo:
             parse_history(text, PICK3)
         assert str(excinfo.value).startswith(message)
+
+    @pytest.mark.parametrize("digits,shown", [(100, "9" * 100), (101, "9999999999... of 101 digits"),
+                                              (5000, "9999999999... of 5000 digits")])
+    def test_a_long_number_is_shown_by_its_head_and_digit_count(self, digits, shown):
+        # Leading zeros are not digits of the value.
+        for text, message in [
+            (f"0,,1 2 3 4 5 6\n1,,7 8 9 10 11 00{'9' * digits}\n", f"line 2: number {shown} outside the pool 1..52"),
+            (f"0,,1 2 3 4 5 6\n00{'9' * digits},,7 8 9 10 11 12\n", f"line 2: draw index {shown} does not follow 0"),
+        ]:
+            with pytest.raises(HistoryValidationError) as excinfo:
+                parse_history(text, GameSpec(GameKind.SET_DRAW, 52, 6))
+            assert str(excinfo.value) == message
 
     def test_dates_are_passed_through(self):
         history = parse_history("0,2022-07-09,1 2 3", PICK3)
