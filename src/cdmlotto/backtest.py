@@ -10,22 +10,22 @@ hits feed the stretch statistics and the staking simulator.
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  A game's count matrices are alike
 (:attr:`~cdmlotto.ingest.GameSpec.layout`), so the history's numbers read
-as an (n, count, m) array and a chunk is one batch of ``windows x count``
-rows, each a window of one matrix.  One (n+1, count, K) prefix array,
-built straight from the numbers without materialising the 0/1 indicator
-matrices, gives every window's column sums as one subtraction.  The row
-count and those column sums are all that mm and the smoothed MLE read
-(md adds the trailing diagonal, read from the rows), so a pass over a
-multi-decade history costs O(n K) instead of O(n^2 K).  The estimate,
-the predictive scores, the tie-broken pick and the match count then
-follow for the whole batch at once.  Chunks bound the size of the
-temporary arrays, and a chunk that raises is replayed one row at a time.
-:func:`predict_next` is the same scoring on the one window before the
-next draw, whose column sums are counted from its rows, so it needs
-O(K) memory and no prefix array.  Tests pin both to an independent
-slice-and-refit oracle (``naive_backtest`` and ``naive_predict`` in
-``tests/test_backtest.py``), which rebuilds each window's 0/1 matrix,
-fit, scores, pick and match count from the paper's rules.
+as an (n, count, m) array.  One (n+1, count, K) prefix array, built
+straight from the numbers without materialising the 0/1 indicator
+matrices, gives every window's column sums as one subtraction; the row
+count and those sums are all that mm and the smoothed MLE read (md adds
+the trailing diagonal, read from the rows), so a pass over a multi-decade
+history costs O(n K) instead of O(n^2 K).  The private generator ``_walk``
+yields per chunk its draws, their ``draws x count`` rows of window
+statistics, and one ``_fit`` of that batch: the concentrations, the
+predictive scores and the tie-broken picks.  :func:`run_backtest` keeps
+the picks; any other per-window reading reduces the same chunks.  Chunks
+bound the temporary arrays, and a chunk that raises is replayed one row
+at a time.  :func:`predict_next` is ``_fit`` on the one window before the
+next draw, counted from its rows alone in O(K) memory.  Tests pin both to
+an independent slice-and-refit oracle (``naive_backtest`` and
+``naive_predict`` in ``tests/test_backtest.py``), which rebuilds each
+window's 0/1 matrix, fit, scores, pick and match count from the paper's rules.
 
 The result is its columns: one int64 array each for the predicted draws'
 predictions, actual numbers and match counts, whose draw indices run on
@@ -269,14 +269,6 @@ def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
     return np.full(count, rows), counts.reshape(count, k), _diagonals(picked, base, k, np.array([rows]))[0]
 
 
-def _score_and_pick(estimator: EstimatorConfig, m: int, base: int, rows: np.ndarray, col_sums: np.ndarray,
-                    diagonal: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The predictive scores and picked numbers of a batch of rows, each a count matrix's window."""
-    alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
-    scores = _predictive_scores(alpha, col_sums, m)
-    return scores, _select(scores, m, base)
-
-
 def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
              threshold: int | None, spec: GameSpec, n: int) -> tuple[int, int]:
     warmup = warmup if warmup is not None else max(spec.categories, 10)
@@ -310,26 +302,30 @@ def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: in
     inputs: repeated runs agree exactly.  Estimator failures propagate as
     :class:`BacktestError` carrying the index of the first draw that fails.
     """
-    spec = history.spec
+    warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, history.spec, len(history))
+    predictions = np.concatenate([picks.reshape(len(ends), -1)
+                                  for ends, *_, picks in _walk(history, estimator, window, warmup)])
+    actuals = history.numbers[warmup:]
+    match_counts = _match_counts(history.spec, predictions, actuals)
+    for column in (predictions, actuals, match_counts):
+        column.flags.writeable = False
+    return BacktestResult(predictions, actuals, match_counts, warmup, threshold)
+
+
+def _walk(history: DrawHistory, estimator: EstimatorConfig, window: int | None, warmup: int):
+    """Per chunk of up to :data:`_CHUNK` draws from ``warmup``: the draws ``ends``, the batch
+    ``(rows, col_sums, diagonal)`` of their windows in (draw, matrix) order, and its :func:`_fit`."""
     n = len(history)
-    warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, spec, n)
-    (count, m, base), k = spec.layout, spec.categories
+    (count, m, base), k = history.spec.layout, history.spec.categories
     picked = history.numbers.reshape(n, count, m)
     prefix = _prefix(picked, base, k)
     md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
-    chunks = []
     for first in range(warmup, n, _CHUNK):
         ends = np.arange(first, min(first + _CHUNK, n))
         starts = np.zeros_like(ends) if window is None else ends - window
         stats = (np.repeat(ends - starts, count), (prefix[ends] - prefix[starts]).reshape(-1, k),
                  _diagonals(picked, base, k, ends).reshape(-1, k) if md else None)
-        chunks.append(_score_batch(estimator, m, base, stats, np.repeat(ends, count))[1].reshape(len(ends), -1))
-    predictions = np.concatenate(chunks)
-    actuals = history.numbers[warmup:]
-    match_counts = _match_counts(spec, predictions, actuals)
-    for column in (predictions, actuals, match_counts):
-        column.flags.writeable = False
-    return BacktestResult(predictions, actuals, match_counts, warmup, threshold)
+        yield (ends, stats, *_fit(estimator, m, base, stats, np.repeat(ends, count)))
 
 
 def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
@@ -347,23 +343,28 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
     count, m, base = history.spec.layout
     rows = history.numbers[0 if window is None else n - window :]
     stats = _window_stats(rows.reshape(len(rows), count, m), base, history.spec.categories)
-    fits = [_score_batch(estimator, m, base, stats) for estimator in estimators]
-    return [PredictedCombination(tuple(picks.ravel().tolist()), tuple(scores)) for scores, picks in fits]
+    fits = [_fit(estimator, m, base, stats) for estimator in estimators]
+    return [PredictedCombination(tuple(picks.ravel().tolist()), tuple(scores)) for _, scores, picks in fits]
 
 
-def _score_batch(estimator: EstimatorConfig, m: int, base: int, stats: tuple, draws: np.ndarray | None = None):
-    """:func:`_score_and_pick` of a batch of rows, row i a window before draw
-    ``draws[i]``.  A check raises for the first row that fails it, but an
-    earlier row may fail a later check, so a failing batch is replayed one row
-    at a time, in (draw, matrix) order: the first row that fails alone is the
-    one the per-draw order would report.  Its estimator failure names its draw
+def _fit(estimator: EstimatorConfig, m: int, base: int, stats: tuple, draws: np.ndarray | None = None) -> tuple:
+    """The concentration, predictive scores and picks of a batch of rows, row i a
+    window before draw ``draws[i]``.  A check raises for the first row that fails
+    it, but an earlier row may fail a later check, so a failing batch is replayed
+    one row at a time, in (draw, matrix) order: the first row that fails alone is
+    the one the per-draw order would report.  Its estimator failure names its draw
     in a :class:`BacktestError`, or propagates as raised when ``draws`` is None."""
+    def fit(rows, col_sums, diagonal):
+        alpha = alpha_from_stats(estimator, rows, col_sums, diagonal)
+        scores = _predictive_scores(alpha, col_sums, m)
+        return alpha, scores, _select(scores, m, base)
+
     try:
-        return _score_and_pick(estimator, m, base, *stats)
+        return fit(*stats)
     except ValueError:
         for i in range(len(stats[0])):
             try:
-                _score_and_pick(estimator, m, base, *(s if s is None else s[i : i + 1] for s in stats))
+                fit(*(s if s is None else s[i : i + 1] for s in stats))
             except EstimationError as exc:
                 if draws is None:
                     raise

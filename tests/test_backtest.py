@@ -14,12 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cdmlotto.backtest
 from cdmlotto.backtest import (
     ALTERNATION_NOTE,
     SHORT_LONG_CUTOFF,
+    _CHUNK,
     BacktestError,
     _diagonals,
     _prefix,
+    _walk,
     _window_stats,
     classify_stretches,
     extrapolate_gaps,
@@ -651,6 +654,63 @@ class TestWalkMatchesOracle:
                 value = fn.__globals__.get(name)
                 if getattr(value, "__module__", "").startswith("cdmlotto"):
                     assert isinstance(value, type), f"{fn.__name__} reads cdmlotto's {name}"
+
+
+class TestWalkYieldsEachChunksFit:
+    """The walk is one generator: per chunk, its draws, their windows'
+    statistics and that batch's concentrations, scores and picks.  Readers of
+    the per-window fits reduce its chunks, so the chunks must cover the walk
+    once and hold the oracle's fits, and each must cost one estimator call."""
+
+    @pytest.mark.parametrize("spec", [SIX_52, PICK4], ids=["6of52", "pick4"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("window", [None, 60])
+    def test_chunks_cover_the_walk_with_the_oracles_fits(self, spec, kind, window):
+        history = synthetic_history(spec, 1300, seed=31)
+        estimator = EstimatorConfig(kind, mle_smoothing=1.0)
+        result = run_backtest(history, estimator, window=window, warmup=window)
+        chunks = list(_walk(history, estimator, window, result.warmup))
+        # 1,300 draws from a warmup of 10, 52 or 60 make three chunks.
+        assert len(chunks) == 3
+        assert [ends[0] for ends, *_ in chunks] == list(range(result.warmup, 1300, _CHUNK))
+        np.testing.assert_array_equal(np.concatenate([ends for ends, *_ in chunks]), result.draw_indices)
+        picks = np.concatenate([picks.reshape(len(ends), -1) for ends, *_, picks in chunks])
+        np.testing.assert_array_equal(picks, result.predictions)
+        count, m, _ = spec.layout
+        matrices = indicator_matrices(history)
+        for ends, (rows, col_sums, _), alpha, scores, _ in chunks:
+            np.testing.assert_array_equal(np.diff(ends), 1)
+            assert len(rows) == len(col_sums) == len(alpha) == len(scores) == len(ends) * count
+            for i in (0, len(ends) - 1):
+                t = int(ends[i])
+                for c, matrix in enumerate(matrices):
+                    rows_seen = matrix[0 if window is None else t - window : t]
+                    row = i * count + c
+                    assert rows[row] == len(rows_seen), (t, c)
+                    np.testing.assert_array_equal(col_sums[row], rows_seen.sum(axis=0))
+                    assert np.array_equal(alpha[row], oracle_alpha(rows_seen, estimator)), (t, c)
+                    assert np.array_equal(scores[row], oracle_scores(rows_seen, estimator, m)), (t, c)
+
+    @pytest.mark.parametrize("spec", [SIX_52, FIVE_10, PICK3, PICK4], ids=["6of52", "5of10", "pick3", "pick4"])
+    @pytest.mark.parametrize("draws,window", [(1300, None), (1300, 60), (60 + 2 * _CHUNK, 60)])
+    def test_one_estimator_call_per_chunk(self, spec, draws, window, monkeypatch):
+        calls = []
+        fit = cdmlotto.backtest.alpha_from_stats
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cdmlotto.backtest, "alpha_from_stats", counted)
+        history = synthetic_history(spec, draws, seed=32)
+        estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
+        for estimator in estimators:
+            calls.clear()
+            result = run_backtest(history, estimator, window=window, warmup=window)
+            assert len(calls) == math.ceil((draws - result.warmup) / _CHUNK), estimator.kind
+        calls.clear()
+        predict_next(history, estimators, window)
+        assert calls == list(EstimatorKind)
 
 
 def edged_history(spec, draws, concentration, seed):
