@@ -9,20 +9,22 @@ hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  A game's count matrices are alike
-(:attr:`~cdmlotto.ingest.GameSpec.layout`), so the history's numbers read
-as an (n, count, m) array.  One (n+1, count, K) prefix array, built
-straight from the numbers without materialising the 0/1 indicator
-matrices, gives every window's column sums as one subtraction; the row
-count and those sums are all that mm and the smoothed MLE read (md adds
-the trailing diagonal, read from the rows), so a pass over a multi-decade
-history costs O(n K) instead of O(n^2 K).  The private generator ``_walk``
+(:attr:`~cdmlotto.ingest.GameSpec.layout`), so their entries are one
+(n, count, K) int8 one-hot, which ``ingest._indicators`` builds from the
+numbers column.  Summed down its rows into one (n+1, count, K) int64 prefix
+array, eight times its bytes, it gives every window's column sums as one
+subtraction; the row count and those sums are all that mm and the smoothed
+MLE read (md adds the trailing diagonal, which ``estimators._diagonals``
+gathers from the one-hot), so a pass over a multi-decade history costs
+O(n K) instead of O(n^2 K).  The private generator ``_walk``
 yields per chunk its draws, their ``draws x count`` rows of window
 statistics, and one ``_fit`` of that batch: the concentrations, the
 predictive scores and the tie-broken picks.  :func:`run_backtest` keeps
 the picks; any other per-window reading reduces the same chunks.  Chunks
 bound the temporary arrays, and a chunk that raises is replayed one row
 at a time.  :func:`predict_next` is ``_fit`` on the one window before the
-next draw, counted from its rows alone in O(K) memory.  Tests pin both to
+next draw, whose column sums add up the one-hot of a chunk of its rows at a
+time, in O(K) memory.  Tests pin both to
 an independent slice-and-refit oracle (``naive_backtest`` and
 ``naive_predict`` in ``tests/test_backtest.py``), which rebuilds each
 window's 0/1 matrix, fit, scores, pick and match count from the paper's rules.
@@ -42,8 +44,8 @@ from typing import Iterable, Mapping, Sequence
 from . import jsondoc
 from ._numpy import np
 from .distributions import _predictive_scores
-from .estimators import EstimationError, EstimatorConfig, EstimatorKind, alpha_from_stats
-from .ingest import DrawHistory, GameSpec
+from .estimators import EstimationError, EstimatorConfig, EstimatorKind, _diagonals, alpha_from_stats
+from .ingest import DrawHistory, GameSpec, _indicators
 
 __all__ = [
     "SHORT_LONG_CUTOFF",
@@ -232,43 +234,6 @@ def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> n
     return (drawn[..., None] == predicted[..., None, :]).any(axis=3).sum(axis=(1, 2))
 
 
-def _diagonals(picked: np.ndarray, base: int, k: int, ends: np.ndarray) -> np.ndarray:
-    """Row i, matrix c: the main diagonal of matrix c's K rows before ``ends[i]``, for
-    consecutive ``ends``; entry j is whether row ``ends[i] - K + j`` of ``picked``
-    places ``base + j`` in matrix c.  Each number read is placed on the one diagonal
-    it lies on.  Rows before row 0 hold nothing: md rejects such a short window."""
-    first = max(int(ends[0]) - k, 0)
-    cols = picked[first : ends[-1]] - base
-    at = np.arange(first + k - ends[0], ends[-1] + k - ends[0])[:, None, None] - cols
-    inside = (at >= 0) & (at < len(ends))
-    diagonals = np.zeros((len(ends), picked.shape[1], k), dtype=bool)
-    diagonals[at[inside], np.nonzero(inside)[1], cols[inside]] = True
-    return diagonals
-
-
-def _prefix(picked: np.ndarray, base: int, k: int) -> np.ndarray:
-    """The count matrices' (n+1, count, K) prefix array: row t of matrix c, never
-    built, has a one in each column of ``picked[t, c] - base``, so window
-    ``[start, end)`` has column sums ``prefix[end] - prefix[start]``."""
-    n, count, _ = picked.shape
-    prefix = np.zeros((n + 1, count, k), dtype=np.int64)
-    prefix[np.arange(1, n + 1)[:, None, None], np.arange(count)[:, None], picked - base] = 1
-    np.cumsum(prefix, axis=0, out=prefix)
-    return prefix
-
-
-def _window_stats(picked: np.ndarray, base: int, k: int) -> tuple:
-    """One window's row count, column sums and trailing diagonal per count matrix, as
-    the walk reads them, counted from the window's rows ``picked`` alone in O(K) memory:
-    each number is shifted to its matrix's K slots of one flat count, a chunk of rows at a time."""
-    rows, count, _ = picked.shape
-    offsets = np.arange(count)[:, None] * k - base
-    counts = np.zeros(count * k, dtype=np.int64)
-    for first in range(0, rows, _CHUNK):
-        counts += np.bincount((picked[first : first + _CHUNK] + offsets).ravel(), minlength=count * k)
-    return np.full(count, rows), counts.reshape(count, k), _diagonals(picked, base, k, np.array([rows]))[0]
-
-
 def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
              threshold: int | None, spec: GameSpec, n: int) -> tuple[int, int]:
     warmup = warmup if warmup is not None else max(spec.categories, 10)
@@ -317,14 +282,18 @@ def _walk(history: DrawHistory, estimator: EstimatorConfig, window: int | None, 
     ``(rows, col_sums, diagonal)`` of their windows in (draw, matrix) order, and its :func:`_fit`."""
     n = len(history)
     (count, m, base), k = history.spec.layout, history.spec.categories
-    picked = history.numbers.reshape(n, count, m)
-    prefix = _prefix(picked, base, k)
+    entries = _indicators(history.numbers, history.spec)
+    # Filled, then summed in place: a cumsum of the int8 entries straight into
+    # prefix[1:] would cast them through a full-size int64 temporary.
+    prefix = np.zeros((n + 1, count, k), dtype=np.int64)
+    prefix[1:] = entries
+    np.cumsum(prefix, axis=0, out=prefix)
     md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
     for first in range(warmup, n, _CHUNK):
         ends = np.arange(first, min(first + _CHUNK, n))
         starts = np.zeros_like(ends) if window is None else ends - window
         stats = (np.repeat(ends - starts, count), (prefix[ends] - prefix[starts]).reshape(-1, k),
-                 _diagonals(picked, base, k, ends).reshape(-1, k) if md else None)
+                 _diagonals(entries, ends).reshape(-1, k) if md else None)
         yield (ends, stats, *_fit(estimator, m, base, stats, np.repeat(ends, count)))
 
 
@@ -340,9 +309,12 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
-    count, m, base = history.spec.layout
+    (count, m, base), k = history.spec.layout, history.spec.categories
     rows = history.numbers[0 if window is None else n - window :]
-    stats = _window_stats(rows.reshape(len(rows), count, m), base, history.spec.categories)
+    col_sums = sum(_indicators(rows[first : first + _CHUNK], history.spec).sum(axis=0, dtype=np.int64)
+                   for first in range(0, len(rows), _CHUNK))
+    last = _indicators(rows[-k:], history.spec)
+    stats = np.full(count, len(rows)), col_sums, _diagonals(last, np.array([len(last)]))[0]
     fits = [_fit(estimator, m, base, stats) for estimator in estimators]
     return [PredictedCombination(tuple(picks.ravel().tolist()), tuple(scores)) for _, scores, picks in fits]
 

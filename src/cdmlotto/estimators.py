@@ -11,9 +11,10 @@ Three procedures, all cheap enough to refit at every draw of a backtest:
 
 Each estimator exists once, in :func:`alpha_from_stats`, as a function of
 a stacked batch of windows' sufficient statistics: rows and column sums,
-plus the trailing diagonal for md.  :func:`estimate_alpha` computes them
-for one matrix, a batch of one; the backtest computes them from prefix
-sums for a chunk of its walk at a time.
+plus the trailing diagonal for md, which :func:`_diagonals` reads from the
+entries.  :func:`estimate_alpha` computes them for one matrix, a batch of
+one; the backtest computes them from prefix sums for a chunk of its walk
+at a time.
 ``estimate_mle``/``estimate_mom``/``estimate_main_diagonal`` wrap
 ``estimate_alpha``.
 
@@ -224,6 +225,17 @@ def _log1p_remainder(v: np.ndarray) -> np.ndarray:
     return np.where(near_zero, series, direct)
 
 
+def _diagonals(entries: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """md's statistic: row i, matrix c is the main diagonal of matrix c's K
+    rows before ``ends[i]`` in the (n, count, K) ``entries``, so entry j is
+    ``entries[ends[i] - K + j, c, j]``.  Rows before row 0 read as 0: md
+    rejects a window that short."""
+    count, k = entries.shape[1:]
+    at = ends[:, None, None] - k + np.arange(k)
+    diagonals = entries[np.maximum(at, 0), np.arange(count)[:, None], np.arange(k)]
+    return np.where(at >= 0, diagonals, 0)
+
+
 def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
     """Fit the configured estimator on one window: a CountMatrix or any
     nonnegative integer n-by-K array (no constant row sums needed)."""
@@ -232,11 +244,10 @@ def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
     else:
         counts = _as_counts(matrix, "counts", ndim=2)
         col_sums = counts.sum(axis=0)
-    rows, k = counts.shape
     # 0/1 windows fit from their column sums; others sum a term per entry.
     entries = counts[None] if config.kind is EstimatorKind.MLE and counts.max(initial=0) > 1 else None
-    diagonal = np.diagonal(counts[max(rows - k, 0):])[None]
-    return alpha_from_stats(config, np.array([rows]), col_sums[None], diagonal, entries)[0]
+    rows = np.array([len(counts)])
+    return alpha_from_stats(config, rows, col_sums[None], _diagonals(counts[:, None], rows)[:, 0], entries)[0]
 
 
 def estimate_mle(matrix, smoothing: float = 0.0) -> np.ndarray:

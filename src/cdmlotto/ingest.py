@@ -340,14 +340,21 @@ def build_count_matrices(history: DrawHistory) -> list[CountMatrix]:
     position (row sum 1).  The indicators are built as int8, so each
     matrix's own int64 copy is the only int64 copy.
     """
-    n = len(history)
-    if not n:
+    if not len(history):
         raise ValueError("history is empty")
-    count, m, base = history.spec.layout
-    counts = np.zeros((count, n, history.spec.categories), dtype=np.int8)
-    placed = history.numbers.reshape(n, count, m).transpose(1, 0, 2) - base
-    counts[np.arange(count)[:, None, None], np.arange(n)[:, None], placed] = 1
-    return list(map(CountMatrix, counts))
+    return list(map(CountMatrix, _indicators(history.numbers, history.spec).transpose(1, 0, 2)))
+
+
+def _indicators(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """The (n, count, K) int8 entries of the count matrices of the draws
+    ``numbers`` (n, picks), as :attr:`GameSpec.layout` lays them out: entry
+    ``[t, c, j]`` is 1 when draw t places number ``base + j`` in matrix c.
+    The one place a draw's numbers become count-matrix entries."""
+    n = len(numbers)
+    count, m, base = spec.layout
+    entries = np.zeros((n, count, spec.categories), dtype=np.int8)
+    entries[np.arange(n)[:, None, None], np.arange(count)[:, None], numbers.reshape(n, count, m) - base] = 1
+    return entries
 
 
 def slice_window(matrix: CountMatrix, end: int, width: int | None = None) -> CountMatrix:
