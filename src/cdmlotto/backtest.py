@@ -9,22 +9,22 @@ hits feed the stretch statistics and the staking simulator.
 
 The walk evaluates a chunk of consecutive draws per array pass instead of
 one Python iteration per draw.  A game's count matrices are alike
-(:attr:`~cdmlotto.ingest.GameSpec.layout`), so their entries are one
-(n, count, K) int8 one-hot, which ``ingest._indicators`` builds from the
-numbers column.  Summed down its rows into one (n+1, count, K) int64 prefix
-array, eight times its bytes, it gives every window's column sums as one
-subtraction; the row count and those sums are all that mm and the smoothed
-MLE read (md adds the trailing diagonal, which ``estimators._diagonals``
-gathers from the one-hot), so a pass over a multi-decade history costs
-O(n K) instead of O(n^2 K).  The private generator ``_walk``
-yields per chunk its draws, their ``draws x count`` rows of window
+(:attr:`~cdmlotto.ingest.GameSpec.layout`), so the entries of a run of draws
+are one (draws, count, K) int8 one-hot from ``ingest._indicators``.  The
+row count and the column sums are all that mm and the smoothed MLE read; md
+adds the trailing diagonal, which ``estimators._diagonals`` gathers from the
+one-hot of the K rows before a draw.  The private generator ``_windows`` is
+the one reader of these statistics: it sums the column sums before its first
+draw a chunk of rows at a time, then carries them on, each draw adding the
+draw before it and, in a window, dropping the draw a window earlier.  So a
+pass costs O(n K), and no array spans the history but the result's columns.
+``_walk`` yields per chunk its draws, their ``draws x count`` rows of window
 statistics, and one ``_fit`` of that batch: the concentrations, the
-predictive scores and the tie-broken picks.  :func:`run_backtest` keeps
-the picks; any other per-window reading reduces the same chunks.  Chunks
-bound the temporary arrays, and a chunk that raises is replayed one row
-at a time.  :func:`predict_next` is ``_fit`` on the one window before the
-next draw, whose column sums add up the one-hot of a chunk of its rows at a
-time, in O(K) memory.  Tests pin both to
+predictive scores and the tie-broken picks.  :func:`run_backtest` fills its
+columns chunk by chunk; any other per-window reading reduces the same
+chunks.  Chunks bound the temporary arrays, and a chunk that raises is
+replayed one row at a time.  :func:`predict_next` is ``_fit`` on the one
+window ``_windows`` reads at the draw after the history.  Tests pin both to
 an independent slice-and-refit oracle (``naive_backtest`` and
 ``naive_predict`` in ``tests/test_backtest.py``), which rebuilds each
 window's 0/1 matrix, fit, scores, pick and match count from the paper's rules.
@@ -268,53 +268,64 @@ def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: in
     :class:`BacktestError` carrying the index of the first draw that fails.
     """
     warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, history.spec, len(history))
-    predictions = np.concatenate([picks.reshape(len(ends), -1)
-                                  for ends, *_, picks in _walk(history, estimator, window, warmup)])
     actuals = history.numbers[warmup:]
-    match_counts = _match_counts(history.spec, predictions, actuals)
+    predictions, match_counts = np.empty_like(actuals), np.empty(len(actuals), dtype=np.int64)
+    for ends, *_, picks in _walk(history, estimator, window, warmup):
+        done = slice(ends[0] - warmup, ends[-1] + 1 - warmup)
+        predictions[done] = picks.reshape(len(ends), -1)
+        match_counts[done] = _match_counts(history.spec, predictions[done], actuals[done])
     for column in (predictions, actuals, match_counts):
         column.flags.writeable = False
     return BacktestResult(predictions, actuals, match_counts, warmup, threshold)
 
 
 def _walk(history: DrawHistory, estimator: EstimatorConfig, window: int | None, warmup: int):
-    """Per chunk of up to :data:`_CHUNK` draws from ``warmup``: the draws ``ends``, the batch
+    """Per chunk of :func:`_windows` from ``warmup``: the draws ``ends``, the batch
     ``(rows, col_sums, diagonal)`` of their windows in (draw, matrix) order, and its :func:`_fit`."""
-    n = len(history)
-    (count, m, base), k = history.spec.layout, history.spec.categories
-    entries = _indicators(history.numbers, history.spec)
-    # Filled, then summed in place: a cumsum of the int8 entries straight into
-    # prefix[1:] would cast them through a full-size int64 temporary.
-    prefix = np.zeros((n + 1, count, k), dtype=np.int64)
-    prefix[1:] = entries
-    np.cumsum(prefix, axis=0, out=prefix)
+    count, m, base = history.spec.layout
     md = estimator.kind is EstimatorKind.MAIN_DIAGONAL
-    for first in range(warmup, n, _CHUNK):
-        ends = np.arange(first, min(first + _CHUNK, n))
-        starts = np.zeros_like(ends) if window is None else ends - window
-        stats = (np.repeat(ends - starts, count), (prefix[ends] - prefix[starts]).reshape(-1, k),
-                 _diagonals(entries, ends).reshape(-1, k) if md else None)
+    for ends, stats in _windows(history, window, warmup, len(history), md):
         yield (ends, stats, *_fit(estimator, m, base, stats, np.repeat(ends, count)))
+
+
+def _windows(history: DrawHistory, window: int | None, first: int, stop: int, md: bool):
+    """Per chunk of up to :data:`_CHUNK` consecutive ends from ``first`` to before ``stop``
+    (at most ``len(history) + 1``): the ends and the ``(rows, col_sums, diagonal)`` batch of the
+    last ``window`` draws (all when None) before each, in (end, matrix) order; ``diagonal`` is None unless ``md``."""
+    numbers, spec = history.numbers, history.spec
+    count, k = spec.layout[0], spec.categories
+    col_sums = np.zeros((count, k), dtype=np.int64)
+    for row in range(0 if window is None else first - window, first, _CHUNK):
+        # At most _CHUNK ones per entry fit in int16, whose cast buffer is a quarter of int64's.
+        col_sums += _indicators(numbers[row : min(row + _CHUNK, first)], spec).sum(axis=0, dtype=np.int16)
+    for chunk in range(first, stop, _CHUNK):
+        ends = np.arange(chunk, min(chunk + _CHUNK, stop))
+        # md's diagonal reads the K rows before the chunk too.
+        lo = max(chunk - k, 0) if md else chunk
+        entries = _indicators(numbers[lo : ends[-1] + 1], spec)
+        running = np.concatenate([col_sums[None], entries[chunk - lo :]])
+        if window is not None:
+            running[1:] -= _indicators(numbers[chunk - window : chunk - window + len(running) - 1], spec)
+        col_sums = np.cumsum(running, axis=0, out=running)[-1]
+        rows = ends if window is None else np.full_like(ends, window)
+        yield ends, (np.repeat(rows, count), running[: len(ends)].reshape(-1, k),
+                     _diagonals(entries, ends - lo).reshape(-1, k) if md else None)
 
 
 def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
                  window: int | None = None) -> list[PredictedCombination]:
     """Each estimator's combination for the draw after the history: the walk's
-    pick for draw ``len(history)``, fitted on the last ``window`` draws (all
-    when None), whose statistics are read from those rows alone.  Estimator
-    failures propagate as raised, with no draw index."""
+    pick for draw ``len(history)``, the one end of :func:`_windows` from there,
+    fitted on the last ``window`` draws (all when None).  Estimator failures
+    propagate as raised, with no draw index."""
     n = len(history)
     if not n:
         raise ValueError("history is empty")
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
-    (count, m, base), k = history.spec.layout, history.spec.categories
-    rows = history.numbers[0 if window is None else n - window :]
-    col_sums = sum(_indicators(rows[first : first + _CHUNK], history.spec).sum(axis=0, dtype=np.int64)
-                   for first in range(0, len(rows), _CHUNK))
-    last = _indicators(rows[-k:], history.spec)
-    stats = np.full(count, len(rows)), col_sums, _diagonals(last, np.array([len(last)]))[0]
+    _, m, base = history.spec.layout
+    ((_, stats),) = _windows(history, window, n, n + 1, True)
     fits = [_fit(estimator, m, base, stats) for estimator in estimators]
     return [PredictedCombination(tuple(picks.ravel().tolist()), tuple(scores)) for _, scores, picks in fits]
 

@@ -13,8 +13,8 @@ Each estimator exists once, in :func:`alpha_from_stats`, as a function of
 a stacked batch of windows' sufficient statistics: rows and column sums,
 plus the trailing diagonal for md, which :func:`_diagonals` reads from the
 entries.  :func:`estimate_alpha` computes them for one matrix, a batch of
-one; the backtest computes them from prefix sums for a chunk of its walk
-at a time.
+one; the backtest carries them as running sums along its walk, a chunk at
+a time.
 ``estimate_mle``/``estimate_mom``/``estimate_main_diagonal`` wrap
 ``estimate_alpha``.
 

@@ -353,7 +353,9 @@ def _indicators(numbers: np.ndarray, spec: GameSpec) -> np.ndarray:
     n = len(numbers)
     count, m, base = spec.layout
     entries = np.zeros((n, count, spec.categories), dtype=np.int8)
-    entries[np.arange(n)[:, None, None], np.arange(count)[:, None], numbers.reshape(n, count, m) - base] = 1
+    # Column by column: the whole (n, count, m) index builds temporaries of several times their bytes.
+    for j, column in enumerate(numbers.T):
+        entries[np.arange(n), j // m, column - base] = 1
     return entries
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from cdmlotto.backtest import (
     _CHUNK,
     BacktestError,
     _walk,
+    _windows,
     classify_stretches,
     extrapolate_gaps,
     gap_stats,
@@ -336,6 +338,41 @@ class TestRollingStatsFromNumbers:
         ((_, (_, _, diagonal), *_),) = _walk(history, EstimatorConfig(EstimatorKind.MAIN_DIAGONAL), None, k)
         np.testing.assert_array_equal(diagonal, np.reshape(expected[k:-1], (-1, k)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        spec=st.sampled_from([SIX_52, FIVE_10, PICK1, PICK3]),
+        draws=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_every_window_is_the_slice_it_reads(self, spec, draws, data):
+        """From ``first`` through ``n``, predict's end, each window's rows,
+        column sums and trailing diagonal are those of its slice of the count
+        matrices, however the ends fall into chunks; a window of ``first``
+        rows drops row 0 first."""
+        history = synthetic_history(spec, draws, seed=draws)
+        first = data.draw(st.integers(1, draws), label="first")
+        k = spec.categories
+        window = data.draw(st.sampled_from([w for w in (None, 1, k, first) if w is None or w <= first]),
+                           label="window")
+        chunk = data.draw(st.sampled_from([_CHUNK, 1, 7]), label="chunk")
+        with mock.patch.object(cdmlotto.backtest, "_CHUNK", chunk):
+            chunks = list(_windows(history, window, first, draws + 1, True))
+        assert all(len(ends) <= chunk for ends, _ in chunks)
+        np.testing.assert_array_equal(np.concatenate([ends for ends, _ in chunks]), np.arange(first, draws + 1))
+        rows, col_sums, diagonal = (np.concatenate(stat) for stat in zip(*(stats for _, stats in chunks)))
+        # Rows before row 0 read as zeros, as md's diagonal of a short window does.
+        padded = [np.concatenate([np.zeros((k, k), dtype=np.int64), m]) for m in indicator_matrices(history)]
+        want_rows, want_sums, want_diagonals = [], [], []
+        for end in range(first, draws + 1):
+            start = 0 if window is None else end - window
+            for matrix in padded:
+                want_rows.append(end - start)
+                want_sums.append(matrix[k + start : k + end].sum(axis=0))
+                want_diagonals.append(np.diagonal(matrix[end : end + k]))
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(col_sums, want_sums)
+        np.testing.assert_array_equal(diagonal, want_diagonals)
+
 
 def naive_predict(history, estimators, window):
     """Slice-and-refit oracle of predict_next: one (numbers, scores) pair per
@@ -414,7 +451,7 @@ class TestPredictNext:
 
     @pytest.mark.parametrize("spec", [SIX_52, PICK4], ids=["6of52", "pick4"])
     def test_the_whole_history_needs_no_prefix_array(self, spec):
-        # An unwindowed fit counts the rows and reads the last K, with no 20,001-row prefix.
+        # An unwindowed fit sums its rows a chunk at a time, with no 20,001-row prefix.
         history = synthetic_history(spec, 20_000, seed=414)
         estimators = [EstimatorConfig(kind, mle_smoothing=1.0) for kind in EstimatorKind]
         tracemalloc.start()
@@ -423,8 +460,9 @@ class TestPredictNext:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A copy of the (20,000, picks) numbers column alone would be 960 kB or 640 kB.
-        assert peak < 100_000
+        # A copy of the (20,000, picks) numbers column alone would be 960 kB or 640 kB;
+        # one 512-row one-hot and its int16 sum peak at 45.3 kB (6-of-52) under numpy 2.4.
+        assert peak < 50_000
 
     def test_is_the_walks_pick_for_the_draw_after_the_history(self):
         history = synthetic_history(SIX_52, 140, seed=9)
@@ -729,27 +767,27 @@ class TestWalkYieldsEachChunksFit:
 
 
 class TestWalkMemory:
-    """The walk holds one int64 prefix array and the int8 one-hot it is summed
-    from; a cumsum of the one-hot straight into the prefix would cast it
-    through a third, full-size int64 array."""
+    """Beyond the result's columns, the walk holds a chunk's arrays and the
+    column sums it carries from one chunk to the next: nothing that grows with
+    the history, such as prefix sums of every draw's count-matrix rows."""
 
-    # The result's columns, the chunks' picks before they are joined and one
-    # chunk's temporaries: 2.7 MB on 6-of-52 and 2.1 MB on pick-4 under numpy 2.4.
-    SLACK = 4_000_000
+    # One chunk's one-hot, running sums, fit and match temporaries, and the
+    # previous chunk's until the next one is fitted: 1.86 MB on 6-of-52 and
+    # 1.50 MB on pick-4 under numpy 2.4, at either history length.
+    BUDGET = 2_500_000
 
     @pytest.mark.parametrize("spec", [SIX_52, PICK4], ids=["6of52", "pick4"])
-    def test_peak_is_the_prefix_and_the_one_hot(self, spec):
-        n, (count, _, _), k = 20_000, spec.layout, spec.categories
+    @pytest.mark.parametrize("n", [20_000, 40_000])
+    def test_peak_beyond_the_columns_is_one_chunks(self, spec, n):
         history = synthetic_history(spec, n, seed=414)
         tracemalloc.start()
         try:
-            run_backtest(history, EstimatorConfig(EstimatorKind.MOM))
+            result = run_backtest(history, EstimatorConfig(EstimatorKind.MOM))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 8.3 MB + 1.0 MB on 6-of-52, 6.4 MB + 0.8 MB on pick-4.
-        prefix, one_hot = (n + 1) * count * k * 8, n * count * k
-        assert peak < prefix + one_hot + self.SLACK
+        # The actuals column is a view of the history's numbers.
+        assert peak - result.predictions.nbytes - result.match_counts.nbytes < self.BUDGET
 
 
 def edged_history(spec, draws, concentration, seed):
