@@ -38,12 +38,12 @@ array operations on those columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import jsondoc
 from ._numpy import np
-from .distributions import _predictive_scores
+from .distributions import _predictive_scores, _record_eq
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, _diagonals, alpha_from_stats
 from .ingest import DrawHistory, GameSpec, _indicators
 
@@ -78,19 +78,21 @@ ALTERNATION_NOTE = (
 
 
 class BacktestError(RuntimeError):
-    """Failure at a specific draw while walking the history."""
+    """Failure at a specific draw, a position in the history, while walking it."""
 
     def __init__(self, draw_index: int, message: str):
         super().__init__(f"draw {draw_index}: {message}")
         self.draw_index = draw_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictedCombination:
     """A playable combination plus the expectation vectors that ranked it."""
 
     numbers: tuple[int, ...]
     scores: tuple[np.ndarray, ...]
+
+    __eq__ = _record_eq
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +101,10 @@ class BacktestResult:
 
     Row i of ``predictions`` (n, picks), ``actuals`` (n, picks) and
     ``match_counts`` (n,), all read-only int64 arrays, describes predicted
-    draw ``warmup + i``; the hits are the rows whose match count reaches
-    ``hit_threshold``.  :attr:`draw_indices`, :attr:`hit_indices` and
-    :attr:`tier_counts` are read from these columns, and :meth:`summary`
-    builds every other report field.
+    draw ``warmup + i``, a position: rows count from 0 in file order, not by
+    the history's ``draw_indices``.  The hits are the rows whose match count
+    reaches ``hit_threshold``.  :attr:`draw_indices`, :attr:`hit_indices` and
+    :attr:`tier_counts` read these columns; :meth:`summary` builds the rest.
     """
 
     predictions: np.ndarray
@@ -111,26 +113,22 @@ class BacktestResult:
     warmup: int
     hit_threshold: int
 
+    __eq__ = _record_eq
+
     @property
     def draw_indices(self) -> np.ndarray:
-        """The predicted draws' indices, one per row."""
+        """The predicted draws' positions in the history, one per row."""
         return np.arange(self.warmup, self.warmup + len(self.match_counts))
 
     @property
     def hit_indices(self) -> tuple[int, ...]:
-        """The draw indices whose match count reaches the threshold."""
+        """The positions of the draws whose match count reaches the threshold."""
         return tuple(self.draw_indices[self.match_counts >= self.hit_threshold].tolist())
 
     @property
     def tier_counts(self) -> dict[int, int]:
         """Predicted draws per match count, for the counts that occur."""
         return {tier: count for tier, count in enumerate(np.bincount(self.match_counts).tolist()) if count}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BacktestResult):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
 
     def summary(self) -> dict:
         """Every document field but the records: :func:`gap_report` of the hits,
@@ -220,9 +218,7 @@ def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: Ga
     """
     predicted = prediction.numbers
     if len(predicted) != spec.picks or len(drawn) != spec.picks:
-        raise ValueError(
-            f"combination arity mismatch: game plays {spec.picks}, got {len(predicted)} vs {len(drawn)}"
-        )
+        raise ValueError(f"combination arity mismatch: game plays {spec.picks}, got {len(predicted)} vs {len(drawn)}")
     return int(_match_counts(spec, np.array([predicted]), np.array([drawn]))[0])
 
 
@@ -265,7 +261,8 @@ def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: in
     ``warmup`` of None resolves to max(categories, 10), and
     ``hit_threshold`` of None means a full match.  A pure function of its
     inputs: repeated runs agree exactly.  Estimator failures propagate as
-    :class:`BacktestError` carrying the index of the first draw that fails.
+    :class:`BacktestError` carrying the first draw that fails, a position in
+    the history like the result's draws, not one of its ``draw_indices``.
     """
     warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, history.spec, len(history))
     actuals = history.numbers[warmup:]
@@ -409,10 +406,6 @@ def extrapolate_gaps(observed: Mapping[int, float], targets: Iterable[int]) -> d
     return {int(t): float(math.exp(intercept + slope * int(t))) for t in targets}
 
 
-def _format_numbers(numbers: Sequence[int]) -> str:
-    return " ".join(str(n) for n in numbers)
-
-
 def render_comparison(
     predictions: Sequence[tuple[str, Sequence[int]]],
     actual: Sequence[int] | None = None,
@@ -423,7 +416,7 @@ def render_comparison(
     numbers followed by the upper-cased label in brackets, with the actual
     draw closing the block as ``[AC]`` when given.
     """
-    lines = [f"{_format_numbers(numbers)} [{label.upper()}]" for label, numbers in predictions]
+    lines = [f"{' '.join(map(str, numbers))} [{label.upper()}]" for label, numbers in predictions]
     if actual is not None:
-        lines.append(f"{_format_numbers(actual)} [AC]")
+        lines.append(f"{' '.join(map(str, actual))} [AC]")
     return lines

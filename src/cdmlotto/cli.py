@@ -7,15 +7,17 @@ Subcommands:
     backtest   walk a history, score predictions, report hits, gaps and stretches
     simulate   replay the quarterly staking plan over hit gaps
 
-Each flag is declared once, in :func:`build_parser`, with its converter
-and default.  Flag values may also come from a ``key=value`` config file
-(``--config``): :func:`parse_args` turns its values into the subcommand's
-defaults, so explicit flags win over file values and file values win
-over defaults.  The effective configuration is echoed in JSON output.
-Integers are ASCII digits, as in history files; dollar amounts, ratios
-and smoothing share :func:`_parse_decimal`'s exact decimal grammar.
-Exit codes: 0 success, 1 model or runtime failure, 2 usage or validation
-problems.
+:func:`build_parser` declares the flags with their converters and defaults;
+``--input``, ``--estimator``, ``--smoothing``, ``--window``, ``--draws`` and
+``--seed`` are declared per subcommand.  The hits replay echoes backtest's
+estimator and the game as null, so their defaults (mm, set) are applied in
+:func:`cmd_backtest` and :func:`_game_spec`.  A ``--config`` file of
+``key=value`` lines supplies defaults through :func:`parse_args`: explicit
+flags win over file values, file values over defaults, and JSON output
+echoes the effective configuration.  Integers are ASCII digits, as in
+history files; dollar amounts, ratios and smoothing share
+:func:`_parse_decimal`'s exact decimal grammar.  Exit codes: 0 success,
+1 model or runtime failure, 2 usage or validation problems.
 """
 
 from __future__ import annotations

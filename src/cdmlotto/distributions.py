@@ -21,7 +21,7 @@ the total mass of ``alpha + counts`` to be positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ._numpy import np
 
@@ -50,10 +50,26 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _as_int64(x, name: str) -> np.ndarray:
+    """The one integer converter: a fresh, read-only int64 copy of an integer array, or of
+    floats equal to their rounding inside int64; anything else raises ``ValueError`` naming ``name``."""
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # sequences nested raggedly
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if not (kind == "i" or kind == "u" and int(arr.max(initial=0)) < 2**63 or kind == "f"
+            and np.array_equal(arr, np.rint(arr)) and np.all((arr >= -2.0**63) & (arr < 2.0**63))):
+        raise ValueError(f"{name} must hold integers that fit in int64")
+    out = arr.astype(np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _as_counts(x, name: str = "x", ndim: int = 1) -> np.ndarray:
-    """The one count validator: a fresh int64 copy of nonnegative integer
+    """The one count validator: :func:`_as_int64` of nonnegative integer
     counts, a nonempty vector (``ndim=1``) or an n >= 1 by K >= 2 matrix."""
-    arr = np.asarray(x)
+    arr = _as_int64(x, name)
     if ndim == 1:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"{name} must be a nonempty 1-d vector")
@@ -61,15 +77,23 @@ def _as_counts(x, name: str = "x", ndim: int = 1) -> np.ndarray:
         raise ValueError(f"{name} must be a 2-d array")
     elif arr.shape[0] < 1 or arr.shape[1] < 2:
         raise ValueError(f"count matrix needs n >= 1 rows and K >= 2 columns, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(arr, rounded):
-            raise ValueError(f"{name} must hold integers")
-        arr = rounded
-    arr = arr.astype(np.int64)
     if np.any(arr < 0):
         raise ValueError(f"{name} must be nonnegative")
     return arr
+
+
+def _record_eq(self, other) -> bool:
+    """The ``__eq__`` of the records that hold arrays (not hashable): same class, each field :func:`_same_value`."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_same_value(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same_value(a, b) -> bool:
+    """Arrays are equal by shape and entries, tuples item by item, other values by ``==``."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
 
 
 def _as_alpha(alpha, *, positive: bool) -> np.ndarray:
@@ -103,7 +127,7 @@ def _same_length(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}: lengths {a.size} and {b.size} differ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Draws-by-categories count matrix with a constant row total.
 
@@ -116,13 +140,14 @@ class CountMatrix:
     row_total: int = field(init=False)
     col_sums: np.ndarray = field(init=False)
 
+    __eq__ = _record_eq
+
     def __post_init__(self) -> None:
         arr = _as_counts(self.counts, "counts", ndim=2)
         row_sums = arr.sum(axis=1)
         if np.any(row_sums != row_sums[0]):
             raise ValueError("every row must sum to the same draw total")
         col_sums = arr.sum(axis=0)
-        arr.setflags(write=False)
         col_sums.setflags(write=False)
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "row_total", int(row_sums[0]))
@@ -211,10 +236,9 @@ def cdm_expectation(alpha, total: int) -> np.ndarray:
     av = _as_alpha(alpha, positive=False)
     if total < 0 or int(total) != total:
         raise ValueError(f"total must be a nonnegative integer, got {total}")
-    a0 = float(av.sum())
-    if a0 <= 0.0:
+    if float(av.sum()) <= 0.0:
         raise ValueError("alpha must have positive total mass")
-    return int(total) * av / a0
+    return _predictive_scores(av[None], 0, int(total))[0]
 
 
 def posterior_predictive_log_pmf(z, alpha, counts) -> float:

@@ -239,11 +239,8 @@ def _diagonals(entries: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def estimate_alpha(matrix, config: EstimatorConfig) -> np.ndarray:
     """Fit the configured estimator on one window: a CountMatrix or any
     nonnegative integer n-by-K array (no constant row sums needed)."""
-    if isinstance(matrix, CountMatrix):
-        counts, col_sums = matrix.counts, matrix.col_sums
-    else:
-        counts = _as_counts(matrix, "counts", ndim=2)
-        col_sums = counts.sum(axis=0)
+    counts = matrix.counts if isinstance(matrix, CountMatrix) else _as_counts(matrix, "counts", ndim=2)
+    col_sums = counts.sum(axis=0)
     # 0/1 windows fit from their column sums; others sum a term per entry.
     entries = counts[None] if config.kind is EstimatorKind.MLE and counts.max(initial=0) > 1 else None
     rows = np.array([len(counts)])

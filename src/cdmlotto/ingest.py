@@ -34,7 +34,7 @@ from itertools import repeat
 from typing import Iterable
 
 from ._numpy import np
-from .distributions import CountMatrix
+from .distributions import CountMatrix, _as_int64, _record_eq
 
 __all__ = [
     "GameKind",
@@ -158,9 +158,9 @@ class DrawHistory:
 
     Row i of ``draw_indices`` (n,) and ``numbers`` (n, picks), read-only
     int64 arrays, and ``dates[i]`` (a string, or None for no date) describe
-    the i-th draw.  The constructor copies the arrays and checks the game
-    rules and the index order as array operations, raising
-    :class:`HistoryValidationError` for the first row that breaks one.
+    the i-th draw.  The constructor copies the arrays, refusing non-integers,
+    and checks the game rules and the index order as array operations,
+    raising :class:`HistoryValidationError` for the first row that breaks one.
     """
 
     spec: GameSpec
@@ -168,16 +168,16 @@ class DrawHistory:
     numbers: np.ndarray
     dates: tuple[str | None, ...]
 
+    __eq__ = _record_eq
+
     def __post_init__(self) -> None:
-        indices = np.array(self.draw_indices, dtype=np.int64)
-        numbers = np.array(self.numbers, dtype=np.int64)
+        indices = _as_int64(self.draw_indices, "draw_indices")
+        numbers = _as_int64(self.numbers, "numbers")
         dates = tuple(self.dates)
         n = len(dates)
         if indices.shape != (n,) or numbers.shape != (n, self.spec.picks):
             raise ValueError(f"a history of n draws needs n indices, an (n, {self.spec.picks}) numbers array "
                              f"and n dates; got shapes {indices.shape} and {numbers.shape} with {n} dates")
-        for column in (indices, numbers):
-            column.flags.writeable = False
         object.__setattr__(self, "draw_indices", indices)
         object.__setattr__(self, "numbers", numbers)
         object.__setattr__(self, "dates", dates)
@@ -191,16 +191,6 @@ class DrawHistory:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DrawHistory):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.dates == other.dates
-            and np.array_equal(self.draw_indices, other.draw_indices)
-            and np.array_equal(self.numbers, other.numbers)
-        )
 
 
 def parse_history(source: str | Iterable[str], spec: GameSpec) -> DrawHistory:

@@ -131,6 +131,11 @@ def test_criterion_5_predictive_expectation_contract():
         assert abs(float(scores.sum()) - m) <= 1e-12 * m
         zeros = np.zeros(k, dtype=int)
         assert np.array_equal(predictive_expectation(alpha, zeros, m), cdm_expectation(alpha, m))
+        # The prior form computes through the walk's arithmetic, bit for bit
+        # the closed form total * alpha_j / alpha_0, over scales and totals.
+        wide = alpha * 10.0 ** rng.uniform(-8, 8, size=k)
+        total = int(rng.integers(0, 10**9))
+        assert cdm_expectation(wide, total).tobytes() == (total * wide / wide.sum()).tobytes()
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     print(f"ACCEPTANCE 5 PASS: predictive expectation sums to m and reduces to the prior form ({elapsed:.3f}s)")

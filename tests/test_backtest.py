@@ -790,6 +790,58 @@ class TestWalkMemory:
         assert peak - result.predictions.nbytes - result.match_counts.nbytes < self.BUDGET
 
 
+RECORDS = {
+    "DrawHistory": lambda: synthetic_history(PICK3, 40, seed=3),
+    "CountMatrix": lambda: build_count_matrices(synthetic_history(SIX_52, 40, seed=3))[0],
+    "BacktestResult": lambda: run_backtest(synthetic_history(SIX_52, 80, seed=3),
+                                           EstimatorConfig(EstimatorKind.MOM), hit_threshold=2),
+    "PredictedCombination": lambda: predict_next(synthetic_history(PICK3, 40, seed=3),
+                                                 [EstimatorConfig(EstimatorKind.MOM)])[0],
+}
+
+
+def changed(value):
+    """A value unequal to ``value``: an array or tuple with its last item changed,
+    an integer plus one, anything else (a game, a date) replaced by a string."""
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out.flat[-1] += 1
+        return out
+    if isinstance(value, tuple):
+        return value[:-1] + (changed(value[-1]),)
+    if isinstance(value, int):
+        return value + 1
+    return "changed"
+
+
+@pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS.keys())
+class TestRecordsCompareByValue:
+    """The four records that hold arrays share one equality: the same class
+    and every field of the same value, arrays by their entries."""
+
+    def test_records_built_by_separate_calls_are_equal(self, build):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and not a != b
+
+    def test_a_record_differing_in_any_field_is_unequal(self, build):
+        record = build()
+        for f in dataclasses.fields(record):
+            other = dataclasses.replace(record)
+            # Set past the constructor, whose checks a changed number may fail.
+            object.__setattr__(other, f.name, changed(getattr(record, f.name)))
+            assert record != other and not record == other, f.name
+            assert other != record, f.name
+
+    def test_a_record_of_another_class_is_unequal(self, build):
+        assert build() != "record"
+        assert all(build() != other() for other in RECORDS.values() if other is not build)
+
+    def test_records_are_not_hashable(self, build):
+        with pytest.raises(TypeError):
+            hash(build())
+
+
 def edged_history(spec, draws, concentration, seed):
     """A history with an edge, and each count matrix's fixed probabilities
     p ~ Dirichlet(concentration / K).  Every draw takes a matrix's m numbers

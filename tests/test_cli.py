@@ -297,6 +297,29 @@ class TestBacktest:
         del replay["config"]
         assert gap_report(result.hit_indices) == replay
 
+    def test_draw_indices_are_positions_not_the_csv_column(self, capsys, tmp_path):
+        # A pick-1 history whose CSV draw_index column starts at 1000: the
+        # backtest counts rows from 0 in file order, so its 11th row, CSV
+        # index 1010, is draw 10 in every report and error.
+        spec = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 1)
+        digits = synthetic_history(spec, 30, seed=4).numbers[:, 0].tolist()
+        path = tmp_path / "history.csv"
+        path.write_text("".join(f"{1000 + i},,{d}\n" for i, d in enumerate(digits)), encoding="utf-8")
+        flags = ("--game", "pick", "--picks", "1", "--input", str(path))
+        code, out, err = run(capsys, "backtest", *flags, "--format", "json")
+        assert code == 0, err
+        document = json.loads(out)
+        assert [r["draw_index"] for r in document["records"]] == list(range(10, 30))
+        assert document["hit_indices"] and all(10 <= i < 30 for i in document["hit_indices"])
+        hits = [i for i, r in enumerate(document["records"], start=10) if r["match_count"] >= 1]
+        assert document["hit_indices"] == hits
+        code, out, err = run(capsys, "backtest", *flags)
+        assert code == 0, err
+        assert re.findall(r"^draw (\d+) \(", out, flags=re.M) == [str(i) for i in hits]
+        code, out, err = run(capsys, "backtest", *flags, "--estimator", "mle")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: draw 10: ")
+
     def test_text_report_sections(self, capsys):
         code, out, _ = run(capsys, "backtest", "--game", "set", "--pool", "52", "--picks", "6",
                            "--draws", "400", "--seed", "5", "--threshold", "2")

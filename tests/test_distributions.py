@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cdmlotto.distributions import (
     CountMatrix,
+    _as_int64,
     beta_bernoulli_posterior_pdf,
     cdm_expectation,
     cdm_log_pmf,
@@ -340,3 +341,40 @@ class TestCountMatrix:
         matrix = CountMatrix(np.array([[1, 1], [2, 0]]))
         with pytest.raises(ValueError):
             matrix.counts[0, 0] = 5
+
+    @pytest.mark.parametrize("counts", [
+        [["1", "0"], ["0", "1"]],
+        [[2**64, 0], [0, 1]],
+        [[1e20, 0], [0, 1e20]],
+        [[np.inf, 0], [0, np.inf]],
+    ], ids=["strings", "2**64", "1e20", "inf"])
+    def test_refuses_what_is_not_an_int64_integer(self, counts):
+        with pytest.raises(ValueError, match="^counts must hold integers that fit in int64$"):
+            CountMatrix(counts)
+
+    def test_integers_and_exact_floats_keep_their_values(self):
+        for counts in ([[3, 0], [1, 2]], np.array([[3.0, 0.0], [1.0, 2.0]]), np.array([[3, 0], [1, 2]], np.uint8)):
+            matrix = CountMatrix(counts)
+            assert matrix.counts.dtype == np.int64 and matrix.counts.tolist() == [[3, 0], [1, 2]]
+
+
+class TestIntegerConverter:
+    """One converter turns every outside integer array into a fresh int64 copy."""
+
+    @pytest.mark.parametrize("value", [
+        [1.5], [0.7], [np.nan], [-np.inf], [2.0**63], ["1"], [True], [1 + 0j], [None], [[1, 2], [3]],
+        np.array([2**63], dtype=np.uint64), [-1, 2**63], [2**64],
+    ], ids=repr)
+    def test_refused_values_name_the_argument(self, value):
+        with pytest.raises(ValueError, match="^arg must hold integers that fit in int64$"):
+            _as_int64(value, "arg")
+
+    def test_int64_bounds_and_exact_floats_are_kept(self):
+        for value in ([-2**63, 2**63 - 1], np.array([2**63 - 1], dtype=np.uint64), [-2.0**63, 3.0, -0.0], []):
+            out = _as_int64(value, "arg")
+            assert out.dtype == np.int64 and out.tolist() == [int(v) for v in np.asarray(value).tolist()]
+
+    def test_the_copy_is_fresh_and_read_only(self):
+        source = np.array([1, 2, 3])
+        out = _as_int64(source, "arg")
+        assert not np.shares_memory(out, source) and not out.flags.writeable

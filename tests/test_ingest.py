@@ -444,11 +444,28 @@ class TestColumnarHistory:
         ([5, 6, 7], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "d", None)),
         ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "e", None)),
         ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, None, None)),
-    ], ids=["number", "index", "date", "no-date"])
+        ([4, 5, 6], [[1, 2, 3], [4, 5, 6], [7, 7, 0]], (None, "d\x00", None)),
+    ], ids=["number", "index", "date", "no-date", "date-trailing-nul"])
     def test_one_changed_field_makes_histories_unequal(self, changed):
         history = DrawHistory(PICK3, *self.COLUMNS)
         assert history != DrawHistory(PICK3, *changed)
         assert history == DrawHistory(PICK3, *self.COLUMNS)
+
+    @pytest.mark.parametrize("indices,numbers,name", [
+        ([0], [[1.5, 2, 3]], "numbers"),
+        ([0.7], [[1, 2, 3]], "draw_indices"),
+        ([0], [["1", 2, 3]], "numbers"),
+        ([2**63], [[1, 2, 3]], "draw_indices"),
+    ], ids=["number-1.5", "index-0.7", "number-'1'", "index-2**63"])
+    def test_refuses_what_is_not_an_int64_integer(self, indices, numbers, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold integers that fit in int64$") as info:
+            DrawHistory(PICK3, indices, numbers, (None,))
+        assert not isinstance(info.value, HistoryValidationError)
+
+    def test_exact_floats_keep_their_values(self):
+        history = DrawHistory(PICK3, [4.0, 5.0], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], (None, None))
+        assert history == DrawHistory(PICK3, [4, 5], [[1, 2, 3], [4, 5, 6]], (None, None))
+        assert history.draw_indices.dtype == history.numbers.dtype == np.int64
 
     def test_equality_needs_the_same_game(self):
         pick = DrawHistory(PICK3, [0], [[1, 2, 3]], (None,))
