@@ -43,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import jsondoc
 from ._numpy import np
-from .distributions import _predictive_scores, _record_eq
+from .distributions import _as_int, _as_int64, _predictive_scores, _record_eq
 from .estimators import EstimationError, EstimatorConfig, EstimatorKind, _diagonals, alpha_from_stats
 from .ingest import DrawHistory, GameSpec, _indicators
 
@@ -216,10 +216,10 @@ def match_count(prediction: PredictedCombination, drawn: Sequence[int], spec: Ga
     Set games count the set intersection; digit games count positions
     whose digits agree exactly.
     """
-    predicted = prediction.numbers
-    if len(predicted) != spec.picks or len(drawn) != spec.picks:
-        raise ValueError(f"combination arity mismatch: game plays {spec.picks}, got {len(predicted)} vs {len(drawn)}")
-    return int(_match_counts(spec, np.array([predicted]), np.array([drawn]))[0])
+    predicted, drawn = _as_int64(prediction.numbers, "prediction"), _as_int64(drawn, "drawn")
+    if predicted.shape != (spec.picks,) or drawn.shape != (spec.picks,):
+        raise ValueError(f"combination arity mismatch: game plays {spec.picks}, got {predicted.shape} vs {drawn.shape}")
+    return int(_match_counts(spec, predicted[None], drawn[None])[0])
 
 
 def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> np.ndarray:
@@ -231,9 +231,10 @@ def _match_counts(spec: GameSpec, predicted: np.ndarray, drawn: np.ndarray) -> n
 
 
 def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
-             threshold: int | None, spec: GameSpec, n: int) -> tuple[int, int]:
-    warmup = warmup if warmup is not None else max(spec.categories, 10)
-    threshold = threshold if threshold is not None else spec.picks
+             threshold: int | None, spec: GameSpec, n: int) -> tuple[int | None, int, int]:
+    window = window if window is None else _as_int(window, "window")
+    warmup = _as_int(warmup, "warmup") if warmup is not None else max(spec.categories, 10)
+    threshold = _as_int(threshold, "hit_threshold") if threshold is not None else spec.picks
     if warmup < 1:
         raise ValueError(f"warmup must be positive, got {warmup}")
     if not 1 <= threshold <= spec.picks:
@@ -250,7 +251,7 @@ def _resolve(estimator: EstimatorConfig, window: int | None, warmup: int | None,
             raise ValueError(f"main-diagonal estimation needs a window of at least {spec.categories} rows")
     if n <= warmup:
         raise ValueError(f"history has {n} draws but prediction starts after {warmup}")
-    return warmup, threshold
+    return window, warmup, threshold
 
 
 def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: int | None = None,
@@ -264,7 +265,7 @@ def run_backtest(history: DrawHistory, estimator: EstimatorConfig, *, window: in
     :class:`BacktestError` carrying the first draw that fails, a position in
     the history like the result's draws, not one of its ``draw_indices``.
     """
-    warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, history.spec, len(history))
+    window, warmup, threshold = _resolve(estimator, window, warmup, hit_threshold, history.spec, len(history))
     actuals = history.numbers[warmup:]
     predictions, match_counts = np.empty_like(actuals), np.empty(len(actuals), dtype=np.int64)
     for ends, *_, picks in _walk(history, estimator, window, warmup):
@@ -318,6 +319,7 @@ def predict_next(history: DrawHistory, estimators: Iterable[EstimatorConfig],
     n = len(history)
     if not n:
         raise ValueError("history is empty")
+    window = window if window is None else _as_int(window, "window")
     if window is not None and not 1 <= window <= n:
         raise ValueError(f"window {window} exceeds the {n} available draws" if window > n
                          else f"window must be positive, got {window}")
@@ -358,7 +360,7 @@ def gap_stats(hit_indices: Sequence[int]) -> dict:
 
     Fewer than two hits leave the gaps empty and the other two None.
     """
-    indices = [int(i) for i in hit_indices]
+    indices = [_as_int(i, "hit_indices") for i in hit_indices]
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("hit indices must be strictly increasing")
     gaps = [b - a for a, b in zip(indices, indices[1:])]
@@ -368,8 +370,9 @@ def gap_stats(hit_indices: Sequence[int]) -> dict:
 def gap_report(hit_indices: Sequence[int]) -> dict:
     """Hit indices, gap statistics and stretch labels: the report fields
     that backtest and hits-replay documents share."""
-    stats = gap_stats(hit_indices)
-    return {"hit_indices": list(hit_indices), **stats, "stretch": classify_stretches(stats["gaps"])}
+    indices = [_as_int(i, "hit_indices") for i in hit_indices]
+    stats = gap_stats(indices)
+    return {"hit_indices": indices, **stats, "stretch": classify_stretches(stats["gaps"])}
 
 
 def classify_stretches(gaps: Sequence[int]) -> dict:
@@ -379,7 +382,7 @@ def classify_stretches(gaps: Sequence[int]) -> dict:
     The alternation fraction is the share of adjacent label pairs that
     differ; it is None with fewer than two gaps.
     """
-    labels = ["S" if g < SHORT_LONG_CUTOFF else "L" for g in gaps]
+    labels = ["S" if _as_int(g, "gaps") < SHORT_LONG_CUTOFF else "L" for g in gaps]
     flips = sum(a != b for a, b in zip(labels, labels[1:]))
     return {
         "cutoff": SHORT_LONG_CUTOFF,
@@ -396,14 +399,13 @@ def extrapolate_gaps(observed: Mapping[int, float], targets: Iterable[int]) -> d
     evaluates the fit at the requested counts.  Outputs are projections,
     not measurements; report rendering must label them as such.
     """
-    counts = sorted(int(k) for k in observed)
-    if len(counts) < 2:
+    if len(observed) < 2:
         raise ValueError("need at least two observed match counts to project")
-    gaps = [float(observed[k]) for k in counts]
+    counts, gaps = zip(*sorted((_as_int(k, "observed"), float(g)) for k, g in observed.items()))
     if any(g <= 0 for g in gaps):
         raise ValueError("average gaps must be positive")
     slope, intercept = np.polyfit(counts, np.log(gaps), 1)
-    return {int(t): float(math.exp(intercept + slope * int(t))) for t in targets}
+    return {t: float(math.exp(intercept + slope * t)) for t in (_as_int(target, "targets") for target in targets)}
 
 
 def render_comparison(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Rational, Real
 
 from ._numpy import np
 
@@ -51,7 +52,7 @@ def log_gamma(x: float) -> float:
 
 
 def _as_int64(x, name: str) -> np.ndarray:
-    """The one integer converter: a fresh, read-only int64 copy of an integer array, or of
+    """The integer rule for arrays: a fresh, read-only int64 copy of an integer array, or of
     floats equal to their rounding inside int64; anything else raises ``ValueError`` naming ``name``."""
     try:
         arr = np.asarray(x)
@@ -64,6 +65,20 @@ def _as_int64(x, name: str) -> np.ndarray:
     out = arr.astype(np.int64)
     out.flags.writeable = False
     return out
+
+
+def _as_int(value, name: str) -> int:
+    """:func:`_as_int64`'s rule for one value, as an unbounded int: an integer but a bool, or a float equal to one."""
+    if type(value) is int or isinstance(value, Integral) and not isinstance(value, bool) or (
+            isinstance(value, Real) and not isinstance(value, Rational) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+
+
+def _as_real(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__}")
+    return value
 
 
 def _as_counts(x, name: str = "x", ndim: int = 1) -> np.ndarray:
@@ -234,11 +249,12 @@ def cdm_log_pmf(x, alpha) -> float:
 def cdm_expectation(alpha, total: int) -> np.ndarray:
     """Expected counts out of ``total`` trials: ``total * alpha_j / alpha_0``."""
     av = _as_alpha(alpha, positive=False)
-    if total < 0 or int(total) != total:
+    total = _as_int(total, "total")
+    if total < 0:
         raise ValueError(f"total must be a nonnegative integer, got {total}")
     if float(av.sum()) <= 0.0:
         raise ValueError("alpha must have positive total mass")
-    return _predictive_scores(av[None], 0, int(total))[0]
+    return _predictive_scores(av[None], 0, total)[0]
 
 
 def posterior_predictive_log_pmf(z, alpha, counts) -> float:
@@ -261,9 +277,10 @@ def predictive_expectation(alpha, counts, m: int) -> np.ndarray:
     av = _as_alpha(alpha, positive=False)
     cv = _as_counts(counts, "counts")
     _same_length(av, cv, "predictive_expectation")
-    if m < 1 or int(m) != m:
+    m = _as_int(m, "m")
+    if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
-    return _predictive_scores(av[None], cv[None], int(m))[0]
+    return _predictive_scores(av[None], cv[None], m)[0]
 
 
 def _predictive_scores(alpha: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
@@ -286,6 +303,7 @@ def beta_bernoulli_posterior_pdf(p: float, successes: int, trials: int) -> float
     This is the two-category reduction used as a test oracle against the
     vector machinery.
     """
+    successes, trials = _as_int(successes, "successes"), _as_int(trials, "trials")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, got {successes}, {trials}")
     if not 0.0 < p < 1.0:

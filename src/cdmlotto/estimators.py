@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
-from .distributions import CountMatrix, _as_counts
+from .distributions import CountMatrix, _as_counts, _as_real
 
 __all__ = [
     "EULER_MASCHERONI",
@@ -102,8 +102,9 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         # ``nan < 0`` is False, so test for the valid range instead.
-        if not 0 <= self.mle_smoothing < math.inf:
+        if not 0 <= _as_real(self.mle_smoothing, "mle_smoothing") < math.inf:
             raise ValueError("mle_smoothing must be finite and nonnegative")
+        object.__setattr__(self, "mle_smoothing", float(self.mle_smoothing))
 
 
 def mle_alpha_from_stats(rows, col_means: np.ndarray, denominator: np.ndarray) -> np.ndarray:

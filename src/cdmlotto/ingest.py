@@ -34,7 +34,7 @@ from itertools import repeat
 from typing import Iterable
 
 from ._numpy import np
-from .distributions import CountMatrix, _as_int64, _record_eq
+from .distributions import CountMatrix, _as_int, _as_int64, _record_eq
 
 __all__ = [
     "GameKind",
@@ -99,6 +99,8 @@ class GameSpec:
     picks: int
 
     def __post_init__(self) -> None:
+        for name in ("categories", "picks"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.kind is GameKind.SET_DRAW:
             if not 2 <= self.picks < self.categories:
                 raise ValueError(
@@ -403,6 +405,7 @@ def synthetic_history(spec: GameSpec, draws: int, seed: int) -> DrawHistory:
     (:func:`_floyd_rows`).  Digit games draw independent uniform digits per
     position in one call.  Identical seeds reproduce identical histories.
     """
+    draws, seed = _as_int(draws, "draws"), _as_int(seed, "seed")
     if draws < 1:
         raise ValueError(f"draws must be positive, got {draws}")
     rng = np.random.default_rng(seed)

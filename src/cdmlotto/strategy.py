@@ -27,6 +27,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .distributions import _as_int, _as_real
+
 __all__ = [
     "AccountingMode",
     "StrategyConfig",
@@ -65,9 +67,10 @@ class StrategyConfig:
 
     def __post_init__(self) -> None:
         for name in ("ticket_price_cents", "draws_per_day", "payout_per_ticket_cents", "quarter_days", "player_cap"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        schedule = tuple(int(p) for p in self.schedule)
+        schedule = tuple(_as_int(p, "schedule") for p in self.schedule)
         if not schedule:
             raise ValueError("schedule must be nonempty")
         if any(p <= 0 for p in schedule):
@@ -75,8 +78,10 @@ class StrategyConfig:
         if any(b < a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be nondecreasing")
         object.__setattr__(self, "schedule", schedule)
-        if self.extension_ratio is not None and self.extension_ratio <= 0:
-            raise ValueError("fixed-ratio extension needs a positive ratio")
+        if self.extension_ratio is not None and not 0 < _as_real(self.extension_ratio, "extension_ratio") < math.inf:
+            raise ValueError("fixed-ratio extension needs a finite positive ratio")
+        if not isinstance(self.accounting, AccountingMode):
+            raise ValueError(f"accounting must be an AccountingMode, got {type(self.accounting).__name__}")
 
     @property
     def quarter_cost_per_player_cents(self) -> int:
@@ -155,18 +160,19 @@ def next_player_count(
     """
     ratio = config.extension_ratio
     if ratio is not None:
-        players = max(1, math.ceil(ratio * previous_players))
+        players = max(1, math.ceil(ratio * _as_int(previous_players, "previous_players")))
     else:
         margin = config.payout_per_ticket_cents - config.quarter_cost_per_player_cents
         if margin <= 0:
             raise CapExceededError("a quarter costs at least the payout per player; no count recovers losses")
-        required = cumulative_loss_cents + previous_net_cents
+        required = _as_int(cumulative_loss_cents, "cumulative_loss_cents") + _as_int(
+            previous_net_cents, "previous_net_cents")
         players = max(1, -(-required // margin))
     if players > config.player_cap:
         # str() refuses an int of more than 4,300 digits, so a count that long is named by its size.
         count = players if players < 10**1000 else f"of about 10**{math.log10(players):.0f}"
         raise CapExceededError(f"required player count {count} exceeds the cap {config.player_cap}")
-    return int(players)
+    return players
 
 
 def simulate_stream(
@@ -184,13 +190,13 @@ def simulate_stream(
     charges it only through the last day.
     """
     if win_draw_offset is not None:
-        if win_draw_offset < 0:
+        win_day = last_day = _as_int(win_draw_offset, "win_draw_offset") // config.draws_per_day
+        if win_day < 0:
             raise ValueError(f"win_draw_offset must be >= 0, got {win_draw_offset}")
-        win_day = last_day = win_draw_offset // config.draws_per_day
     else:
-        if horizon_days is None or horizon_days < 1:
+        if horizon_days is None or _as_int(horizon_days, "horizon_days") < 1:
             raise ValueError(f"horizon_days must be positive, got {horizon_days}")
-        win_day, last_day = None, horizon_days - 1
+        win_day, last_day = None, _as_int(horizon_days, "horizon_days") - 1
     quarters = last_day // config.quarter_days + 1
 
     # Only the last quarter can end mid-way: ``loss`` serves ledger and extension rule alike.
@@ -225,7 +231,7 @@ def simulate_streams(gaps: Sequence[int], config: StrategyConfig) -> tuple[Strea
     by_gap: dict[int, StreamLedger] = {}
     ledgers = []
     for i, gap in enumerate(gaps, start=1):
-        g = int(gap)
+        g = _as_int(gap, "gaps")
         if g < 1:
             raise ValueError(f"stream {i}: gap must be a positive draw count, got {gap}")
         if g not in by_gap:
@@ -242,7 +248,7 @@ def required_budget(max_gap_draws: int, config: StrategyConfig) -> int:
 
     Always uses full-quarter accounting, whatever the configured mode.
     """
-    if max_gap_draws < 1:
+    if _as_int(max_gap_draws, "max_gap_draws") < 1:
         raise ValueError(f"max_gap_draws must be positive, got {max_gap_draws}")
     full_quarter = replace(config, accounting=AccountingMode.FULL_QUARTER)
     return simulate_stream(max_gap_draws - 1, full_quarter).total_spend_cents

@@ -21,6 +21,7 @@ from cdmlotto.backtest import (
     SHORT_LONG_CUTOFF,
     _CHUNK,
     BacktestError,
+    PredictedCombination,
     _walk,
     _windows,
     classify_stretches,
@@ -147,6 +148,13 @@ class TestMatchCount:
         combo = select_combination([np.eye(10)[1], np.eye(10)[2], np.eye(10)[3]], PICK3)
         with pytest.raises(ValueError):
             match_count(combo, (1, 2, 3, 4, 5, 6), PICK3)
+
+    @pytest.mark.parametrize("drawn", [["1", "2", "3"], [1.5, 2, 3]], ids=repr)
+    def test_drawn_numbers_must_be_integers(self, drawn):
+        # Compared unconverted, these read as 0 and 2 matches of (1, 2, 3).
+        combo = PredictedCombination((1, 2, 3), ())
+        with pytest.raises(ValueError, match="^drawn must hold integers that fit in int64$"):
+            match_count(combo, drawn, PICK3)
 
 
 # The oracle below rebuilds the walk from the paper's rules, one window at a

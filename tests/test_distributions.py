@@ -3,14 +3,27 @@ structural identities the rest of the package leans on."""
 
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdmlotto.backtest import (
+    PredictedCombination,
+    classify_stretches,
+    extrapolate_gaps,
+    gap_report,
+    gap_stats,
+    match_count,
+    predict_next,
+    run_backtest,
+)
 from cdmlotto.distributions import (
     CountMatrix,
+    _as_int,
     _as_int64,
     beta_bernoulli_posterior_pdf,
     cdm_expectation,
@@ -21,6 +34,15 @@ from cdmlotto.distributions import (
     multinomial_log_pmf,
     posterior_predictive_log_pmf,
     predictive_expectation,
+)
+from cdmlotto.estimators import EstimatorConfig, EstimatorKind
+from cdmlotto.ingest import GameKind, GameSpec, synthetic_history
+from cdmlotto.strategy import (
+    StrategyConfig,
+    next_player_count,
+    required_budget,
+    simulate_stream,
+    simulate_streams,
 )
 
 
@@ -378,3 +400,85 @@ class TestIntegerConverter:
         source = np.array([1, 2, 3])
         out = _as_int64(source, "arg")
         assert not np.shares_memory(out, source) and not out.flags.writeable
+
+
+class TestScalarIntegerRule:
+    """``_as_int`` is ``_as_int64``'s rule for one value: integers but bools,
+    and floats equal to one, as an unbounded Python int."""
+
+    @pytest.mark.parametrize("value", [
+        1.5, 0.7, math.nan, -math.inf, "3", True, np.True_, None, 1 + 0j, Fraction(3), Decimal(3), [3],
+    ], ids=repr)
+    def test_refused_values_name_the_argument_and_type_only(self, value):
+        with pytest.raises(ValueError, match=f"^arg must be an integer, got {type(value).__name__}$"):
+            _as_int(value, "arg")
+
+    def test_integers_and_integral_floats_become_python_ints(self):
+        for value, expected in ((3, 3), (np.int64(-3), -3), (np.uint64(2**64 - 1), 2**64 - 1),
+                                (3.0, 3), (np.float32(-2.0), -2), (1e20, 10**20), (2**70, 2**70)):
+            out = _as_int(value, "arg")
+            assert type(out) is int and out == expected
+
+
+PICK3 = GameSpec(GameKind.POSITIONAL_DIGITS, 10, 3)
+PICK3_HISTORY = synthetic_history(PICK3, 30, 1)
+MOM = EstimatorConfig(EstimatorKind.MOM)
+RATIO = StrategyConfig(extension_ratio=Fraction(2))
+
+# Every integer the library takes: the entry point, the name its refusal
+# gives, a call taking the value, and the refused cases it accepts (None
+# where None means a default or an open stream, 1.5 for a real number).
+INTEGER_ENTRY_POINTS = [
+    ("GameSpec", "categories", lambda v: GameSpec(GameKind.SET_DRAW, v, 2), ()),
+    ("GameSpec", "picks", lambda v: GameSpec(GameKind.POSITIONAL_DIGITS, 10, v), ()),
+    ("synthetic_history", "draws", lambda v: synthetic_history(PICK3, v, 1), ()),
+    ("synthetic_history", "seed", lambda v: synthetic_history(PICK3, 5, v), ()),
+    ("run_backtest", "warmup", lambda v: run_backtest(PICK3_HISTORY, MOM, warmup=v), (None,)),
+    ("run_backtest", "window", lambda v: run_backtest(PICK3_HISTORY, MOM, window=v), (None,)),
+    ("run_backtest", "hit_threshold", lambda v: run_backtest(PICK3_HISTORY, MOM, hit_threshold=v), (None,)),
+    ("predict_next", "window", lambda v: predict_next(PICK3_HISTORY, [MOM], v), (None,)),
+    ("match_count", "drawn", lambda v: match_count(PredictedCombination((3, 1, 3), ()), [v] * 3, PICK3), ()),
+    ("gap_stats", "hit_indices", lambda v: gap_stats([0, v]), ()),
+    ("gap_report", "hit_indices", lambda v: gap_report([0, v]), ()),
+    ("classify_stretches", "gaps", lambda v: classify_stretches([v]), ()),
+    ("extrapolate_gaps", "observed", lambda v: extrapolate_gaps({0: 2.0, v: 8.0}, [4]), ()),
+    ("extrapolate_gaps", "targets", lambda v: extrapolate_gaps({1: 2.0, 2: 4.0}, [v]), ()),
+    ("predictive_expectation", "m", lambda v: predictive_expectation([1.0, 2.0], [1, 0], v), ()),
+    ("cdm_expectation", "total", lambda v: cdm_expectation([1.0, 2.0], v), ()),
+    ("beta_bernoulli_posterior_pdf", "successes", lambda v: beta_bernoulli_posterior_pdf(0.5, v, 5), ()),
+    ("beta_bernoulli_posterior_pdf", "trials", lambda v: beta_bernoulli_posterior_pdf(0.5, 1, v), ()),
+    *(("StrategyConfig", name, lambda v, name=name: StrategyConfig(**{name: v}), ()) for name in (
+        "ticket_price_cents", "draws_per_day", "payout_per_ticket_cents", "quarter_days", "player_cap")),
+    ("StrategyConfig", "schedule", lambda v: StrategyConfig(schedule=(1, v)), ()),
+    ("EstimatorConfig", "mle_smoothing", lambda v: EstimatorConfig(EstimatorKind.MLE, mle_smoothing=v), (1.5,)),
+    ("simulate_streams", "gaps", lambda v: simulate_streams([v], StrategyConfig()), ()),
+    ("simulate_stream", "win_draw_offset", lambda v: simulate_stream(v, StrategyConfig()), (None,)),
+    ("simulate_stream", "horizon_days", lambda v: simulate_stream(None, StrategyConfig(), horizon_days=v), ()),
+    ("required_budget", "max_gap_draws", lambda v: required_budget(v, StrategyConfig()), ()),
+    ("next_player_count", "cumulative_loss_cents", lambda v: next_player_count(v, 0, 12, StrategyConfig()), ()),
+    ("next_player_count", "previous_net_cents", lambda v: next_player_count(0, v, 12, StrategyConfig()), ()),
+    ("next_player_count", "previous_players", lambda v: next_player_count(0, 0, v, RATIO), ()),
+]
+
+
+class TestEveryIntegerPassesTheRule:
+    """Each entry point refuses what is not an integer with a ``ValueError``
+    naming its argument, and reads an integer of another type, or an integral
+    float, exactly as the plain int: results, and the values they keep, compare
+    equal by ``repr``, which tells ``3``, ``3.0`` and ``np.int64(3)`` apart."""
+
+    @pytest.mark.parametrize("name, call, value", [
+        pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, call, accepted in INTEGER_ENTRY_POINTS
+        for value in (1.5, "3", True, None, math.nan) if value not in accepted
+    ])
+    def test_non_integers_are_refused_naming_the_argument(self, name, call, value):
+        with pytest.raises(ValueError, match=name):
+            call(value)
+
+    @pytest.mark.parametrize("call, value", [
+        pytest.param(call, value, id=f"{entry}-{name}-{value!r}")
+        for entry, name, call, _ in INTEGER_ENTRY_POINTS for value in (np.int64(3), 3.0)
+    ])
+    def test_other_integer_types_read_as_the_plain_int(self, call, value):
+        assert repr(call(value)) == repr(call(3))

@@ -2,6 +2,8 @@
 structural identities of the three procedures."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -301,6 +303,18 @@ class TestEstimateAlphaDispatch:
         # nan < 0 is False, so a sign test alone lets NaN through.
         with pytest.raises(ValueError, match="finite"):
             EstimatorConfig(EstimatorKind.MLE, mle_smoothing=value)
+
+    @pytest.mark.parametrize("value", ["1", True, Decimal("0.5"), None, 1 + 0j], ids=repr)
+    def test_config_rejects_what_is_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match=f"^mle_smoothing must be a real number, got {type(value).__name__}$"):
+            EstimatorConfig(EstimatorKind.MLE, mle_smoothing=value)
+
+    def test_config_keeps_the_smoothing_as_a_float(self):
+        matrix = np.array([[1, 0, 2], [1, 1, 1]])
+        for value in (Fraction(1, 2), np.float32(0.5), 0.5):
+            config = EstimatorConfig(EstimatorKind.MLE, mle_smoothing=value)
+            assert type(config.mle_smoothing) is float and config.mle_smoothing == 0.5
+            np.testing.assert_array_equal(estimate_alpha(matrix, config), estimate_mle(matrix, 0.5))
 
 
 class TestEstimatesAreConcentrations:

@@ -3,6 +3,8 @@ cents, extension rules, accounting modes, and the ledger identities."""
 
 import dataclasses
 import itertools
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -343,14 +345,34 @@ class TestConfigValidation:
             StrategyConfig(ticket_price_cents=0)
         with pytest.raises(ValueError):
             StrategyConfig(quarter_days=-1)
+        # A fraction of a cent would break the integer-cent ledger (a spend of 180.0 for 1.5).
+        with pytest.raises(ValueError, match="^ticket_price_cents must be an integer, got float$"):
+            StrategyConfig(ticket_price_cents=1.5)
+
+    @pytest.mark.parametrize("schedule", [(1.5, 2.7), "12"], ids=repr)
+    def test_schedule_counts_are_not_truncated_or_read_from_text(self, schedule):
+        # int() once read both as (1, 2).
+        with pytest.raises(ValueError, match="^schedule must be an integer, got (float|str)$"):
+            StrategyConfig(schedule=schedule)
 
     def test_ratio_rule_needs_a_ratio(self):
-        # None is min-recover, and a ratio must be positive.
+        # None is min-recover, and a ratio must be a finite positive real.
         assert StrategyConfig().extension_ratio is None
         assert StrategyConfig(extension_ratio=Fraction("2.4")).extension_ratio == Fraction(12, 5)
-        for ratio in (Fraction(0), Fraction("-2.4"), Fraction(-1)):
+        assert StrategyConfig(extension_ratio=2.4).extension_ratio == 2.4
+        for ratio in (Fraction(0), Fraction("-2.4"), Fraction(-1), math.nan, math.inf):
             with pytest.raises(ValueError, match="positive ratio"):
                 StrategyConfig(extension_ratio=ratio)
+        for ratio, kind in (("2", "str"), (True, "bool"), (Decimal(2), "Decimal")):
+            with pytest.raises(ValueError, match=f"^extension_ratio must be a real number, got {kind}$"):
+                StrategyConfig(extension_ratio=ratio)
+
+    def test_accounting_must_be_a_mode(self):
+        # Any value but EXACT_DAY runs paper accounting, so the string "exact" would spend 12,000 cents here.
+        assert simulate_stream(10, StrategyConfig(accounting=AccountingMode.EXACT_DAY)).total_spend_cents == 1_200
+        for accounting, kind in (("exact", "str"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"^accounting must be an AccountingMode, got {kind}$"):
+                StrategyConfig(accounting=accounting)
 
 
 class TestLedgerRendering:
